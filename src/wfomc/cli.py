@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage error, 2 input error (parse, tightness,
-domain), 3 resource cap exceeded. Results go to stdout, diagnostics to
-stderr. ``WFOMC_MAX_ATOMS`` overrides the brute-force atom cap.
+domain), 3 resource cap exceeded, including running out of recursion depth
+or memory. Results go to stdout, diagnostics to stderr. ``WFOMC_MAX_ATOMS``
+overrides the brute-force atom cap.
 """
 
 from __future__ import annotations
@@ -229,6 +230,11 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
+        return CAP_ERROR
+    except (RecursionError, MemoryError) as e:
+        # Last resort: no input may end in a traceback or the usage-error code.
+        print(f"error: {type(e).__name__}: the input is nested too deeply or the "
+              "domain is too large", file=sys.stderr)
         return CAP_ERROR
     except (ParseError, NonTightProgramError, WfomcError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -130,12 +130,7 @@ def wmc_bruteforce(g: GroundProblem, cap: int | None = None,
                    force_numpy: bool = False, block_bits: int = _BLOCK_BITS) -> Weight:
     """Sum of weight products over all satisfying assignments of the base."""
     n = len(g.base)
-    limit = max_atoms_cap(cap)
-    if n > limit:
-        raise CapExceededError(
-            f"Herbrand base has {n} atoms, above the brute-force cap {limit}; "
-            "use wmc_dpll (or raise WFOMC_MAX_ATOMS)"
-        )
+    _check_brute_cap(n, cap)
     prog = compile_program(g.formula, g.base)
     m = len(prog.atoms)
     used = set(prog.atoms)
@@ -156,6 +151,15 @@ def wmc_bruteforce(g: GroundProblem, cap: int | None = None,
         return Fraction(total, den) * free * g.scalar
     total_f = _sum_float(prog, used_weights, m, unit, force_numpy, block_bits)
     return total_f * free * g.scalar
+
+
+def _check_brute_cap(n: int, cap: int | None):
+    limit = max_atoms_cap(cap)
+    if n > limit:
+        raise CapExceededError(
+            f"Herbrand base has {n} atoms, above the brute-force cap {limit}; "
+            "use wmc_dpll (or raise WFOMC_MAX_ATOMS)"
+        )
 
 
 def _one(mode: str) -> Weight:
@@ -599,10 +603,12 @@ def _branch_literal(clauses: frozenset) -> int:
 def wfomc(t: WeightedTheory, d: Domain, engine: str = "brute",
           cap: int | None = None) -> Weight:
     """Weighted first-order model count of the theory over the domain."""
-    g = ground(t, d)
     if engine == "brute":
-        return wmc_bruteforce(g, cap=cap)
+        # The Herbrand base size is known before grounding; refuse early.
+        _check_brute_cap(sum(len(d) ** sig.arity for sig in t.predicates()), cap)
+        return wmc_bruteforce(ground(t, d), cap=cap)
     if engine == "dpll":
+        g = ground(t, d)
         if clauses_of(g) is None:
             g = tseitin_ground(g)
         return wmc_dpll(g)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .counting import wfomc
 from .errors import CapExceededError, NonTightProgramError, WfomcError
 from .frontends import BodyLiteral, LogicProgram, MlnModel, ProbFact, Rule
-from .grounding import _expand
+from .grounding import expand
 from .logic import (
     FLOAT,
     TRUE,
@@ -44,7 +44,6 @@ from .logic import (
     fold_or,
     free_vars,
     predicates,
-    substitute,
 )
 from .transform import FreshNamer, skolemize, to_cnf_distribute
 
@@ -111,9 +110,8 @@ def mln_oracle(m: MlnModel, d: Domain, query: Formula, cap: int = 20) -> float:
     for r in m.rules:
         xbar = first_occurrence_vars(r.formula)
         for combo in itertools.product(d.constants, repeat=len(xbar)):
-            bound = substitute(r.formula, dict(zip(xbar, combo)))
-            instances.append((r.weight, _expand(bound, d)))
-    ground_query = _expand(query, d)
+            instances.append((r.weight, expand(r.formula, d, dict(zip(xbar, combo)))))
+    ground_query = expand(query, d)
     if free_vars(ground_query):
         raise WfomcError("query must be a sentence")
 
@@ -396,7 +394,7 @@ def problog_oracle(p: LogicProgram, d: Domain, query: Formula,
         raise CapExceededError(f"{len(coins)} ground facts exceed the oracle cap {cap}")
 
     ground_rules = _ground_rules(p, d)
-    ground_query = _expand(query, d)
+    ground_query = expand(query, d)
     if free_vars(ground_query):
         raise WfomcError("query must be a sentence")
 

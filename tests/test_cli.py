@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from wfomc import cli
 from wfomc.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -163,6 +164,16 @@ class TestExitCodes:
         monkeypatch.setenv("WFOMC_MAX_ATOMS", "40")
         code, out, _ = run(capsys, "count", SAMPLES / "smokers.fol", "--domain-size", "2")
         assert code == 0 and out.strip() == "48"
+
+    @pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+    def test_last_resort_errors_are_three(self, capsys, monkeypatch, exc):
+        def boom(args):
+            raise exc()
+
+        monkeypatch.setattr(cli, "_cmd_count", boom)
+        code, out, err = run(capsys, "count", SAMPLES / "stress.fol", "--domain-size", "1")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_non_tight_program_is_two(self, capsys, tmp_path):
         f = tmp_path / "cyc.plp"

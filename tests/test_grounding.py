@@ -1,9 +1,35 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import domain, formula, theory
-from wfomc.errors import WfomcError
-from wfomc.grounding import ground, herbrand_base
-from wfomc.logic import Atom, Constant, Domain, PredicateSig
+from wfomc import counting
+from wfomc.counting import clauses_of, wfomc
+from wfomc.errors import CapExceededError, WfomcError
+from wfomc.grounding import expand, ground, herbrand_base
+from wfomc.logic import (
+    QUANT,
+    And,
+    Atom,
+    Constant,
+    Domain,
+    ForAll,
+    Or,
+    PredicateSig,
+    children,
+    fold_and,
+    fold_or,
+    standardize_apart,
+    substitute,
+    with_children,
+)
+from wfomc.propcheck import GenConfig, gen_theory
+from wfomc.transform import skolemize, to_cnf_distribute
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestHerbrandBase:
@@ -74,3 +100,111 @@ class TestGround:
         q = Atom(PredicateSig("Q", 1), (Constant("A"),))
         assert by_atom[p] == (2, 3)
         assert by_atom[q] == (1, 1)
+
+
+# Reference grounding by substitution: rename bound variables apart, then
+# substitute each constant and expand, then deduplicate by list membership.
+# Quadratic and recursive in the domain size; fine for n <= 3.
+def _reference_expand(f, d):
+    if isinstance(f, QUANT):
+        cls, fold = (And, fold_and) if isinstance(f, ForAll) else (Or, fold_or)
+        return fold(_reference_unique(cls, [
+            _reference_expand(substitute(f.body, {f.var: c}), d) for c in d
+        ]))
+    if isinstance(f, Atom):
+        return f
+    return with_children(f, tuple(_reference_expand(c, d) for c in children(f)))
+
+
+def _reference_unique(cls, parts):
+    seen = []
+
+    def add(p):
+        if isinstance(p, cls):
+            add(p.left)
+            add(p.right)
+        elif p not in seen:
+            seen.append(p)
+
+    for p in parts:
+        add(p)
+    return seen
+
+
+def _reference_ground(t, d):
+    apart = standardize_apart(t)
+    return fold_and(_reference_unique(And, [_reference_expand(s, d) for s in apart.sentences]))
+
+
+class TestGroundMatchesReference:
+    def test_generated_theories_original_and_skolemized(self):
+        checked = 0
+        for seed in range(240):
+            t = gen_theory(GenConfig(seed=seed))
+            for label, th in (("original", t), ("skolemized", skolemize(t))):
+                for n in (1, 2, 3):
+                    d = Domain.of_size(n)
+                    assert ground(th, d).formula == _reference_ground(th, d), (seed, label, n)
+                    checked += 1
+        assert checked == 240 * 2 * 3
+
+    @pytest.mark.parametrize("text,want", [
+        ("forall x (P(x) & exists x Q(x))", "P(A) & (Q(A) | Q(B)) & P(B)"),
+        ("forall x ((exists x Q(x)) & P(x))", "(Q(A) | Q(B)) & P(A) & P(B)"),
+    ])
+    def test_shadowed_binder(self, text, want):
+        t = theory(text)
+        d = domain("A", "B")
+        assert ground(t, d).formula == formula(want)
+        assert _reference_ground(t, d) == formula(want)
+
+    def test_inner_binder_shadows_the_initial_environment(self):
+        f = formula("(exists x Q(x)) & P(x)")
+        d = domain("A", "B")
+        got = expand(f, d, {"x": Constant("A")})
+        assert got == formula("(Q(A) | Q(B)) & P(A)")
+        assert got == _reference_expand(substitute(f, {"x": Constant("A")}), d)
+
+    def test_unbound_variables_stay_free(self):
+        assert expand(formula("P(x) | exists y Q(y)"), domain("A")) == formula("P(x) | Q(A)")
+
+
+class TestDepth:
+    def test_stress_grounds_at_5000(self):
+        t = theory((ROOT / "samples" / "stress.fol").read_text())
+        d = Domain.of_size(5000)
+        g = ground(t, d)
+        assert len(g.base) == 10000
+        assert len(clauses_of(ground(to_cnf_distribute(t), d))) == 5000
+
+    def test_long_disjunction_as_a_conjunct(self):
+        # The existential's 5000-way fold is an element of the top-level
+        # conjunction: deduplicating it must not walk its left spine.
+        g = ground(theory("exists y R(y)"), Domain.of_size(5000))
+        f, k = g.formula, 1
+        while isinstance(f, Or):
+            assert f.right == Atom(PredicateSig("R", 1), (Constant(f"C{5001 - k}"),))
+            f, k = f.left, k + 1
+        assert k == 5000 and f == Atom(PredicateSig("R", 1), (Constant("C1"),))
+
+
+class TestBruteCap:
+    def test_refuses_before_grounding(self, monkeypatch):
+        def no_ground(*_):
+            raise AssertionError("grounded before checking the cap")
+
+        monkeypatch.setattr(counting, "ground", no_ground)
+        t = theory("forall x (Stress(x) -> Smokes(x))")
+        with pytest.raises(CapExceededError, match="2400 atoms"):
+            wfomc(t, Domain.of_size(1200), engine="brute")
+
+    def test_cli_exits_three_without_a_traceback(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "wfomc.cli", "count", str(ROOT / "samples" / "stress.fol"),
+             "--domain-size", "1200", "--engine", "brute"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
