@@ -9,18 +9,12 @@ for 64 consecutive assignments (lane ``l`` of word ``w`` is assignment
 ``64*w + l``). Atom bits 0..5 vary within a word and load as fixed lane
 patterns; higher atom bits are constant per word.
 
-Two interchangeable backends produce identical words:
-
-  * a numba ``@njit`` scalar loop over words (default when numba imports), and
-  * a vectorized pure-numpy evaluator.
-
-Set ``WFOMC_PURE_NUMPY=1`` to force the numpy backend; the benchmark under
-``benchmarks/`` compares the two.
+There is one evaluator, written in numpy: each instruction acts on the whole
+block of words at once, so the Python dispatch per instruction is paid once
+per block rather than once per word.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -47,61 +41,23 @@ _LANE = np.array(
 )
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-_FORCE_NUMPY = os.environ.get("WFOMC_PURE_NUMPY", "").strip().lower() in {"1", "true", "yes"}
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via WFOMC_PURE_NUMPY instead
-    HAVE_NUMBA = False
+def backend() -> str:
+    """Name of the evaluator; benchmark results record it."""
+    return "numpy"
 
 
-def _eval_words_scalar(ops, args, lane, start_word, n_words, stack, out):
-    ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-    zero = np.uint64(0)
-    one = np.uint64(1)
-    for w in range(n_words):
-        widx = np.uint64(start_word + w)
-        sp = 0
-        for k in range(ops.shape[0]):
-            op = ops[k]
-            if op == 0:  # OP_LOAD
-                bit = args[k]
-                if bit < 6:
-                    stack[sp] = lane[bit]
-                else:
-                    stack[sp] = zero - ((widx >> np.uint64(bit - 6)) & one)
-                sp += 1
-            elif op == 1:  # OP_NOT
-                stack[sp - 1] = ~stack[sp - 1]
-            elif op == 2:  # OP_AND
-                sp -= 1
-                stack[sp - 1] = stack[sp - 1] & stack[sp]
-            elif op == 3:  # OP_OR
-                sp -= 1
-                stack[sp - 1] = stack[sp - 1] | stack[sp]
-            elif op == 4:  # OP_IMP
-                sp -= 1
-                stack[sp - 1] = (~stack[sp - 1]) | stack[sp]
-            elif op == 5:  # OP_IFF
-                sp -= 1
-                stack[sp - 1] = ~(stack[sp - 1] ^ stack[sp])
-            elif op == 6:  # OP_TRUE
-                stack[sp] = ones
-                sp += 1
-            else:  # OP_FALSE
-                stack[sp] = zero
-                sp += 1
-        out[w] = stack[0]
+def satisfying_words(ops, args, stack_need: int, start: int, n: int) -> np.ndarray:
+    """uint64 satisfaction words covering assignments start..start+n-1.
 
-
-if HAVE_NUMBA:
-    _eval_words_jit = njit(cache=True)(_eval_words_scalar)
-
-
-def _eval_words_numpy(ops, args, start_word: int, n_words: int) -> np.ndarray:
-    widx = np.arange(start_word, start_word + n_words, dtype=np.uint64)
+    ``start`` must be 64-aligned (or 0 with n < 64); trailing lanes beyond
+    ``n`` are unspecified. ``stack_need`` is the program's stack depth from
+    ``compile_program``; the evaluator grows its stack as it goes.
+    """
+    if start % 64 and n >= 64:
+        raise ValueError("block start must be 64-aligned")
+    n_words = (n + 63) // 64
+    widx = np.arange(start // 64, start // 64 + n_words, dtype=np.uint64)
     stack: list[np.ndarray] = []
     for k in range(ops.shape[0]):
         op = ops[k]
@@ -133,33 +89,9 @@ def _eval_words_numpy(ops, args, start_word: int, n_words: int) -> np.ndarray:
     return stack[0]
 
 
-def backend() -> str:
-    """Name of the default backend ('numba' or 'numpy')."""
-    return "numba" if (HAVE_NUMBA and not _FORCE_NUMPY) else "numpy"
-
-
-def satisfying_words(ops, args, stack_need: int, start: int, n: int,
-                     force_numpy: bool = False) -> np.ndarray:
-    """uint64 satisfaction words covering assignments start..start+n-1.
-
-    ``start`` must be 64-aligned (or 0 with n < 64); trailing lanes beyond
-    ``n`` are unspecified.
-    """
-    if start % 64 and n >= 64:
-        raise ValueError("block start must be 64-aligned")
-    n_words = (n + 63) // 64
-    if force_numpy or backend() == "numpy":
-        return _eval_words_numpy(ops, args, start // 64, n_words)
-    out = np.empty(n_words, dtype=np.uint64)
-    stack = np.empty(max(stack_need, 1), dtype=np.uint64)
-    _eval_words_jit(ops, args, _LANE, start // 64, n_words, stack, out)
-    return out
-
-
-def satisfying_mask(ops, args, stack_need: int, start: int, n: int,
-                    force_numpy: bool = False) -> np.ndarray:
+def satisfying_mask(ops, args, stack_need: int, start: int, n: int) -> np.ndarray:
     """uint8 mask of length ``n``: 1 where assignment ``start+i`` satisfies."""
-    words = satisfying_words(ops, args, stack_need, start, n, force_numpy)
+    words = satisfying_words(ops, args, stack_need, start, n)
     bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
     return bits[:n]
 

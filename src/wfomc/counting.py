@@ -127,7 +127,7 @@ def compile_program(formula: Formula, base: HerbrandBase) -> Program:
 
 
 def wmc_bruteforce(g: GroundProblem, cap: int | None = None,
-                   force_numpy: bool = False, block_bits: int = _BLOCK_BITS) -> Weight:
+                   block_bits: int = _BLOCK_BITS) -> Weight:
     """Sum of weight products over all satisfying assignments of the base."""
     n = len(g.base)
     _check_brute_cap(n, cap)
@@ -147,9 +147,9 @@ def wmc_bruteforce(g: GroundProblem, cap: int | None = None,
     unit = all(wt == 1 and wf == 1 for wt, wf in used_weights)
 
     if g.mode == EXACT:
-        total, den = _sum_exact(prog, used_weights, m, unit, force_numpy, block_bits)
+        total, den = _sum_exact(prog, used_weights, m, unit, block_bits)
         return Fraction(total, den) * free * g.scalar
-    total_f = _sum_float(prog, used_weights, m, unit, force_numpy, block_bits)
+    total_f = _sum_float(prog, used_weights, m, unit, block_bits)
     return total_f * free * g.scalar
 
 
@@ -176,12 +176,12 @@ def _blocks(m: int, block_bits: int):
 
 
 def _sum_exact(prog: Program, weights, m: int, unit: bool,
-               force_numpy: bool, block_bits: int) -> tuple[int, int]:
+               block_bits: int) -> tuple[int, int]:
     if unit:
         sat = 0
         for start, count in _blocks(m, block_bits):
             words = K.satisfying_words(prog.ops, prog.args, prog.stack_need,
-                                       start, count, force_numpy)
+                                       start, count)
             sat += K.popcount(words, count)
         return sat, 1
 
@@ -207,7 +207,7 @@ def _sum_exact(prog: Program, weights, m: int, unit: bool,
         chunk = max(1, _INT64_SAFE // max(bound, 1))
         for start, count in _blocks(m, block_bits):
             mask = K.satisfying_mask(prog.ops, prog.args, prog.stack_need,
-                                     start, count, force_numpy)
+                                     start, count)
             idx = np.arange(start, start + count, dtype=np.int64)[mask.view(np.bool_)]
             if not idx.size:
                 continue
@@ -217,7 +217,7 @@ def _sum_exact(prog: Program, weights, m: int, unit: bool,
     else:
         for start, count in _blocks(m, block_bits):
             mask = K.satisfying_mask(prog.ops, prog.args, prog.stack_need,
-                                     start, count, force_numpy)
+                                     start, count)
             for j in np.nonzero(mask)[0].tolist():
                 a = start + j
                 total += low[a & low_mask] * high[a >> k]
@@ -225,7 +225,7 @@ def _sum_exact(prog: Program, weights, m: int, unit: bool,
 
 
 def _sum_float(prog: Program, weights, m: int, unit: bool,
-               force_numpy: bool, block_bits: int) -> float:
+               block_bits: int) -> float:
     k = m // 2
     low = np.asarray(_weight_table([w[0] for w in weights[:k]],
                                    [w[1] for w in weights[:k]]), dtype=np.float64)
@@ -235,7 +235,7 @@ def _sum_float(prog: Program, weights, m: int, unit: bool,
     total = 0.0
     for start, count in _blocks(m, block_bits):
         mask = K.satisfying_mask(prog.ops, prog.args, prog.stack_need,
-                                 start, count, force_numpy)
+                                 start, count)
         idx = np.arange(start, start + count, dtype=np.int64)[mask.view(np.bool_)]
         if idx.size:
             total += float(np.sum(low[idx & low_mask] * high[idx >> k]))
@@ -292,15 +292,36 @@ def _literal_int(f: Formula, base: HerbrandBase) -> int | None:
     return None
 
 
+def _conjuncts(f: Formula):
+    """Operands of a nested conjunction, left to right.
+
+    Ground folds are left-deep and their depth grows with the domain size,
+    so the spine is walked with an explicit stack rather than by recursion.
+    """
+    stack = [f]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack.append(f.right)
+            stack.append(f.left)
+        else:
+            yield f
+
+
 def _clause_literals(f: Formula, base: HerbrandBase) -> list[int] | None:
-    if isinstance(f, Or):
-        left = _clause_literals(f.left, base)
-        right = _clause_literals(f.right, base)
-        if left is None or right is None:
+    lits = []
+    stack = [f]  # an explicit stack, as in _conjuncts, for long disjunctions
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Or):
+            stack.append(f.right)
+            stack.append(f.left)
+            continue
+        lit = _literal_int(f, base)
+        if lit is None:
             return None
-        return left + right
-    lit = _literal_int(f, base)
-    return None if lit is None else [lit]
+        lits.append(lit)
+    return lits
 
 
 def clauses_of(g: GroundProblem) -> list[frozenset[int]] | None:
@@ -310,13 +331,7 @@ def clauses_of(g: GroundProblem) -> list[frozenset[int]] | None:
     single empty clause.
     """
     out: list[frozenset[int]] = []
-    stack = [g.formula]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, And):
-            stack.append(f.right)
-            stack.append(f.left)
-            continue
+    for f in _conjuncts(g.formula):
         if isinstance(f, TrueF):
             continue
         if isinstance(f, FalseF):
@@ -409,16 +424,7 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
         raise WfomcError(f"cannot encode {type(f).__name__}")
 
     unsat = False
-    stack = [g.formula]
-    conjuncts = []
-    while stack:
-        f = stack.pop()
-        if isinstance(f, And):
-            stack.append(f.right)
-            stack.append(f.left)
-        else:
-            conjuncts.append(f)
-    for f in conjuncts:
+    for f in _conjuncts(g.formula):
         lits = _clause_literals(f, g.base)
         if lits is not None:
             clauses.append(lits)
@@ -487,6 +493,18 @@ class _DpllCounter:
             out = out * (wt + wf)
         return out
 
+    def _lone_clause(self, clause: frozenset) -> Weight:
+        """Count of one clause over its own atoms, in closed form.
+
+        The clause is false under exactly one assignment of its atoms. This
+        keeps the search depth from growing with the clause length
+        (`exists y R(y)` grounds to one clause with a literal per constant).
+        """
+        falsified = _one(self.mode)
+        for l in clause:
+            falsified = falsified * self._w(-l)
+        return self._free(abs(l) for l in clause) - falsified
+
     def count(self, clauses: frozenset) -> Weight:
         if not clauses:
             return _one(self.mode)
@@ -512,6 +530,11 @@ class _DpllCounter:
             if not current:
                 self.memo[clauses] = factor
                 return factor
+
+        if len(current) == 1:
+            result = factor * self._lone_clause(next(iter(current)))
+            self.memo[clauses] = result
+            return result
 
         comps = _components(current)
         if len(comps) > 1:

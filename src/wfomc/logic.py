@@ -428,6 +428,7 @@ class WeightedTheory:
     def __post_init__(self):
         object.__setattr__(self, "sentences", tuple(self.sentences))
         arities: dict[str, int] = {}
+        sigs: set[PredicateSig] = set()
         for s in self.sentences:
             fv = free_vars(s)
             if fv:
@@ -438,17 +439,19 @@ class WeightedTheory:
                     raise WfomcError(
                         f"predicate {sig.name} used with arities {prev} and {sig.arity}"
                     )
+                sigs.add(sig)
+        # Kept outside the dataclass fields: it is derived from the
+        # sentences, so equality, hashing and repr ignore it.
+        object.__setattr__(self, "_predicates",
+                           tuple(sorted(sigs, key=lambda p: (p.name, p.arity))))
 
     @property
     def mode(self) -> str:
         return self.weights.mode
 
     def predicates(self) -> tuple[PredicateSig, ...]:
-        """All predicates occurring in the sentences, in deterministic order."""
-        sigs = set()
-        for s in self.sentences:
-            sigs |= predicates(s)
-        return tuple(sorted(sigs, key=lambda p: (p.name, p.arity)))
+        """All predicates occurring in the sentences, sorted by (name, arity)."""
+        return self._predicates
 
     def constants(self) -> tuple[Constant, ...]:
         out = set()

@@ -38,6 +38,15 @@ class TestCount:
                 results.append(out.strip())
             assert results[0] == results[1], sample.name
 
+    def test_long_ground_clause_counts_with_dpll(self, capsys, tmp_path):
+        # One ground clause with a literal per constant: clause extraction
+        # and the DPLL search must not recurse once per literal.
+        f = tmp_path / "exists.fol"
+        f.write_text("exists y R(y)\n")
+        code, out, err = run(capsys, "count", f, "--domain-size", "1200", "--engine", "dpll")
+        assert code == 0, err
+        assert int(out) == 2 ** 1200 - 1
+
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "count", SAMPLES / "smokers.fol",
                            "--domain-size", "2", "--json")

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import domain, theory
 from wfomc import _kernels as K
+from wfomc.encoders import _eval_ground
 from wfomc.errors import CapExceededError, WfomcError
 from wfomc.counting import (
     clauses_of,
@@ -18,11 +19,17 @@ from wfomc.counting import (
     wmc_bruteforce,
     wmc_dpll,
 )
-from wfomc.grounding import ground
+from wfomc.grounding import HerbrandBase, ground
 from wfomc.logic import (
+    FALSE,
+    TRUE,
+    And,
     Atom,
     Domain,
+    Iff,
+    Implies,
     Not,
+    Or,
     PredicateSig,
     WeightFn,
     WeightedTheory,
@@ -82,22 +89,66 @@ class TestBruteForce:
         }
         assert len(values) == 1
 
-    def test_backends_agree(self):
-        t = theory("forall x forall y (S(x) & F(x,y) -> S(y))")
-        g = ground(t, Domain.of_size(3))
-        prog = compile_program(g.formula, g.base)
-        w1 = K.satisfying_words(prog.ops, prog.args, prog.stack_need, 0, 1 << 12)
-        w2 = K.satisfying_words(prog.ops, prog.args, prog.stack_need, 0, 1 << 12,
-                                force_numpy=True)
-        assert np.array_equal(w1, w2)
-        assert wmc_bruteforce(g) == wmc_bruteforce(g, force_numpy=True)
-
     def test_float_mode(self):
         t = theory("forall x (P(x) | Q(x))")
         t = t.replace(weights=WeightFn({PredicateSig("P", 1): (2.0, 1.0)}, "float"))
         g = ground(t, Domain.of_size(1))
         # worlds: P Q / P ~Q / ~P Q  ->  2 + 2 + 1
         assert wmc_bruteforce(g) == pytest.approx(5.0)
+
+
+def random_ground_formula(rng, atoms, depth):
+    if depth == 0 or rng.random() < 0.2:
+        r = rng.random()
+        return TRUE if r < 0.1 else FALSE if r < 0.2 else rng.choice(atoms)
+    cls = rng.choice([Not, And, Or, Implies, Iff])
+    if cls is Not:
+        return Not(random_ground_formula(rng, atoms, depth - 1))
+    return cls(random_ground_formula(rng, atoms, depth - 1),
+               random_ground_formula(rng, atoms, depth - 1))
+
+
+ALL_OPS = {K.OP_LOAD, K.OP_NOT, K.OP_AND, K.OP_OR, K.OP_IMP, K.OP_IFF,
+           K.OP_TRUE, K.OP_FALSE}
+
+
+class TestKernels:
+    def test_mask_matches_ground_evaluator(self):
+        # Oracle: the recursive evaluator from the encoders, one world at a
+        # time. Nine atoms give 512 assignments, so bits above 5 (constant
+        # per word) and blocks that start past word 0 are both exercised.
+        atoms = [Atom(PredicateSig(f"P{i}", 0), ()) for i in range(9)]
+        base = HerbrandBase(tuple(atoms), {a: i for i, a in enumerate(atoms)})
+        rng = random.Random(7)
+        checked = 0
+        while checked < 30:
+            f = random_ground_formula(rng, atoms, 6)
+            prog = compile_program(f, base)
+            if set(prog.ops.tolist()) != ALL_OPS:
+                continue
+            m = len(prog.atoms)
+            expected = np.array([
+                _eval_ground(f, {atoms[prog.atoms[i]] for i in range(m) if a >> i & 1})
+                for a in range(1 << m)
+            ], dtype=np.uint8)
+            full = K.satisfying_mask(prog.ops, prog.args, prog.stack_need, 0, 1 << m)
+            assert np.array_equal(full, expected)
+            step = min(64, 1 << m)
+            for start in range(0, 1 << m, step):
+                block = K.satisfying_mask(prog.ops, prog.args, prog.stack_need, start, step)
+                assert np.array_equal(block, expected[start:start + step])
+            checked += 1
+
+    def test_unaligned_block_start_is_rejected(self):
+        prog = compile_program(TRUE, HerbrandBase((), {}))
+        with pytest.raises(ValueError, match="aligned"):
+            K.satisfying_words(prog.ops, prog.args, prog.stack_need, 32, 64)
+
+    def test_popcount_ignores_trailing_lanes(self):
+        ones = np.full(2, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
+        assert K.popcount(ones, 70) == 70
+        assert K.popcount(ones[:1], 5) == 5
+        assert K.popcount(ones, 128) == 128  # masking left the words intact
 
 
 class TestDefinitionLifting:
@@ -109,7 +160,7 @@ class TestDefinitionLifting:
         weights = {s: (rng.choice(WEIGHT_POOL), rng.choice(WEIGHT_POOL)) for s in sigs}
         # tautological clauses keep every predicate in the base
         sentences = []
-        from wfomc.logic import ForAll, Or, Variable
+        from wfomc.logic import ForAll, Variable
 
         for s in sigs:
             args = tuple(Variable("x") for _ in range(s.arity))
@@ -185,8 +236,6 @@ class TestGroundTseitin:
             if depth == 0 or rng.random() < 0.3:
                 a = rng.choice(atoms)
                 return a if rng.random() < 0.7 else Not(a)
-            from wfomc.logic import And, Iff, Implies, Or
-
             cls = rng.choice([And, Or, Implies, Iff])
             return cls(gen(depth - 1), gen(depth - 1))
 
