@@ -370,17 +370,8 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
         weights.append((one, one))
         return len(atoms)
 
-    def enc(f: Formula):
-        if isinstance(f, TrueF):
-            return True
-        if isinstance(f, FalseF):
-            return False
-        if isinstance(f, Atom):
-            return g.base.index[f] + 1
-        if isinstance(f, Not):
-            e = enc(f.body)
-            return (not e) if isinstance(e, bool) else -e
-        l, r = enc(f.left), enc(f.right)
+    def combine(f: Formula, l, r):
+        """Literal (or constant) naming a binary node, given its operands'."""
         if isinstance(f, And):
             if l is False or r is False:
                 return False
@@ -411,17 +402,47 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
             v = new_var()
             clauses.extend([[-v, -l, r], [v, l], [v, -r]])
             return v
-        if isinstance(f, Iff):
-            if isinstance(l, bool):
-                if isinstance(r, bool):
-                    return l == r
-                return r if l else -r
+        # Iff
+        if isinstance(l, bool):
             if isinstance(r, bool):
-                return l if r else -l
-            v = new_var()
-            clauses.extend([[-v, -l, r], [-v, l, -r], [v, l, r], [v, -l, -r]])
-            return v
-        raise WfomcError(f"cannot encode {type(f).__name__}")
+                return l == r
+            return r if l else -r
+        if isinstance(r, bool):
+            return l if r else -l
+        v = new_var()
+        clauses.extend([[-v, -l, r], [-v, l, -r], [v, l, r], [v, -l, -r]])
+        return v
+
+    def enc(root: Formula):
+        """Post-order walk with an explicit stack: ground folds are left-deep
+        and as deep as the domain is large. Left operands are encoded before
+        right ones, so definition atoms are numbered as by a recursive walk."""
+        stack = [(root, False)]
+        done: list = []  # encodings of finished subformulas
+        while stack:
+            f, operands_done = stack.pop()
+            if isinstance(f, TrueF):
+                done.append(True)
+            elif isinstance(f, FalseF):
+                done.append(False)
+            elif isinstance(f, Atom):
+                done.append(g.base.index[f] + 1)
+            elif not isinstance(f, (Not, And, Or, Implies, Iff)):
+                raise WfomcError(f"cannot encode {type(f).__name__}")
+            elif not operands_done:
+                stack.append((f, True))
+                if isinstance(f, Not):
+                    stack.append((f.body, False))
+                else:
+                    stack.append((f.right, False))
+                    stack.append((f.left, False))
+            elif isinstance(f, Not):
+                e = done.pop()
+                done.append((not e) if isinstance(e, bool) else -e)
+            else:
+                r = done.pop()
+                done.append(combine(f, done.pop(), r))
+        return done[0]
 
     unsat = False
     for f in _conjuncts(g.formula):
@@ -463,70 +484,90 @@ def wmc_dpll(g: GroundProblem) -> Weight:
         raise WfomcError("wmc_dpll needs a CNF ground formula; "
                          "convert with tseitin_ground first")
     counter = _DpllCounter(g.weights, g.mode)
-    result = counter.count(frozenset(clauses))
-    free = _one(g.mode)
-    in_clauses = set()
-    for c in clauses:
-        for l in c:
-            in_clauses.add(abs(l) - 1)
-    for i in range(len(g.base)):
-        if i not in in_clauses:
-            wt, wf = g.weights[i]
-            free = free * (wt + wf)
-    return result * free * g.scalar
+    current = frozenset(clauses)
+    atoms = set(map(abs, frozenset().union(*current)))
+    total = counter.zero if frozenset() in current else counter.count(current, atoms)
+    for a in range(1, len(g.base) + 1):
+        if a not in atoms:
+            total = total * counter.free[a]
+    if g.mode == EXACT:
+        return Fraction(total, counter.den) * g.scalar
+    return total * g.scalar
 
 
 class _DpllCounter:
+    """Weighted counts of clause sets, each over the atoms it mentions.
+
+    Atoms are numbered from 1 and literals are signed atom numbers. In exact
+    mode each atom's two weights are scaled by the lcm of their denominators
+    once, so the search multiplies Python ints and the caller divides the
+    final total by ``den``, the product of those scales over the whole base.
+    Float mode counts in floats and ``den`` stays 1.
+    """
+
     def __init__(self, weights, mode):
-        self.weights = weights
-        self.mode = mode
-        self.memo: dict[frozenset, Weight] = {}
+        n = len(weights)
+        # lit_w[l] is the weight of literal l; a negative index counts from
+        # the end, so both signs fit in one list of 2n + 1 slots.
+        self.lit_w = [None] * (2 * n + 1)
+        self.free = [None] * (n + 1)  # free[a] = wt + wf of atom a
+        self.den = 1
+        for a, (wt, wf) in enumerate(weights, 1):
+            if mode == EXACT:
+                d = math.lcm(wt.denominator, wf.denominator)
+                wt, wf = int(wt * d), int(wf * d)
+                self.den *= d
+            self.lit_w[a], self.lit_w[-a] = wt, wf
+            self.free[a] = wt + wf
+        self.one, self.zero = (1, 0) if mode == EXACT else (1.0, 0.0)
+        self.memo: dict[frozenset, int | float] = {}
 
-    def _w(self, lit: int) -> Weight:
-        wt, wf = self.weights[abs(lit) - 1]
-        return wt if lit > 0 else wf
-
-    def _free(self, atoms) -> Weight:
-        out = _one(self.mode)
-        for i in atoms:
-            wt, wf = self.weights[i - 1]
-            out = out * (wt + wf)
+    def _free(self, atoms):
+        out = self.one
+        for a in atoms:
+            out = out * self.free[a]
         return out
 
-    def _lone_clause(self, clause: frozenset) -> Weight:
+    def _lone_clause(self, clause: frozenset):
         """Count of one clause over its own atoms, in closed form.
 
         The clause is false under exactly one assignment of its atoms. This
         keeps the search depth from growing with the clause length
         (`exists y R(y)` grounds to one clause with a literal per constant).
         """
-        falsified = _one(self.mode)
+        total = falsified = self.one
         for l in clause:
-            falsified = falsified * self._w(-l)
-        return self._free(abs(l) for l in clause) - falsified
+            total = total * self.free[abs(l)]
+            falsified = falsified * self.lit_w[-l]
+        return total - falsified
 
-    def count(self, clauses: frozenset) -> Weight:
+    def count(self, clauses: frozenset, atoms: set):
+        """Count of a clause set without empty clauses; ``atoms`` are
+        exactly the atoms its clauses mention."""
         if not clauses:
-            return _one(self.mode)
-        if frozenset() in clauses:
-            return _zero(self.mode)
+            return self.one
         hit = self.memo.get(clauses)
         if hit is not None:
             return hit
 
-        factor = _one(self.mode)
+        # Every current unit clause is forced, so all of them are assigned
+        # in one pass; complementary units leave no model.
+        factor = self.one
         current = clauses
         while True:
-            units = [next(iter(c)) for c in current if len(c) == 1]
+            units = {l for c in current if len(c) == 1 for l in c}
             if not units:
                 break
-            unit = min(units, key=lambda l: (abs(l), l))
-            reduced, vanished = _assign(current, unit)
-            factor = factor * self._w(unit) * self._free(vanished)
+            complementary = any(-l in units for l in units)
+            reduced = None if complementary else _assign(current, units)
             if reduced is None:
-                self.memo[clauses] = _zero(self.mode)
-                return _zero(self.mode)
-            current = reduced
+                self.memo[clauses] = self.zero
+                return self.zero
+            current, left = reduced
+            for l in units:
+                factor = factor * self.lit_w[l]
+            factor = factor * self._free(atoms - left - set(map(abs, units)))
+            atoms = left
             if not current:
                 self.memo[clauses] = factor
                 return factor
@@ -536,56 +577,51 @@ class _DpllCounter:
             self.memo[clauses] = result
             return result
 
-        comps = _components(current)
+        comps = _components(current, atoms)
         if len(comps) > 1:
             result = factor
-            for comp in comps:
-                result = result * self.count(comp)
+            for comp, comp_atoms in comps:
+                result = result * self.count(comp, comp_atoms)
             self.memo[clauses] = result
             return result
 
         lit = _branch_literal(current)
-        total = _zero(self.mode)
+        total = self.zero
         for phase in (lit, -lit):
-            reduced, vanished = _assign(current, phase)
+            reduced = _assign(current, {phase})
             if reduced is None:
                 continue
-            total = total + self._w(phase) * self._free(vanished) * self.count(reduced)
+            residual, left = reduced
+            total = total + (self.lit_w[phase] * self._free(atoms - left - {abs(lit)})
+                             * self.count(residual, left))
         result = factor * total
         self.memo[clauses] = result
         return result
 
 
-def _zero(mode: str) -> Weight:
-    return Fraction(0) if mode == EXACT else 0.0
+def _assign(clauses: frozenset, lits: set):
+    """Apply a consistent set of literals in one pass.
 
-
-def _atoms_of(clauses) -> set[int]:
-    out = set()
-    for c in clauses:
-        for l in c:
-            out.add(abs(l))
-    return out
-
-
-def _assign(clauses: frozenset, lit: int):
-    """Apply a literal; returns (residual clauses | None if unsat, vanished atoms)."""
+    Returns (residual clauses, the atoms they mention), or None when some
+    clause loses all its literals.
+    """
+    negs = {-l for l in lits}
     new = []
     for c in clauses:
-        if lit in c:
+        if not c.isdisjoint(lits):
             continue
-        if -lit in c:
-            c = c - {-lit}
+        if not c.isdisjoint(negs):
+            c = c - negs
             if not c:
-                return None, set()
+                return None
         new.append(c)
-    residual = frozenset(new)
-    vanished = _atoms_of(clauses) - _atoms_of(residual) - {abs(lit)}
-    return residual, vanished
+    return frozenset(new), set(map(abs, frozenset().union(*new)))
 
 
-def _components(clauses: frozenset) -> list[frozenset]:
-    parent: dict[int, int] = {}
+def _components(clauses: frozenset, atoms: set[int]) -> list[tuple[frozenset, set[int]]]:
+    """Connected components as (clauses, atoms) pairs; ``atoms`` are the
+    atoms the clauses mention."""
+    parent = {a: a for a in atoms}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -593,19 +629,25 @@ def _components(clauses: frozenset) -> list[frozenset]:
             x = parent[x]
         return x
 
+    roots = len(atoms)
     for c in clauses:
-        atoms = [abs(l) for l in c]
-        for a in atoms:
-            parent.setdefault(a, a)
-        for a in atoms[1:]:
-            ra, rb = find(atoms[0]), find(a)
+        it = iter(c)
+        ra = find(abs(next(it)))
+        for l in it:
+            rb = find(abs(l))
             if ra != rb:
                 parent[rb] = ra
+                roots -= 1
+    if roots == 1:
+        return [(clauses, atoms)]
     groups: dict[int, list] = {}
     for c in clauses:
         root = find(abs(next(iter(c))))
         groups.setdefault(root, []).append(c)
-    return [frozenset(g) for g in groups.values()]
+    members: dict[int, set[int]] = {root: set() for root in groups}
+    for a in atoms:
+        members[find(a)].add(a)
+    return [(frozenset(g), members[root]) for root, g in groups.items()]
 
 
 def _branch_literal(clauses: frozenset) -> int:

@@ -1,5 +1,8 @@
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,8 @@ from wfomc.logic import (
     WeightedTheory,
     fold_or,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 WEIGHT_POOL = [
     Fraction(1), Fraction(1), Fraction(-1), Fraction(2),
@@ -222,6 +227,50 @@ class TestDpll:
         assert wfomc(t, domain("A"), engine="dpll") == 2
         assert wfomc(t, domain("A"), engine="brute") == 2
 
+    def test_complementary_units_count_zero(self):
+        t = theory("weight P 0 3/10 -1\nweight Q 0 2 1/2\nP\n~P\nQ | P")
+        got = wmc_dpll(ground(t, domain("A")))
+        assert got == 0 and isinstance(got, Fraction)
+        t = t.replace(weights=WeightFn({PredicateSig("P", 0): (0.3, -1.0)}, "float"))
+        got = wmc_dpll(ground(t, domain("A")))
+        assert got == 0.0 and isinstance(got, float)
+
+    def test_larger_random_cnfs_match_brute_force(self):
+        rng = random.Random(44)
+        for _ in range(40):
+            g = random_ground_problem(rng, max_atoms=16, max_clauses=40)
+            assert wmc_dpll(g) == wmc_bruteforce(g)
+
+    def test_float_mode_matches_float_brute_force(self):
+        rng = random.Random(45)
+        for _ in range(40):
+            g = random_ground_problem(rng, max_atoms=12, max_clauses=30)
+            weights = tuple((float(wt), float(wf)) for wt, wf in g.weights)
+            g = replace(g, weights=weights, scalar=float(g.scalar), mode="float")
+            got, want = wmc_dpll(g), wmc_bruteforce(g)
+            assert isinstance(got, float)
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("st,sf,ft,ff", [
+        (Fraction(3, 10), Fraction(-1), Fraction(-1), Fraction(3, 10)),
+        (Fraction(-1), Fraction(3, 10), Fraction(3, 10), Fraction(-1)),
+    ])
+    def test_smokers_closed_form(self, st, sf, ft, ff):
+        # With k smokers, the k(n-k) friendships from a smoker to a
+        # non-smoker are false; every other F atom is free.
+        t = theory(f"weight S 1 {st} {sf}\nweight F 2 {ft} {ff}\n"
+                   "forall x forall y (S(x) & F(x,y) -> S(y))")
+        for n in range(1, 6):
+            want = sum(math.comb(n, k) * st ** k * sf ** (n - k)
+                       * ff ** (k * (n - k)) * (ft + ff) ** (n * n - k * (n - k))
+                       for k in range(n + 1))
+            assert wfomc(t, Domain.of_size(n), engine="dpll") == want
+
+    def test_stress_units_at_3000(self):
+        # 3000 independent Tseitin units: one propagation pass, not 3000.
+        t = theory((ROOT / "samples" / "stress.fol").read_text())
+        assert wfomc(t, Domain.of_size(3000), engine="dpll") == 3 ** 3000
+
 
 class TestGroundTseitin:
     @given(st.integers(0, 300))
@@ -247,6 +296,24 @@ class TestGroundTseitin:
         assert clauses_of(gt) is not None
         assert wmc_bruteforce(gt) == wmc_bruteforce(g)
         assert wmc_dpll(gt) == wmc_bruteforce(g)
+
+    def test_definitions_numbered_left_to_right(self):
+        gt = tseitin_ground(ground(theory("(P & Q) | (R & S)"), domain("A")))
+        assert [a.pred.name for a in gt.base.atoms] == ["P", "Q", "R", "S",
+                                                        "Aux0", "Aux1", "Aux2"]
+        assert clauses_of(gt) == [frozenset(c) for c in (
+            [-5, 1], [-5, 2], [5, -1, -2], [-6, 3], [-6, 4], [6, -3, -4],
+            [-7, 5, 6], [7, -5], [7, -6], [7])]
+
+    def test_long_fold_encodes_without_recursion(self):
+        g = ground(theory("exists y (R(y) & S(y))"), Domain.of_size(1200))
+        assert clauses_of(tseitin_ground(g)) is not None
+
+    def test_exists_conjunction_counts(self):
+        t = theory("exists y (R(y) & S(y))")
+        for n in range(1, 5):
+            for engine in ("brute", "dpll"):
+                assert wfomc(t, Domain.of_size(n), engine=engine) == 4 ** n - 3 ** n
 
 
 class TestModelEnumeration:
