@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -532,7 +533,31 @@ def _fmt(f: Formula, ctx: int) -> str:
 def weight_str(w: Weight) -> str:
     if isinstance(w, float):
         return "inf" if math.isinf(w) else repr(w)
-    return str(w)
+    frac = Fraction(w)
+    if frac.denominator == 1:
+        return _int_str(frac.numerator)
+    return f"{_int_str(frac.numerator)}/{_int_str(frac.denominator)}"
+
+
+def _int_str(n: int) -> str:
+    """Decimal digits of ``n``, however many.
+
+    ``str(int)`` refuses more than ``sys.get_int_max_str_digits()`` digits,
+    a limit that guards the parsing of untrusted numbers, while exact counts
+    over large domains have many more (3**10000 has 4772). Chunks of at most
+    ``str_digits_check_threshold`` digits are never checked, so the limit
+    stays in place for everything else.
+    """
+    if n < 0:
+        return "-" + _int_str(-n)
+    width = sys.int_info.str_digits_check_threshold
+    chunk = 10 ** width
+    parts = []
+    while n >= chunk:
+        n, low = divmod(n, chunk)
+        parts.append(f"{low:0{width}d}")
+    parts.append(str(n))
+    return "".join(reversed(parts))
 
 
 def serialize_theory(t: WeightedTheory, domain: Domain | None = None) -> str:
@@ -581,11 +606,12 @@ def count_json(value: Weight) -> dict:
     if isinstance(value, float):
         return {"count_float": value}
     frac = Fraction(value)
-    return {"count": {"num": str(frac.numerator), "den": str(frac.denominator)}}
+    return {"count": {"num": _int_str(frac.numerator), "den": _int_str(frac.denominator)}}
 
 
 def probability_json(value: Weight) -> dict:
     if isinstance(value, float):
         return {"probability_float": value}
     frac = Fraction(value)
-    return {"probability": {"num": str(frac.numerator), "den": str(frac.denominator)}}
+    return {"probability": {"num": _int_str(frac.numerator),
+                            "den": _int_str(frac.denominator)}}

@@ -1,3 +1,4 @@
+import decimal
 import json
 from pathlib import Path
 
@@ -46,6 +47,21 @@ class TestCount:
         code, out, err = run(capsys, "count", f, "--domain-size", "1200", "--engine", "dpll")
         assert code == 0, err
         assert int(out) == 2 ** 1200 - 1
+
+    def test_counts_past_the_int_str_digit_limit(self, capsys):
+        # 3**10000 has 4772 digits, more than str(int) converts by default.
+        want = 3 ** 10000
+        code, out, err = run(capsys, "count", SAMPLES / "stress.fol",
+                             "--domain-size", "10000", "--engine", "dpll")
+        assert code == 0, err
+        assert len(out.strip()) == 4772
+        assert int(decimal.Decimal(out)) == want
+        code, out, err = run(capsys, "count", SAMPLES / "stress.fol",
+                             "--domain-size", "10000", "--engine", "dpll", "--json")
+        assert code == 0, err
+        count = json.loads(out)["count"]
+        assert count["den"] == "1"
+        assert int(decimal.Decimal(count["num"])) == want
 
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "count", SAMPLES / "smokers.fol",

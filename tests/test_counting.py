@@ -36,6 +36,7 @@ from wfomc.logic import (
     PredicateSig,
     WeightFn,
     WeightedTheory,
+    fold_and,
     fold_or,
 )
 
@@ -260,14 +261,14 @@ class TestDpll:
         # non-smoker are false; every other F atom is free.
         t = theory(f"weight S 1 {st} {sf}\nweight F 2 {ft} {ff}\n"
                    "forall x forall y (S(x) & F(x,y) -> S(y))")
-        for n in range(1, 6):
+        for n in (*range(1, 6), 8, 10):
             want = sum(math.comb(n, k) * st ** k * sf ** (n - k)
                        * ff ** (k * (n - k)) * (ft + ff) ** (n * n - k * (n - k))
                        for k in range(n + 1))
             assert wfomc(t, Domain.of_size(n), engine="dpll") == want
 
     def test_stress_units_at_3000(self):
-        # 3000 independent Tseitin units: one propagation pass, not 3000.
+        # 3000 independent two-literal clauses, one component each.
         t = theory((ROOT / "samples" / "stress.fol").read_text())
         assert wfomc(t, Domain.of_size(3000), engine="dpll") == 3 ** 3000
 
@@ -298,16 +299,70 @@ class TestGroundTseitin:
         assert wmc_dpll(gt) == wmc_bruteforce(g)
 
     def test_definitions_numbered_left_to_right(self):
-        gt = tseitin_ground(ground(theory("(P & Q) | (R & S)"), domain("A")))
-        assert [a.pred.name for a in gt.base.atoms] == ["P", "Q", "R", "S",
-                                                        "Aux0", "Aux1", "Aux2"]
+        # Distribution would give 8 clauses over 6 leaves, so subformulas
+        # are named instead.
+        gt = tseitin_ground(ground(theory("(P & Q) | (R & S) | (T & U)"), domain("A")))
+        assert [a.pred.name for a in gt.base.atoms] == [
+            "P", "Q", "R", "S", "T", "U", "Aux0", "Aux1", "Aux2", "Aux3", "Aux4"]
         assert clauses_of(gt) == [frozenset(c) for c in (
-            [-5, 1], [-5, 2], [5, -1, -2], [-6, 3], [-6, 4], [6, -3, -4],
-            [-7, 5, 6], [7, -5], [7, -6], [7])]
+            [-7, 1], [-7, 2], [7, -1, -2], [-8, 3], [-8, 4], [8, -3, -4],
+            [-9, 7, 8], [9, -7], [9, -8], [-10, 5], [-10, 6], [10, -5, -6],
+            [-11, 9, 10], [11, -9], [11, -10], [11])]
+
+    def test_small_conjunct_is_distributed(self):
+        # 4 clauses over 4 leaves: distributed, in order, with no new atoms.
+        gt = tseitin_ground(ground(theory("(P & Q) | (R & S)"), domain("A")))
+        assert [a.pred.name for a in gt.base.atoms] == ["P", "Q", "R", "S"]
+        assert clauses_of(gt) == [frozenset(c) for c in ([1, 3], [1, 4], [2, 3], [2, 4])]
+
+    def test_distribution_drops_tautologies_and_repeated_literals(self):
+        gt = tseitin_ground(ground(theory("(P & Q) | (P & ~Q) | P\nR <-> R"), domain("A")))
+        # P | P | P, P | ~Q | P, Q | P | P and Q | ~Q | P; ~R | R and R | ~R.
+        p, q, _ = gt.base.atoms
+        assert gt.formula == fold_and([p, fold_or([p, Not(q)]), fold_or([q, p])])
+
+    def test_smokers_grounds_to_plain_clauses(self):
+        # One clause ~S(x) | ~F(x,y) | S(y) per pair x != y (x = y is a
+        # tautology), over the 8 + 64 atoms of the base.
+        t = theory((ROOT / "samples" / "smokers.fol").read_text())
+        gt = tseitin_ground(ground(t, Domain.of_size(8)))
+        assert len(gt.base) == 72
+        assert not any(a.pred.name.startswith("Aux") for a in gt.base.atoms)
+        clauses = clauses_of(gt)
+        assert len(clauses) == 56 and all(len(c) == 3 for c in clauses)
+
+    def test_mixed_random_formulas_keep_counts(self):
+        # Deeper random formulas with constants: some conjuncts distribute,
+        # others are too wide and get definitions; both keep the count.
+        rng = random.Random(46)
+        sigs = [PredicateSig(f"P{i}", 0) for i in range(5)]
+        atoms = [Atom(s, ()) for s in sigs]
+        leaves = atoms + [Not(a) for a in atoms] + [TRUE, FALSE]
+
+        def gen(depth):
+            if depth == 0 or rng.random() < 0.2:
+                return rng.choice(leaves)
+            return rng.choice([And, Or, Implies, Iff])(gen(depth - 1), gen(depth - 1))
+
+        paths = set()
+        for _ in range(150):
+            sentences = tuple(gen(4) for _ in range(rng.randint(1, 2)))
+            weights = {s: (rng.choice(WEIGHT_POOL), rng.choice(WEIGHT_POOL)) for s in sigs}
+            g = ground(WeightedTheory(sentences, WeightFn(weights)), Domain.of_size(1))
+            gt = tseitin_ground(g)
+            paths.add(len(gt.base) > len(g.base))
+            assert clauses_of(gt) is not None
+            assert wmc_dpll(gt) == wmc_bruteforce(g)
+        assert paths == {False, True}
 
     def test_long_fold_encodes_without_recursion(self):
         g = ground(theory("exists y (R(y) & S(y))"), Domain.of_size(1200))
         assert clauses_of(tseitin_ground(g)) is not None
+
+    def test_deep_non_clausal_conjunct_counts(self):
+        # One conjunct negating a 1200-deep fold: one distributed clause.
+        t = theory("~(forall y R(y))")
+        assert wfomc(t, Domain.of_size(1200), engine="dpll") == 2 ** 1200 - 1
 
     def test_exists_conjunction_counts(self):
         t = theory("exists y (R(y) & S(y))")
