@@ -349,110 +349,45 @@ def clauses_of(g: GroundProblem) -> list[frozenset[int]] | None:
     return out
 
 
-def _nnf_terms(f: Formula, pos: bool):
-    """``f`` (or ``~f`` when not ``pos``) in negation normal form, read as a
-    sum of products: its distributed CNF is the concatenation, over the
-    terms, of the clause-wise cross product of the factors' CNFs. A factor
-    is a (subformula, polarity) pair."""
-    if isinstance(f, Not):
-        return (((f.body, not pos),),)
-    if isinstance(f, Iff):
-        return (((f.left, not pos), (f.right, True)), ((f.left, pos), (f.right, False)))
-    if not isinstance(f, (And, Or, Implies)):
-        raise WfomcError(f"cannot encode {type(f).__name__}")
-    a = (f.left, not pos if isinstance(f, Implies) else pos)
-    b = (f.right, pos)
-    if isinstance(f, And) == pos:  # a conjunction: And, ~Or, ~Implies
-        return ((a,), (b,))
-    return ((a, b),)
+def _clause_walk(f: Formula, index: dict) -> list[int] | bool | None:
+    """Literals of ``f`` read as a single clause, True when a constant makes
+    it a tautology, or None when ``f`` has a conjunction under its polarity.
 
-
-def _distributed(f: Formula, index: dict) -> list[list[int]] | None:
-    """Clauses of ``f`` by NNF and distribution, or None when there would be
-    more clauses than ``f`` has leaves (then naming subformulas is smaller).
-
-    Tautologies and repeated literals are dropped; an empty clause means
-    ``f`` is unsatisfiable. Both passes use explicit stacks, as ground folds
+    Literals are collected through disjunctions, implications, negated
+    conjunctions, negations and constants, so ``S(a) & F(a,b) -> S(b)`` is
+    the clause ``~S(a) | ~F(a,b) | S(b)``. An explicit stack, as ground folds
     are as deep as the domain is large.
     """
-    # Pass 1: clause counts per (node, polarity), and leaves per node. A
-    # conjunction sums its operands' counts, a disjunction multiplies them.
-    sizes: dict[tuple[int, bool], int] = {}
-    leaves: dict[int, int] = {}
-    stack = [(f, True, None)]
+    lits = []
+    stack = [(f, True)]
     while stack:
-        node, pos, terms = stack.pop()
-        key = (id(node), pos)
-        if key in sizes:
-            continue
-        if isinstance(node, (Atom, TrueF, FalseF)):
-            # TRUE has no clause and FALSE one empty clause.
-            sizes[key] = int(not isinstance(node, TrueF if pos else FalseF))
-            leaves[id(node)] = 1
-        elif terms is None:
-            terms = _nnf_terms(node, pos)
-            stack.append((node, pos, terms))
-            stack.extend((s, p, None) for t in terms for s, p in t)
+        f, pos = stack.pop()
+        if isinstance(f, Atom):
+            lits.append(index[f] + 1 if pos else -index[f] - 1)
+        elif isinstance(f, (TrueF, FalseF)):
+            if isinstance(f, TrueF) == pos:
+                return True
+        elif isinstance(f, Not):
+            stack.append((f.body, not pos))
+        elif isinstance(f, Or if pos else And):
+            stack.append((f.right, pos))
+            stack.append((f.left, pos))
+        elif pos and isinstance(f, Implies):
+            stack.append((f.right, True))
+            stack.append((f.left, False))
         else:
-            sizes[key] = sum(math.prod(sizes[id(s), p] for s, p in t) for t in terms)
-            operands = (node.body,) if isinstance(node, Not) else (node.left, node.right)
-            leaves[id(node)] = sum(leaves[id(s)] for s in operands)
-    if sizes[id(f), True] > leaves[id(f)]:
-        return None
-
-    # Pass 2: build the clauses as nests of tuples over int literals, so that
-    # a product costs one tuple per output clause, then flatten each nest.
-    # Terms with a factor of no clauses are skipped without being built.
-    done: list[list] = []
-    stack = [(f, True, None)]
-    while stack:
-        node, pos, live = stack.pop()
-        if isinstance(node, Atom):
-            lit = index[node] + 1
-            done.append([lit if pos else -lit])
-        elif isinstance(node, (TrueF, FalseF)):
-            done.append([()] * sizes[id(node), pos])
-        elif live is None:
-            live = [t for t in _nnf_terms(node, pos) if all(sizes[id(s), p] for s, p in t)]
-            stack.append((node, pos, live))
-            stack.extend((s, p, None) for t in reversed(live) for s, p in reversed(t))
-        else:
-            k = sum(map(len, live))
-            parts = done[len(done) - k:]
-            del done[len(done) - k:]
-            out: list = []
-            for t in live:
-                factors, parts = parts[:len(t)], parts[len(t):]
-                block = factors[0] if len(t) == 1 else list(itertools.product(*factors))
-                if out:
-                    out.extend(block)
-                else:
-                    out = block
-            done.append(out)
-
-    clauses = []
-    for nest in done[0]:
-        lits: dict[int, None] = {}
-        stack = [nest]
-        while stack:
-            c = stack.pop()
-            if isinstance(c, int):
-                lits[c] = None
-            else:
-                stack.extend(reversed(c))
-        if not any(-l in lits for l in lits):
-            clauses.append(list(lits))
-    return clauses
+            return None
+    return lits
 
 
 def tseitin_ground(g: GroundProblem) -> GroundProblem:
     """Equivalence-preserving CNF of the ground formula.
 
-    A conjunct that is not a clause is distributed into clauses when that
-    gives no more clauses than it has leaves. Otherwise its subformulas get
-    definition atoms, each biconditionally tied to the subformula it names,
-    so each model of the input extends to exactly one model of the output
-    and the weighted count is unchanged (new atoms weigh (1, 1)).
+    A conjunct that reads as one clause (``_clause_walk``) is kept as that
+    clause. Otherwise its subformulas get definition atoms, each
+    biconditionally tied to the subformula it names, so each model of the
+    input extends to exactly one model of the output and the weighted count
+    is unchanged (new atoms weigh (1, 1)).
     """
     atoms = list(g.base.atoms)
     weights = list(g.weights)
@@ -546,16 +481,14 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
 
     unsat = False
     for f in _conjuncts(g.formula):
-        lits = _clause_literals(f, g.base)
+        lits = _clause_walk(f, g.base.index)
+        if lits is True:
+            continue
+        if lits == []:
+            unsat = True
+            break
         if lits is not None:
             clauses.append(lits)
-            continue
-        distributed = _distributed(f, g.base.index)
-        if distributed is not None:
-            if [] in distributed:
-                unsat = True
-                break
-            clauses.extend(distributed)
             continue
         e = enc(f)
         if e is True:

@@ -546,11 +546,14 @@ def _int_str(n: int) -> str:
     a limit that guards the parsing of untrusted numbers, while exact counts
     over large domains have many more (3**10000 has 4772). Chunks of at most
     ``str_digits_check_threshold`` digits are never checked, so the limit
-    stays in place for everything else.
+    stays in place for everything else. Interpreters older than the limit
+    (before 3.10.7) lack that attribute and convert any int.
     """
+    width = getattr(sys.int_info, "str_digits_check_threshold", None)
+    if width is None:
+        return str(n)
     if n < 0:
         return "-" + _int_str(-n)
-    width = sys.int_info.str_digits_check_threshold
     chunk = 10 ** width
     parts = []
     while n >= chunk:

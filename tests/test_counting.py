@@ -36,11 +36,12 @@ from wfomc.logic import (
     PredicateSig,
     WeightFn,
     WeightedTheory,
-    fold_and,
     fold_or,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+
+P_, Q_ = (Atom(PredicateSig(name, 0), ()) for name in "PQ")
 
 WEIGHT_POOL = [
     Fraction(1), Fraction(1), Fraction(-1), Fraction(2),
@@ -272,6 +273,12 @@ class TestDpll:
         t = theory((ROOT / "samples" / "stress.fol").read_text())
         assert wfomc(t, Domain.of_size(3000), engine="dpll") == 3 ** 3000
 
+    def test_units_propagate_at_3000(self):
+        # 3000 unit clauses force 3000 more units in the next pass; a
+        # recursion per unit would pass the interpreter's limit.
+        t = theory("forall x Stress(x)\nforall x (Stress(x) -> Smokes(x))")
+        assert wfomc(t, Domain.of_size(3000), engine="dpll") == 1
+
 
 class TestGroundTseitin:
     @given(st.integers(0, 300))
@@ -299,27 +306,31 @@ class TestGroundTseitin:
         assert wmc_dpll(gt) == wmc_bruteforce(g)
 
     def test_definitions_numbered_left_to_right(self):
-        # Distribution would give 8 clauses over 6 leaves, so subformulas
-        # are named instead.
-        gt = tseitin_ground(ground(theory("(P & Q) | (R & S) | (T & U)"), domain("A")))
-        assert [a.pred.name for a in gt.base.atoms] == [
-            "P", "Q", "R", "S", "T", "U", "Aux0", "Aux1", "Aux2", "Aux3", "Aux4"]
-        assert clauses_of(gt) == [frozenset(c) for c in (
-            [-7, 1], [-7, 2], [7, -1, -2], [-8, 3], [-8, 4], [8, -3, -4],
-            [-9, 7, 8], [9, -7], [9, -8], [-10, 5], [-10, 6], [10, -5, -6],
-            [-11, 9, 10], [11, -9], [11, -10], [11])]
-
-    def test_small_conjunct_is_distributed(self):
-        # 4 clauses over 4 leaves: distributed, in order, with no new atoms.
         gt = tseitin_ground(ground(theory("(P & Q) | (R & S)"), domain("A")))
-        assert [a.pred.name for a in gt.base.atoms] == ["P", "Q", "R", "S"]
-        assert clauses_of(gt) == [frozenset(c) for c in ([1, 3], [1, 4], [2, 3], [2, 4])]
+        assert [a.pred.name for a in gt.base.atoms] == ["P", "Q", "R", "S",
+                                                        "Aux0", "Aux1", "Aux2"]
+        assert clauses_of(gt) == [frozenset(c) for c in (
+            [-5, 1], [-5, 2], [5, -1, -2], [-6, 3], [-6, 4], [6, -3, -4],
+            [-7, 5, 6], [7, -5], [7, -6], [7])]
 
-    def test_distribution_drops_tautologies_and_repeated_literals(self):
-        gt = tseitin_ground(ground(theory("(P & Q) | (P & ~Q) | P\nR <-> R"), domain("A")))
-        # P | P | P, P | ~Q | P, Q | P | P and Q | ~Q | P; ~R | R and R | ~R.
-        p, q, _ = gt.base.atoms
-        assert gt.formula == fold_and([p, fold_or([p, Not(q)]), fold_or([q, p])])
+    def test_clause_shaped_conjunct_gets_no_definitions(self):
+        # A negated conjunction and an implication read as one clause.
+        gt = tseitin_ground(ground(theory("~(P & Q) | (R -> ~S)"), domain("A")))
+        p, q, r, s = gt.base.atoms
+        assert gt.formula == fold_or([Not(p), Not(q), Not(r), Not(s)])
+
+    @pytest.mark.parametrize("sentence,want", [
+        (Or(Or(P_, FALSE), Not(Q_)), fold_or([P_, Not(Q_)])),
+        (Not(And(Q_, TRUE)), Not(Q_)),
+        (Implies(P_, TRUE), TRUE),
+        (Or(FALSE, Not(TRUE)), FALSE),
+        (And(P_, Or(FALSE, Not(TRUE))), FALSE),
+    ])
+    def test_constants_inside_a_clause(self, sentence, want):
+        # FALSE drops out of a clause, TRUE makes it a tautology, and a
+        # clause of constants alone that is false leaves no model.
+        g = ground(WeightedTheory((sentence,), WeightFn({})), domain("A"))
+        assert tseitin_ground(g).formula == want
 
     def test_smokers_grounds_to_plain_clauses(self):
         # One clause ~S(x) | ~F(x,y) | S(y) per pair x != y (x = y is a
@@ -332,8 +343,8 @@ class TestGroundTseitin:
         assert len(clauses) == 56 and all(len(c) == 3 for c in clauses)
 
     def test_mixed_random_formulas_keep_counts(self):
-        # Deeper random formulas with constants: some conjuncts distribute,
-        # others are too wide and get definitions; both keep the count.
+        # Deeper random formulas with constants: some conjuncts read as one
+        # clause, others get definitions; both keep the count.
         rng = random.Random(46)
         sigs = [PredicateSig(f"P{i}", 0) for i in range(5)]
         atoms = [Atom(s, ()) for s in sigs]
@@ -360,7 +371,7 @@ class TestGroundTseitin:
         assert clauses_of(tseitin_ground(g)) is not None
 
     def test_deep_non_clausal_conjunct_counts(self):
-        # One conjunct negating a 1200-deep fold: one distributed clause.
+        # One conjunct negating a 1200-deep fold: a clause of 1200 literals.
         t = theory("~(forall y R(y))")
         assert wfomc(t, Domain.of_size(1200), engine="dpll") == 2 ** 1200 - 1
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import formula
 from wfomc.errors import ParseError
 from wfomc.frontends import (
+    _int_str,
     count_json,
     parse_mln,
     parse_problog,
@@ -206,6 +208,20 @@ class TestJson:
 
     def test_float_count_schema(self):
         assert count_json(12.5) == {"count_float": 12.5}
+
+    def test_int_str_past_the_digit_limit(self):
+        # Built without str(int), which refuses more than 4300 digits.
+        sevens = 7 * (10 ** 5000 - 1) // 9
+        assert _int_str(sevens) == "7" * 5000
+        assert _int_str(-sevens) == "-" + "7" * 5000
+        # Zero-padded chunks inside the number.
+        assert _int_str(10 ** 4999 + 1) == "1" + "0" * 4998 + "1"
+        assert [_int_str(n) for n in (0, 7, -12)] == ["0", "7", "-12"]
+
+    def test_int_str_without_the_digit_limit_attribute(self, monkeypatch):
+        # Interpreters before 3.10.7 have no str_digits_check_threshold.
+        monkeypatch.setattr(sys, "int_info", object())
+        assert _int_str(-12) == "-12"
 
     def test_probability_schema(self):
         assert probability_json(Fraction(1, 2)) == {
