@@ -48,6 +48,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _sizes(text: str) -> tuple[int, ...]:
+    """Comma-separated domain sizes; empty entries are skipped."""
+    try:
+        return tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = _ArgumentParser(prog="wfomc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -87,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check", help="randomized soundness/modularity certification")
     chk.add_argument("--seeds", type=int, default=100)
-    chk.add_argument("--sizes", type=str, default="1,2")
+    chk.add_argument("--sizes", type=_sizes, default="1,2", metavar="N,N,...")
     chk.add_argument("--max-atoms", type=int, default=None)
 
     return p
@@ -207,8 +216,7 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
-    result = run_suite(seeds=args.seeds, sizes=sizes, max_atoms=args.max_atoms)
+    result = run_suite(seeds=args.seeds, sizes=args.sizes, max_atoms=args.max_atoms)
     for line in result.lines:
         print(line)
     return 0 if result.ok else 1

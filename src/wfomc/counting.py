@@ -18,18 +18,16 @@ import itertools
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import _kernels as K
 from .errors import CapExceededError, WfomcError
-from .grounding import GroundProblem, HerbrandBase, ground
+from .grounding import GroundProblem, HerbrandBase, clause_instances, ground
 from .logic import (
     EXACT,
-    FALSE,
-    TRUE,
     And,
     Atom,
     Domain,
@@ -43,8 +41,7 @@ from .logic import (
     TrueF,
     Weight,
     WeightedTheory,
-    fold_and,
-    fold_or,
+    strip_foralls,
 )
 
 DEFAULT_MAX_ATOMS = 26
@@ -56,9 +53,15 @@ def max_atoms_cap(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get("WFOMC_MAX_ATOMS", "").strip()
-    if env:
-        return int(env)
-    return DEFAULT_MAX_ATOMS
+    if not env:
+        return DEFAULT_MAX_ATOMS
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise WfomcError(f"WFOMC_MAX_ATOMS must be a non-negative integer, not {env!r}")
+    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +330,14 @@ def _clause_literals(f: Formula, base: HerbrandBase) -> list[int] | None:
 
 
 def clauses_of(g: GroundProblem) -> list[frozenset[int]] | None:
-    """Clause view of the ground formula, or None if it is not CNF.
+    """Clause view of a ground problem, or None if its formula is not CNF.
 
-    Tautological clauses are dropped; an unsatisfiable constant yields a
-    single empty clause.
+    A problem in clause form (``tseitin_ground``'s output) returns its
+    clauses. Otherwise the ground formula is read: tautological clauses are
+    dropped, and an unsatisfiable constant yields a single empty clause.
     """
+    if g.clauses is not None:
+        return list(g.clauses)
     out: list[frozenset[int]] = []
     for f in _conjuncts(g.formula):
         if isinstance(f, TrueF):
@@ -349,21 +355,23 @@ def clauses_of(g: GroundProblem) -> list[frozenset[int]] | None:
     return out
 
 
-def _clause_walk(f: Formula, index: dict) -> list[int] | bool | None:
-    """Literals of ``f`` read as a single clause, True when a constant makes
-    it a tautology, or None when ``f`` has a conjunction under its polarity.
+def _clause_walk(f: Formula) -> list[tuple[Atom, bool]] | bool | None:
+    """Signed atoms (atom, positive) of ``f`` read as a single clause, True
+    when a constant makes it a tautology, or None when ``f`` has a
+    conjunction or a quantifier under its polarity.
 
     Literals are collected through disjunctions, implications, negated
-    conjunctions, negations and constants, so ``S(a) & F(a,b) -> S(b)`` is
-    the clause ``~S(a) | ~F(a,b) | S(b)``. An explicit stack, as ground folds
-    are as deep as the domain is large.
+    conjunctions, negations and constants, so ``S(x) & F(x,y) -> S(y)`` is
+    the clause ``~S(x) | ~F(x,y) | S(y)``. ``f`` may be ground or the matrix
+    of a universal sentence. An explicit stack, as ground folds are as deep
+    as the domain is large.
     """
     lits = []
     stack = [(f, True)]
     while stack:
         f, pos = stack.pop()
         if isinstance(f, Atom):
-            lits.append(index[f] + 1 if pos else -index[f] - 1)
+            lits.append((f, pos))
         elif isinstance(f, (TrueF, FalseF)):
             if isinstance(f, TrueF) == pos:
                 return True
@@ -381,18 +389,27 @@ def _clause_walk(f: Formula, index: dict) -> list[int] | bool | None:
 
 
 def tseitin_ground(g: GroundProblem) -> GroundProblem:
-    """Equivalence-preserving CNF of the ground formula.
+    """Equivalence-preserving CNF of a ground problem, in clause form.
 
-    A conjunct that reads as one clause (``_clause_walk``) is kept as that
-    clause. Otherwise its subformulas get definition atoms, each
-    biconditionally tied to the subformula it names, so each model of the
-    input extends to exactly one model of the output and the weighted count
-    is unchanged (new atoms weigh (1, 1)).
+    A problem already in clause form is returned as it is. Otherwise each
+    sentence is taken on its own. When its matrix (the sentence without its
+    leading universal quantifiers) reads as one clause (``_clause_walk``),
+    its instances are numbered straight from the base order
+    (``clause_instances``), and no ground formula is built. The other
+    sentences are grounded together, and each ground conjunct is kept as a
+    clause when it reads as one. Otherwise its subformulas get definition
+    atoms, each biconditionally tied to the subformula it names, so each
+    model of the input extends to exactly one model of the output and the
+    weighted count is unchanged (new atoms weigh (1, 1)). Tautologies and
+    repeated clauses are dropped; a false clause leaves the single empty
+    clause.
     """
+    if g.clauses is not None:
+        return g
     atoms = list(g.base.atoms)
     weights = list(g.weights)
     taken = {a.pred.name for a in atoms}
-    clauses: list[list[int]] = []
+    clauses: dict[frozenset[int], None] = {}
     counter = [0]
     one = _one(g.mode)
 
@@ -405,6 +422,15 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
         weights.append((one, one))
         return len(atoms)
 
+    def add(lits) -> bool:
+        """Keep a clause unless it is a tautology; False if it is empty."""
+        c = frozenset(lits)
+        if not c:
+            return False
+        if not any(-l in c for l in c):
+            clauses[c] = None
+        return True
+
     def combine(f: Formula, l, r):
         """Literal (or constant) naming a binary node, given its operands'."""
         if isinstance(f, And):
@@ -415,7 +441,9 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
             if r is True:
                 return l
             v = new_var()
-            clauses.extend([[-v, l], [-v, r], [v, -l, -r]])
+            add([-v, l])
+            add([-v, r])
+            add([v, -l, -r])
             return v
         if isinstance(f, Or):
             if l is True or r is True:
@@ -425,7 +453,9 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
             if r is False:
                 return l
             v = new_var()
-            clauses.extend([[-v, l, r], [v, -l], [v, -r]])
+            add([-v, l, r])
+            add([v, -l])
+            add([v, -r])
             return v
         if isinstance(f, Implies):
             if l is False or r is True:
@@ -435,7 +465,9 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
             if r is False:
                 return (not l) if isinstance(l, bool) else -l
             v = new_var()
-            clauses.extend([[-v, -l, r], [v, l], [v, -r]])
+            add([-v, -l, r])
+            add([v, l])
+            add([v, -r])
             return v
         # Iff
         if isinstance(l, bool):
@@ -445,7 +477,10 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
         if isinstance(r, bool):
             return l if r else -l
         v = new_var()
-        clauses.extend([[-v, -l, r], [-v, l, -r], [v, l, r], [v, -l, -r]])
+        add([-v, -l, r])
+        add([-v, l, -r])
+        add([v, l, r])
+        add([v, -l, -r])
         return v
 
     def enc(root: Formula):
@@ -479,38 +514,46 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
                 done.append(combine(f, done.pop(), r))
         return done[0]
 
-    unsat = False
-    for f in _conjuncts(g.formula):
-        lits = _clause_walk(f, g.base.index)
-        if lits is True:
-            continue
-        if lits == []:
-            unsat = True
-            break
-        if lits is not None:
-            clauses.append(lits)
-            continue
-        e = enc(f)
-        if e is True:
-            continue
-        if e is False:
-            unsat = True
-            break
-        clauses.append([e])
+    def encode() -> bool:
+        """Add the clauses of every sentence; False once one is unsatisfiable."""
+        rest = []
+        for s in g.sentences:
+            lits = _clause_walk(strip_foralls(s)[1])
+            if lits is None:
+                rest.append(s)
+            elif lits == []:
+                return False  # the domain is never empty
+            elif lits is not True:
+                instances = clause_instances(lits, g.base, g.domain)
+                positive = {a.pred for a, pos in lits if pos}
+                if any(not pos and a.pred in positive for a, pos in lits):
+                    for inst in instances:  # some instance may be a tautology
+                        add(inst)
+                else:
+                    clauses.update(dict.fromkeys(map(frozenset, instances)))
+        if not rest:
+            return True
+        index = g.base.index
+        for f in _conjuncts(replace(g, sentences=tuple(rest)).formula):
+            lits = _clause_walk(f)
+            if lits is True:
+                continue
+            if lits is not None:
+                if not add([index[a] + 1 if pos else -index[a] - 1 for a, pos in lits]):
+                    return False
+                continue
+            e = enc(f)
+            if e is False:
+                return False
+            if e is not True:
+                add([e])
+        return True
 
-    base = HerbrandBase(tuple(atoms), {a: i for i, a in enumerate(atoms)})
-    if unsat:
-        formula = FALSE
-    else:
-        parts = []
-        for c in clauses:
-            lits = []
-            for l in c:
-                a = atoms[abs(l) - 1]
-                lits.append(Atom(a.pred, a.args) if l > 0 else Not(a))
-            parts.append(fold_or(lits))
-        formula = fold_and(parts) if parts else TRUE
-    return GroundProblem(base, formula, tuple(weights), g.scalar, g.mode)
+    out = tuple(clauses) if encode() else (frozenset(),)
+    base = g.base
+    if len(atoms) > len(base):
+        base = HerbrandBase(tuple(atoms), {a: i for i, a in enumerate(atoms)})
+    return GroundProblem(base, tuple(weights), g.scalar, g.mode, clauses=out)
 
 
 # ---------------------------------------------------------------------------
@@ -709,10 +752,7 @@ def wfomc(t: WeightedTheory, d: Domain, engine: str = "brute",
         _check_brute_cap(sum(len(d) ** sig.arity for sig in t.predicates()), cap)
         return wmc_bruteforce(ground(t, d), cap=cap)
     if engine == "dpll":
-        g = ground(t, d)
-        if clauses_of(g) is None:
-            g = tseitin_ground(g)
-        return wmc_dpll(g)
+        return wmc_dpll(tseitin_ground(ground(t, d)))
     raise WfomcError(f"unknown engine {engine!r} (expected 'brute' or 'dpll')")
 
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property
+from typing import Iterator, Mapping
 
 from .errors import WfomcError
 from .logic import (
     BINARY,
+    FALSE,
     QUANT,
     And,
     Atom,
@@ -23,6 +25,8 @@ from .logic import (
     Variable,
     Weight,
     WeightedTheory,
+    fold_and,
+    fold_or,
 )
 
 
@@ -43,11 +47,33 @@ class HerbrandBase:
 
 @dataclass(frozen=True)
 class GroundProblem:
+    """A weighted counting problem over a Herbrand base.
+
+    It holds either closed ``sentences`` to ground over ``domain``, or
+    ``clauses``: a CNF whose literals are signed base numbers (index + 1,
+    negative when negated), where an empty clause leaves no model.
+    ``formula``, the ground conjunction, is built from whichever is held on
+    first access and then cached, so a counter that reads only clauses never
+    builds it.
+    """
+
     base: HerbrandBase
-    formula: Formula  # ground; conjunction of the theory's sentences
     weights: tuple[tuple[Weight, Weight], ...]  # per base index
     scalar: Weight
     mode: str
+    sentences: tuple[Formula, ...] = ()
+    domain: Domain | None = None
+    clauses: tuple[frozenset[int], ...] | None = None
+
+    @cached_property
+    def formula(self) -> Formula:
+        if self.clauses is not None:
+            return _clause_formula(self.clauses, self.base)
+        g = _Grounder(self.domain)
+        parts: dict[int, None] = {}
+        for s in self.sentences:
+            g.flatten(And, g.instantiate(s, {}), parts)
+        return g.nodes[g.fold(And, parts)]
 
 
 def herbrand_base(t: WeightedTheory, d: Domain) -> HerbrandBase:
@@ -60,18 +86,58 @@ def herbrand_base(t: WeightedTheory, d: Domain) -> HerbrandBase:
 
 
 def ground(t: WeightedTheory, d: Domain) -> GroundProblem:
-    """Expand quantifiers over the domain; sentences become one conjunction."""
+    """Expand quantifiers over the domain; sentences become one conjunction.
+
+    The base, weights and scale are computed here; the ground formula is
+    built when ``formula`` is first read.
+    """
     base = herbrand_base(t, d)
-    g = _Grounder(d)
-    parts: dict[int, None] = {}
-    for s in t.sentences:
-        g.flatten(And, g.instantiate(s, {}), parts)
-    formula = g.nodes[g.fold(And, parts)]
     weights = tuple(t.weights.get(a.pred) for a in base.atoms)
     scalar = t.weights.one()
     for sf in t.scale:
         scalar = scalar * (sf.base ** (len(d) ** sf.nvars))
-    return GroundProblem(base, formula, weights, scalar, t.mode)
+    return GroundProblem(base, weights, scalar, t.mode, t.sentences, d)
+
+
+def clause_instances(lits: list[tuple[Atom, bool]], base: HerbrandBase,
+                     d: Domain) -> Iterator[tuple[int, ...]]:
+    """Ground instances of a clause as signed base numbers, one tuple of
+    literals per binding of the clause's variables to ``d``'s constants.
+
+    ``lits`` are (atom, positive) pairs whose arguments are variables and
+    constants. No ground atom is built: by the base order of
+    ``herbrand_base``, an atom's number is that of the predicate's atom with
+    every variable bound to the first constant, plus, per argument position
+    ``k`` of an ``a``-ary atom, the bound constant's domain position times
+    ``n ** (a - 1 - k)``. An empty clause has no literals to bind and yields
+    nothing; the caller decides what it means.
+    """
+    n = len(d)
+    first = d.constants[0]
+    variables = list(dict.fromkeys(
+        x.name for atom, _ in lits for x in atom.args if isinstance(x, Variable)))
+    columns = []
+    for atom, positive in lits:
+        args = atom.args
+        zero = tuple(first if isinstance(x, Variable) else x for x in args)
+        col = [base.index[Atom(atom.pred, zero)] + 1]
+        for v in variables:
+            stride = sum(n ** (len(args) - 1 - k) for k, x in enumerate(args)
+                         if isinstance(x, Variable) and x.name == v)
+            col = [c + stride * i for c in col for i in range(n)]
+        columns.append(col if positive else [-c for c in col])
+    return zip(*columns)
+
+
+def _clause_formula(clauses, base: HerbrandBase) -> Formula:
+    """Conjunction of the clauses, literals in base order in each."""
+    parts = []
+    for c in clauses:
+        if not c:
+            return FALSE
+        parts.append(fold_or([base.atoms[l - 1] if l > 0 else Not(base.atoms[-l - 1])
+                              for l in sorted(c, key=abs)]))
+    return fold_and(parts)
 
 
 def _check_constants(t: WeightedTheory, d: Domain):

@@ -161,6 +161,14 @@ class TestCheck:
         assert code == 0
         assert "0 failure(s)" in out
 
+    def test_bad_sizes_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["check", "--seeds", "1", "--sizes", "1,x"])
+        assert e.value.code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: argument --sizes: expected comma-separated integers, got '1,x'"]
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
@@ -184,6 +192,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "count", SAMPLES / "smokers.fol", "--domain-size", "2")
         assert code == 3
         assert "cap" in err
+
+    @pytest.mark.parametrize("value", ["abc", "-5", "2.5"])
+    def test_bad_cap_env_is_an_input_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("WFOMC_MAX_ATOMS", value)
+        code, out, err = run(capsys, "count", SAMPLES / "smokers.fol", "--domain-size", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: WFOMC_MAX_ATOMS must be a non-negative integer, not {value!r}\n"
 
     def test_cap_env_override_raises_the_limit(self, capsys, monkeypatch):
         monkeypatch.setenv("WFOMC_MAX_ATOMS", "40")

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import domain, theory
-from wfomc import _kernels as K
-from wfomc.encoders import _eval_ground
+from wfomc import _kernels as K, grounding
+from wfomc.encoders import _eval_ground, encode_mln, query_probability
 from wfomc.errors import CapExceededError, WfomcError
+from wfomc.frontends import parse_mln
 from wfomc.counting import (
+    _clause_walk,
     clauses_of,
     compile_program,
     export_dimacs,
@@ -28,16 +30,21 @@ from wfomc.logic import (
     TRUE,
     And,
     Atom,
+    Constant,
     Domain,
     Iff,
     Implies,
     Not,
     Or,
     PredicateSig,
+    ScaleFactor,
     WeightFn,
     WeightedTheory,
     fold_or,
+    strip_foralls,
 )
+from wfomc.propcheck import GenConfig, gen_theory
+from wfomc.transform import skolemize
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -380,6 +387,109 @@ class TestGroundTseitin:
         for n in range(1, 5):
             for engine in ("brute", "dpll"):
                 assert wfomc(t, Domain.of_size(n), engine=engine) == 4 ** n - 3 ** n
+
+
+def _formula_path(g):
+    """Clause form of ``g`` computed from its ground formula, handed to
+    ``tseitin_ground`` as one ground sentence: unless that formula is a
+    single clause, every conjunct is read off the formula."""
+    return tseitin_ground(replace(g, sentences=(g.formula,)))
+
+
+def _assert_paths_agree(t, d):
+    """Clause instantiation and the formula path give the same clauses over
+    the same base, and dpll equals brute force where brute force is cheap.
+    Returns True if some sentence took the clause path."""
+    g = ground(t, d)
+    gt, ref = tseitin_ground(g), _formula_path(g)
+    assert gt.base == ref.base
+    assert set(clauses_of(gt)) == set(clauses_of(ref))
+    plain = clauses_of(g)
+    if plain is not None and frozenset() in plain:
+        assert clauses_of(gt) == [frozenset()]
+    elif plain is not None:
+        assert set(clauses_of(gt)) == set(plain)
+    if len(g.base) <= 18:
+        assert wfomc(t, d, engine="dpll") == wmc_bruteforce(g)
+    return any(_clause_walk(strip_foralls(s)[1]) is not None for s in t.sentences)
+
+
+def _smokers_closed_form(n):
+    # k smokers: the k(n-k) friendships from a smoker to a non-smoker are false
+    return sum(math.comb(n, k) * 2 ** (n * n - k * (n - k)) for k in range(n + 1))
+
+
+class TestClauseFormGrounding:
+    def test_generated_theories_match_the_formula_path(self):
+        checked = clause_path = 0
+        for seed in range(120):
+            t = gen_theory(GenConfig(seed=seed))
+            for th in (t, skolemize(t)):
+                for n in (1, 2, 3):
+                    clause_path += _assert_paths_agree(th, Domain.of_size(n))
+                    checked += 1
+        assert checked == 120 * 2 * 3
+        assert clause_path > checked // 4
+
+    @pytest.mark.parametrize("text,names,want", [
+        # a constant in a clause: Boss(A) is one base atom in every instance
+        ("forall x (~WorksFor(x,A) | Boss(A))", "AB", 2 ** 5 + 2 ** 3),
+        # a vacuous variable: one clause per constant, not per pair
+        ("forall x forall y P(x)", "ABC", 1),
+        # a repeated variable: F(x,x) walks the diagonal of F's atoms
+        ("forall x F(x,x)", "ABC", 2 ** 6),
+        # instances with x = y are tautologies and drop out
+        ("forall x forall y (F(x,y) | ~F(y,x))", "AB", 2 ** 2 * 2),
+        # true and false inside a matrix
+        ("forall x (P(x) | false)\nforall x forall y (true | F(x,y))", "AB", 2 ** 4),
+        ("forall x (Q(x) -> (P(x) | ~true))", "AB", 3 ** 2),
+        # an all-false clause leaves no model
+        ("forall x (P(x) | Q(x))\nforall x forall y (false | ~true)", "AB", 0),
+        ("false", "A", 0),
+    ])
+    def test_named_cases(self, text, names, want):
+        t = theory(text)
+        d = domain(*names)
+        assert _assert_paths_agree(t, d)
+        assert wfomc(t, d, engine="dpll") == want == wfomc(t, d)
+
+    def test_scale_factor_is_applied(self):
+        t = replace(theory("forall x (P(x) | Q(x))"), scale=(ScaleFactor(Fraction(3), 1),))
+        d = Domain.of_size(3)
+        assert wfomc(t, d, engine="dpll") == 3 ** 3 * 3 ** 3 == wfomc(t, d)
+
+    def test_missing_constant_raises_on_the_dpll_path(self):
+        with pytest.raises(WfomcError, match="missing from the domain"):
+            wfomc(theory("forall x (P(x) | Q(A))"), domain("B"), engine="dpll")
+
+    def test_formula_is_built_once_on_first_read(self):
+        g = ground(theory("forall x (P(x) | Q(x))"), domain("A", "B"))
+        assert "formula" not in vars(g)
+        assert g.formula is g.formula
+
+    def test_dpll_builds_no_ground_formula(self, monkeypatch):
+        # The sentences of both theories read as clauses, so the dpll path
+        # must count them without the grounder.
+        smokers = theory((ROOT / "samples" / "smokers.fol").read_text())
+        enc = encode_mln(parse_mln("0.7 exists y (WorksFor(x,y) | Boss(x))\n")).prepared()
+        d = Domain.of_size(10, extra=(Constant("A"),))
+        boss = theory("Boss(A)").sentences[0]
+
+        def no_grounder(*_):
+            raise AssertionError("built a ground formula")
+
+        with monkeypatch.context() as m:
+            m.setattr(grounding._Grounder, "instantiate", no_grounder)
+            assert wfomc(smokers, Domain.of_size(8), engine="dpll") == _smokers_closed_form(8)
+            got = query_probability(enc, d, boss, engine="dpll")
+            with pytest.raises(AssertionError, match="ground formula"):
+                wmc_bruteforce(ground(smokers, Domain.of_size(2)))
+        # Pr(Boss(A)): with Boss(A) all 2^11 settings of WorksFor(A,.) hold,
+        # without it all but one do.
+        ew = math.exp(0.7)
+        assert got == pytest.approx(2 ** 11 * ew / (2 ** 11 * ew + (2 ** 11 - 1) * ew + 1),
+                                    rel=1e-12)
+        assert wmc_bruteforce(ground(smokers, Domain.of_size(2))) == _smokers_closed_form(2)
 
 
 class TestModelEnumeration:
