@@ -57,6 +57,19 @@ def _sizes(text: str) -> tuple[int, ...]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+def _int_at_least(least: int, what: str):
+    """Argument type: an integer no smaller than ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = _ArgumentParser(prog="wfomc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -95,9 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     prob.add_argument("--json", action="store_true")
 
     chk = sub.add_parser("check", help="randomized soundness/modularity certification")
-    chk.add_argument("--seeds", type=int, default=100)
+    chk.add_argument("--seeds", type=_int_at_least(1, "a positive integer"), default=100)
     chk.add_argument("--sizes", type=_sizes, default="1,2", metavar="N,N,...")
-    chk.add_argument("--max-atoms", type=int, default=None)
+    chk.add_argument("--max-atoms", type=_int_at_least(0, "a non-negative integer"), default=None)
 
     return p
 

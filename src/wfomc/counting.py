@@ -6,7 +6,11 @@ Two engines:
     from ``_kernels`` and sums exact per-assignment weight products. This is
     the semantic reference for everything else in the package.
   * ``wmc_dpll`` is an exhaustive search over CNF with unit propagation,
-    connected-component decomposition and component caching.
+    connected-component decomposition and symmetric component caching:
+    a component's count is cached under its clauses with the domain
+    constants renamed canonically, so components that differ only by a
+    permutation of the constants (as the components of a universal theory
+    often do) are searched once.
 
 Counts are exact rationals unless the problem is in float mode. Negative
 weights flow through both engines unchanged.
@@ -14,6 +18,7 @@ weights flow through both engines unchanged.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import os
@@ -552,7 +557,7 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
     out = tuple(clauses) if encode() else (frozenset(),)
     base = g.base
     if len(atoms) > len(base):
-        base = HerbrandBase(tuple(atoms), {a: i for i, a in enumerate(atoms)})
+        base = base.extended(tuple(atoms[len(base):]))
     return GroundProblem(base, tuple(weights), g.scalar, g.mode, clauses=out)
 
 
@@ -566,7 +571,7 @@ def wmc_dpll(g: GroundProblem) -> Weight:
     if clauses is None:
         raise WfomcError("wmc_dpll needs a CNF ground formula; "
                          "convert with tseitin_ground first")
-    counter = _DpllCounter(g.weights, g.mode)
+    counter = _DpllCounter(g)
     current = frozenset(clauses)
     atoms = set(map(abs, frozenset().union(*current)))
     total = counter.zero if frozenset() in current else counter.count(current, atoms)
@@ -586,23 +591,52 @@ class _DpllCounter:
     once, so the search multiplies Python ints and the caller divides the
     final total by ``den``, the product of those scales over the whole base.
     Float mode counts in floats and ``den`` stays 1.
+
+    The memo is keyed by each component's clauses up to a renaming of the
+    domain constants (``_key``), so components that differ only by such a
+    renaming share one count.
     """
 
-    def __init__(self, weights, mode):
+    def __init__(self, g: GroundProblem):
+        weights, base = g.weights, g.base
         n = len(weights)
         # lit_w[l] is the weight of literal l; a negative index counts from
         # the end, so both signs fit in one list of 2n + 1 slots.
         self.lit_w = [None] * (2 * n + 1)
         self.free = [None] * (n + 1)  # free[a] = wt + wf of atom a
         self.den = 1
-        for a, (wt, wf) in enumerate(weights, 1):
-            if mode == EXACT:
+        self.one, self.zero = (1, 0) if g.mode == EXACT else (1.0, 0.0)
+        # Each block whose atoms share one weight pair is set up in one
+        # step and may be renamed in a key; the atoms of any other block,
+        # and those outside the layout, are set up one at a time and pinned.
+        self.end = base.end  # atoms above this number are never renamed
+        self.firsts = []  # first atom of each block
+        # Per block: argument strides, and per argument the feature of a
+        # positive and of a negative literal; none when the block is pinned.
+        self.blocks: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
+        runs = []
+        for sig, first in base.blocks:
+            k = base.size ** sig.arity
+            uniform = weights[first:first + k].count(weights[first]) == k
+            args = range(sig.arity if uniform else 0)
+            self.firsts.append(first + 1)
+            self.blocks.append((base.strides(len(args)),
+                                tuple(_mix(first, j, 1) for j in args),
+                                tuple(_mix(first, j, -1) for j in args)))
+            runs += [(first, k)] if uniform else [(i, 1) for i in range(first, first + k)]
+        runs += [(i, 1) for i in range(base.end, n)]
+        for i, k in runs:
+            wt, wf = weights[i]
+            if g.mode == EXACT:
                 d = math.lcm(wt.denominator, wf.denominator)
                 wt, wf = int(wt * d), int(wf * d)
-                self.den *= d
-            self.lit_w[a], self.lit_w[-a] = wt, wf
-            self.free[a] = wt + wf
-        self.one, self.zero = (1, 0) if mode == EXACT else (1.0, 0.0)
+                self.den *= d ** k
+            self.lit_w[i + 1:i + 1 + k] = [wt] * k
+            self.lit_w[2 * n + 1 - i - k:2 * n + 1 - i] = [wf] * k
+            self.free[i + 1:i + 1 + k] = [wt + wf] * k
+        # Per atom and per literal, filled by _decode as keys need them.
+        self.layout: dict[int, tuple] = {}
+        self.features: dict[int, tuple] = {}
         self.memo: dict[frozenset, int | float] = {}
 
     def _free(self, atoms):
@@ -624,62 +658,144 @@ class _DpllCounter:
             falsified = falsified * self.lit_w[-l]
         return total - falsified
 
-    def count(self, clauses: frozenset, atoms: set):
-        """Count of a clause set without empty clauses; ``atoms`` are
-        exactly the atoms its clauses mention."""
-        if not clauses:
-            return self.one
-        hit = self.memo.get(clauses)
-        if hit is not None:
-            return hit
+    def _propagate(self, clauses: frozenset, atoms: set):
+        """Assign every unit clause, pass after pass.
 
-        # Every current unit clause is forced, so all of them are assigned
-        # in one pass; complementary units leave no model.
+        Returns (factor, residual clauses, their atoms), where the factor
+        weighs the assigned atoms and those the residual no longer
+        mentions, or None when the units conflict or empty a clause.
+        """
         factor = self.one
-        current = clauses
         while True:
-            units = {l for c in current if len(c) == 1 for l in c}
+            units = {l for c in clauses if len(c) == 1 for l in c}
             if not units:
-                break
-            complementary = any(-l in units for l in units)
-            reduced = None if complementary else _assign(current, units)
+                return factor, clauses, atoms
+            if any(-l in units for l in units):
+                return None
+            reduced = _assign(clauses, units)
             if reduced is None:
-                self.memo[clauses] = self.zero
-                return self.zero
-            current, left = reduced
+                return None
+            clauses, left = reduced
             for l in units:
                 factor = factor * self.lit_w[l]
             factor = factor * self._free(atoms - left - set(map(abs, units)))
             atoms = left
-            if not current:
-                self.memo[clauses] = factor
-                return factor
 
-        if len(current) == 1:
-            result = factor * self._lone_clause(next(iter(current)))
-            self.memo[clauses] = result
-            return result
+    def count(self, clauses: frozenset, atoms: set):
+        """Count of a clause set without empty clauses; ``atoms`` are
+        exactly the atoms its clauses mention."""
+        reduced = self._propagate(clauses, atoms)
+        if reduced is None:
+            return self.zero
+        result, clauses, atoms = reduced
+        for comp in _components(clauses, atoms) if clauses else ():
+            result = result * self._component(*comp)
+        return result
 
-        comps = _components(current, atoms)
-        if len(comps) > 1:
-            result = factor
-            for comp, comp_atoms in comps:
-                result = result * self.count(comp, comp_atoms)
-            self.memo[clauses] = result
-            return result
+    def _component(self, clauses: frozenset, atoms: set):
+        """Count of a connected clause set without unit or empty clauses.
 
-        lit = _branch_literal(current)
+        Branching assigns one literal and then does what ``count`` does,
+        inline, so that the search nests one call per decision.
+        """
+        if len(clauses) == 1:
+            return self._lone_clause(next(iter(clauses)))
+        key = self._key(clauses, atoms)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        lit = _branch_literal(clauses)
         total = self.zero
         for phase in (lit, -lit):
-            reduced = _assign(current, {phase})
+            assigned = _assign(clauses, {phase})
+            if assigned is None:
+                continue
+            residual, left = assigned
+            reduced = self._propagate(residual, left)
             if reduced is None:
                 continue
-            residual, left = reduced
-            total = total + (self.lit_w[phase] * self._free(atoms - left - {abs(lit)})
-                             * self.count(residual, left))
-        result = factor * total
-        self.memo[clauses] = result
-        return result
+            part, residual, rest = reduced
+            part = part * self.lit_w[phase] * self._free(atoms - left - {abs(lit)})
+            for comp in _components(residual, rest) if residual else ():
+                part = part * self._component(*comp)
+            total = total + part
+        self.memo[key] = total
+        return total
+
+    def _key(self, clauses: frozenset, atoms: set) -> frozenset:
+        """The clauses with the domain constants renamed canonically.
+
+        Each constant gets a signature: a sum over its occurrences of a
+        feature of (block, argument position, sign, clause length), which no
+        order of the constants changes. Constants are renumbered 0, 1, ...
+        by (signature, position), and every renamable atom is renumbered by
+        the base layout. Atoms of nullary or non-uniformly weighted blocks
+        keep their numbers, so two clause sets with one key differ by a
+        weight-preserving bijection on atoms, and have one count, whatever
+        the signatures are: weak signatures cost only hits. A set that
+        mentions an atom outside the layout (a Tseitin definition, numbered
+        per ground conjunct, so no renaming can match it) is its own key.
+        """
+        if max(atoms) > self.end:
+            return clauses
+        # A literal's occurrences weigh alike within one clause length, so
+        # they are counted first. One length gives every occurrence the
+        # same positive factor, which cannot change the order.
+        if len(set(map(len, clauses))) == 1:
+            weight = Counter(itertools.chain.from_iterable(clauses))
+        else:
+            by_length: dict[int, list] = {}
+            for c in clauses:
+                by_length.setdefault(len(c), []).append(c)
+            weight = {}
+            for length, group in by_length.items():
+                m = _mix(length)
+                for l, k in Counter(itertools.chain.from_iterable(group)).items():
+                    weight[l] = weight.get(l, 0) + k * m
+        features, decode = self.features, self._decode
+        signature: dict[int, int] = {}
+        for l, w in weight.items():
+            terms = features.get(l)
+            for const, f in decode(l) if terms is None else terms:
+                signature[const] = signature.get(const, 0) + f * w
+        rank = {const: i for i, const in enumerate(
+            sorted(signature, key=lambda const: (signature[const], const)))}
+        renamed = {}
+        for a in atoms:
+            new, terms = self.layout[a]
+            for const, stride in terms:
+                new += rank[const] * stride
+            renamed[a] = new
+            renamed[-a] = -new
+        return frozenset(frozenset(map(renamed.__getitem__, c)) for c in clauses)
+
+    def _decode(self, l: int) -> tuple:
+        """Fill ``layout`` and ``features`` for the atom of literal ``l``
+        and return ``features[l]``.
+
+        ``layout[a]`` is (a's number with every constant at position 0,
+        one (constant position, stride) per argument), and ``features[l]``
+        one (constant position, feature) per argument; both have no terms
+        when the atom is pinned.
+        """
+        a = abs(l)
+        block = bisect.bisect_right(self.firsts, a) - 1
+        first = self.firsts[block]
+        strides, positive, negative = self.blocks[block]
+        offset = a - first
+        consts = []
+        for stride in strides:
+            const, offset = divmod(offset, stride)
+            consts.append(const)
+        self.layout[a] = (first if strides else a, tuple(zip(consts, strides)))
+        self.features[a] = tuple(zip(consts, positive))
+        self.features[-a] = tuple(zip(consts, negative))
+        return self.features[l]
+
+
+def _mix(*xs: int) -> int:
+    """A fixed non-negative pseudo-random integer for a tuple of ints."""
+    return hash(xs) & ((1 << 61) - 1)
 
 
 def _assign(clauses: frozenset, lits: set):

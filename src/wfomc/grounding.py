@@ -21,6 +21,7 @@ from .logic import (
     Formula,
     Not,
     Or,
+    PredicateSig,
     TrueF,
     Variable,
     Weight,
@@ -35,14 +36,40 @@ class HerbrandBase:
     """All ground atoms over a theory's predicates and a domain's constants.
 
     Ordering is deterministic: predicates sorted by (name, arity), argument
-    tuples in lexicographic domain order.
+    tuples in lexicographic domain order. ``blocks`` records this layout:
+    per predicate, in base order, the index of its first atom. The block of
+    an ``a``-ary predicate holds ``size ** a`` atoms, and the atom whose
+    ``k``-th argument is the domain's constant at position ``p_k`` has index
+    ``first + sum(p_k * strides(a)[k])``. Atoms from ``end`` on lie
+    outside the layout: the definition atoms that ``tseitin_ground``
+    appends, or every atom of a base built without a layout.
     """
 
     atoms: tuple[Atom, ...]
     index: dict = field(compare=False, repr=False)
+    size: int = 0  # the domain size the blocks are laid out over
+    blocks: tuple[tuple[PredicateSig, int], ...] = ()
 
     def __len__(self) -> int:
         return len(self.atoms)
+
+    def strides(self, arity: int) -> tuple[int, ...]:
+        """Per argument position, the index step of the next constant."""
+        return tuple(self.size ** (arity - 1 - k) for k in range(arity))
+
+    @property
+    def end(self) -> int:
+        """Index of the first atom outside the blocks."""
+        if not self.blocks:
+            return 0
+        sig, first = self.blocks[-1]
+        return first + self.size ** sig.arity
+
+    def extended(self, atoms: tuple[Atom, ...]) -> "HerbrandBase":
+        """This base with ``atoms`` appended outside the layout."""
+        atoms = self.atoms + atoms
+        return HerbrandBase(atoms, {a: i for i, a in enumerate(atoms)},
+                            self.size, self.blocks)
 
 
 @dataclass(frozen=True)
@@ -79,10 +106,13 @@ class GroundProblem:
 def herbrand_base(t: WeightedTheory, d: Domain) -> HerbrandBase:
     _check_constants(t, d)
     atoms: list[Atom] = []
+    blocks = []
     for sig in t.predicates():
+        blocks.append((sig, len(atoms)))
         for combo in itertools.product(d.constants, repeat=sig.arity):
             atoms.append(Atom(sig, combo))
-    return HerbrandBase(tuple(atoms), {a: i for i, a in enumerate(atoms)})
+    return HerbrandBase(tuple(atoms), {a: i for i, a in enumerate(atoms)},
+                        len(d), tuple(blocks))
 
 
 def ground(t: WeightedTheory, d: Domain) -> GroundProblem:
@@ -92,7 +122,10 @@ def ground(t: WeightedTheory, d: Domain) -> GroundProblem:
     built when ``formula`` is first read.
     """
     base = herbrand_base(t, d)
-    weights = tuple(t.weights.get(a.pred) for a in base.atoms)
+    weights = []
+    for sig, _ in base.blocks:  # one shared pair per block
+        weights += [t.weights.get(sig)] * base.size ** sig.arity
+    weights = tuple(weights)
     scalar = t.weights.one()
     for sf in t.scale:
         scalar = scalar * (sf.base ** (len(d) ** sf.nvars))
@@ -105,24 +138,25 @@ def clause_instances(lits: list[tuple[Atom, bool]], base: HerbrandBase,
     literals per binding of the clause's variables to ``d``'s constants.
 
     ``lits`` are (atom, positive) pairs whose arguments are variables and
-    constants. No ground atom is built: by the base order of
-    ``herbrand_base``, an atom's number is that of the predicate's atom with
-    every variable bound to the first constant, plus, per argument position
-    ``k`` of an ``a``-ary atom, the bound constant's domain position times
-    ``n ** (a - 1 - k)``. An empty clause has no literals to bind and yields
-    nothing; the caller decides what it means.
+    constants, and ``base`` is laid out over ``d``. No ground atom is built:
+    an atom's number is read off the base layout (``HerbrandBase``), with
+    each variable first bound to position 0 and then stepped along its
+    stride. An empty clause has no literals to bind and yields nothing; the
+    caller decides what it means.
     """
-    n = len(d)
-    first = d.constants[0]
+    n = base.size
+    first = dict(base.blocks)
+    position = {c: i for i, c in enumerate(d.constants)}
     variables = list(dict.fromkeys(
         x.name for atom, _ in lits for x in atom.args if isinstance(x, Variable)))
     columns = []
     for atom, positive in lits:
         args = atom.args
-        zero = tuple(first if isinstance(x, Variable) else x for x in args)
-        col = [base.index[Atom(atom.pred, zero)] + 1]
+        strides = base.strides(len(args))
+        col = [first[atom.pred] + 1 + sum(position[x] * s for x, s in zip(args, strides)
+                                          if not isinstance(x, Variable))]
         for v in variables:
-            stride = sum(n ** (len(args) - 1 - k) for k, x in enumerate(args)
+            stride = sum(s for x, s in zip(args, strides)
                          if isinstance(x, Variable) and x.name == v)
             col = [c + stride * i for c in col for i in range(n)]
         columns.append(col if positive else [-c for c in col])

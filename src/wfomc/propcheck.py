@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .counting import wfomc
+from .counting import DEFAULT_MAX_ATOMS, wfomc
 from .errors import CapExceededError, WfomcError
 from .frontends import serialize_formula, serialize_theory
 from .logic import (
@@ -179,6 +179,11 @@ def _base_size(t: WeightedTheory, n: int) -> int:
     return sum(n ** sig.arity for sig in t.predicates())
 
 
+def _atom_cap(max_atoms: int | None) -> int:
+    """The given atom cap, 0 included, else the brute-force default."""
+    return DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
+
+
 # ---------------------------------------------------------------------------
 # Soundness
 
@@ -191,7 +196,7 @@ def check_soundness(t: WeightedTheory, sizes=(1, 2), max_atoms: int | None = Non
     failures: list[Counterexample] = []
     out = transform(t)
     for n in sorted(sizes):
-        if max(_base_size(t, n), _base_size(out, n)) > (max_atoms or 26):
+        if max(_base_size(t, n), _base_size(out, n)) > _atom_cap(max_atoms):
             skipped += 1
             continue
         d = Domain.of_size(n, extra=t.constants())
@@ -237,7 +242,7 @@ def check_modularity(t: WeightedTheory, sizes=(1, 2), samples: int = 3,
     sk = skolemize(t)
     original = set(t.predicates())
     for n in sorted(sizes):
-        if max(_base_size(t, n), _base_size(sk, n)) > (max_atoms or 26):
+        if max(_base_size(t, n), _base_size(sk, n)) > _atom_cap(max_atoms):
             skipped += 1
             continue
         d = Domain.of_size(n, extra=t.constants())
@@ -441,4 +446,6 @@ def run_suite(seeds: int = 100, sizes=(1, 2), max_atoms: int | None = None,
                              f"query={serialize_formula(c.query)} "
                              f"before={c.before} after={c.after}")
     lines.append(f"{checked} checks, {skipped} skipped (atom cap), {failures} failure(s)")
-    return SuiteResult(failures == 0, lines)
+    if not checked:  # a run that checked nothing must not pass
+        lines.append("nothing was checked: raise the atom cap or pick smaller sizes")
+    return SuiteResult(failures == 0 and checked > 0, lines)

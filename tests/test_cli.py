@@ -169,6 +169,29 @@ class TestCheck:
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             "error: argument --sizes: expected comma-separated integers, got '1,x'"]
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--max-atoms", "-5", "--seeds", "5"),
+         "argument --max-atoms: expected a non-negative integer, got '-5'"),
+        (("--max-atoms", "x"), "argument --max-atoms: expected a non-negative integer, got 'x'"),
+        (("--seeds", "-5"), "argument --seeds: expected a positive integer, got '-5'"),
+        (("--seeds", "0"), "argument --seeds: expected a positive integer, got '0'"),
+    ])
+    def test_bad_counts_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as e:
+            main(["check", *argv])
+        assert e.value.code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {message}"]
+
+    @pytest.mark.parametrize("argv", [("--max-atoms", "0"), ("--sizes", ",")])
+    def test_checking_nothing_fails(self, capsys, argv):
+        code, out, _ = run(capsys, "check", "--seeds", "3", *argv)
+        assert code == 1
+        *_, summary, verdict = out.splitlines()
+        assert summary.startswith("0 checks, ")
+        assert verdict == "nothing was checked: raise the atom cap or pick smaller sizes"
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):

@@ -44,7 +44,9 @@ from wfomc.logic import (
     strip_foralls,
 )
 from wfomc.propcheck import GenConfig, gen_theory
-from wfomc.transform import skolemize
+from wfomc.transform import skolemize, to_cnf_distribute
+
+from perfbench.workloads import SMOKERS_WEIGHTS, smokers_count
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -285,6 +287,61 @@ class TestDpll:
         # recursion per unit would pass the interpreter's limit.
         t = theory("forall x Stress(x)\nforall x (Stress(x) -> Smokes(x))")
         assert wfomc(t, Domain.of_size(3000), engine="dpll") == 1
+
+
+class TestSymmetricKey:
+    """The DPLL memo shares counts among components that differ by a
+    renaming of the domain constants; these cases check that it shares
+    only counts that are equal."""
+
+    def test_non_uniform_weights_are_not_renamed(self):
+        # Per constant, the two clauses form one component, and the
+        # components differ only by the constant. P's atoms weigh
+        # differently, so their counts differ, and a key that renamed P's
+        # constants would give all three the first one's count.
+        t = theory("forall x (P(x) | R(x))\nforall x (~P(x) | S(x))")
+        g = ground(t, Domain.of_size(3))
+        weights = tuple((Fraction(i + 2), Fraction(-1, i + 3)) if a.pred.name == "P" else w
+                        for i, (a, w) in enumerate(zip(g.base.atoms, g.weights)))
+        g = replace(g, weights=weights)
+        assert wmc_dpll(tseitin_ground(g)) == wmc_bruteforce(g)
+
+    def test_generated_theories_match_brute_force(self):
+        checked = 0
+        for seed in range(0, 400, 5):
+            t = gen_theory(GenConfig(seed=seed))
+            sk = skolemize(t)
+            for th in (t, sk, to_cnf_distribute(sk)):
+                for n in (1, 2, 3):
+                    d = Domain.of_size(n, extra=th.constants())
+                    if sum(len(d) ** p.arity for p in th.predicates()) <= 22:
+                        assert wfomc(th, d, engine="dpll") == wfomc(th, d), (seed, n)
+                        checked += 1
+        assert checked > 500
+
+    @pytest.mark.parametrize("text", [
+        "weight S 1 1/2 -1\nweight F 2 3 1/3\n"
+        "forall x forall y (S(x) & F(x,y) -> S(y))\n"
+        "Boss(A)\nF(A,B)\nforall x (Boss(x) -> S(x))",
+        "weight Boss 1 2 -1\n"
+        "forall x exists y (WorksFor(x,y) | Boss(x))\nBoss(A)\n~WorksFor(B,A)",
+    ], ids=["smokers", "boss"])
+    def test_evidence_constants_match_brute_force(self, text):
+        t = theory(text)
+        sk = skolemize(t)
+        for th in (t, sk, to_cnf_distribute(sk)):
+            for n in (0, 1, 2):
+                d = Domain.of_size(n, extra=t.constants())
+                assert wfomc(th, d, engine="dpll") == wfomc(th, d), n
+
+    def test_smokers_at_20_matches_the_closed_form(self):
+        # 2^20 branches without a shared count; with one, about 200 entries.
+        rng = random.Random(6)
+        st, sf, ft, ff = (rng.choice(SMOKERS_WEIGHTS) for _ in range(4))
+        assert -1 in (st, sf, ft, ff)
+        t = theory(f"weight S 1 {st} {sf}\nweight F 2 {ft} {ff}\n"
+                   "forall x forall y (S(x) & F(x,y) -> S(y))")
+        assert wfomc(t, Domain.of_size(20), engine="dpll") == smokers_count(20, st, sf, ft, ff)
 
 
 class TestGroundTseitin:
