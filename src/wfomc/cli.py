@@ -49,12 +49,16 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _sizes(text: str) -> tuple[int, ...]:
-    """Comma-separated domain sizes; empty entries are skipped."""
+    """Comma-separated domain sizes, each one the generator supports
+    (``propcheck.GenConfig``); empty entries are skipped."""
     try:
-        return tuple(int(s) for s in text.split(",") if s.strip())
+        sizes = tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
+    if not set(sizes) <= {1, 2, 3}:
+        raise argparse.ArgumentTypeError(f"expected sizes within {{1,2,3}}, got {text!r}")
+    return sizes
 
 
 def _int_at_least(least: int, what: str):

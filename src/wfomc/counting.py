@@ -12,6 +12,12 @@ Two engines:
     permutation of the constants (as the components of a universal theory
     often do) are searched once.
 
+``wfomc(t, d, engine, query=q)`` returns the pair (count of t ∧ q, count of
+t) that a probability query needs. Brute force counts the two independently.
+DPLL grounds and searches the theory once, then conditions the query on the
+theory's top-level unit assignment and counts again only the components the
+query touches, with the same memo.
+
 Counts are exact rationals unless the problem is in float mode. Negative
 weights flow through both engines unchanged.
 """
@@ -407,7 +413,9 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
     model of the input extends to exactly one model of the output and the
     weighted count is unchanged (new atoms weigh (1, 1)). Tautologies and
     repeated clauses are dropped; a false clause leaves the single empty
-    clause.
+    clause. Definition atoms follow every atom of ``g``'s base, so a query's
+    sentences encoded over a theory's clause form get definitions numbered
+    after the theory's.
     """
     if g.clauses is not None:
         return g
@@ -565,22 +573,43 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
 # DPLL engine
 
 
-def wmc_dpll(g: GroundProblem) -> Weight:
-    """Component-caching DPLL count; requires a CNF ground formula."""
+def wmc_dpll(g: GroundProblem, query: GroundProblem | None = None):
+    """Component-caching DPLL count; requires a CNF ground formula.
+
+    Given ``query``, a CNF over ``g``'s base extended by the query's own
+    definition atoms (``tseitin_ground`` of the query's sentences over the
+    clause form of ``g``), returns the pair (count of g ∧ query, count of g)
+    from one search. The count of ``g`` is kept in parts: its top-level unit
+    assignment and its residual components. The query's clauses are reduced
+    by that assignment and merged with the components they share an atom
+    with, and only the merged set is counted again, with the same memo
+    (``_DpllCounter.conditioned``).
+    """
     clauses = clauses_of(g)
-    if clauses is None:
+    query_clauses = () if query is None else clauses_of(query)
+    if clauses is None or query_clauses is None:
         raise WfomcError("wmc_dpll needs a CNF ground formula; "
                          "convert with tseitin_ground first")
-    counter = _DpllCounter(g)
+    counter = _DpllCounter(g if query is None else query)
     current = frozenset(clauses)
     atoms = set(map(abs, frozenset().union(*current)))
-    total = counter.zero if frozenset() in current else counter.count(current, atoms)
+    top = None if frozenset() in current else counter._propagate(current, atoms)
+    components = []  # (clauses, atoms, count) per top-level component
+    if top is None:
+        total = counter.zero
+    else:
+        total, residual, rest, _ = top
+        for comp in _components(residual, rest) if residual else ():
+            count = counter._component(*comp)
+            components.append((*comp, count))
+            total = total * count
     for a in range(1, len(g.base) + 1):
         if a not in atoms:
             total = total * counter.free[a]
-    if g.mode == EXACT:
-        return Fraction(total, counter.den) * g.scalar
-    return total * g.scalar
+    if query is None:
+        return counter.value(total, g)
+    with_query = counter.conditioned(top, components, query_clauses, len(query.base))
+    return counter.value(with_query, query), counter.value(total, g)
 
 
 class _DpllCounter:
@@ -639,6 +668,49 @@ class _DpllCounter:
         self.features: dict[int, tuple] = {}
         self.memo: dict[frozenset, int | float] = {}
 
+    def value(self, total, g: GroundProblem) -> Weight:
+        """A search total as a count of ``g``: unscaled, times its scalar."""
+        return (Fraction(total, self.den) if g.mode == EXACT else total) * g.scalar
+
+    def conditioned(self, top, components, query_clauses, n: int):
+        """Count of the theory's clauses and ``query_clauses`` over atoms
+        1..n, from the theory's top-level parts as ``wmc_dpll`` keeps them.
+
+        ``top`` is the theory's top-level propagation (None when the
+        theory has no model). Its assigned literals U hold in every model,
+        so the query's clauses are reduced by U; an emptied clause leaves no
+        model. With Q the atoms of the reduced query, the count is the
+        weight of U, times the count of each component that shares no atom
+        with Q, times the count of the reduced query merged with the other
+        components, times the free factor of every atom that none of these
+        mentions. It is built from parts, never by dividing the theory's
+        count: an atom's free factor wt + wf can be 0 (the Skolem weights
+        (1, -1)).
+        """
+        if top is None or frozenset() in query_clauses:
+            return self.zero
+        _, _, rest, units = top
+        reduced = _assign(frozenset(query_clauses), units)
+        if reduced is None:
+            return self.zero
+        merged, query_atoms = reduced
+        mentioned = set(query_atoms)
+        total = self.one
+        for l in units:
+            total = total * self.lit_w[l]
+        for clauses, atoms, count in components:
+            if atoms.isdisjoint(query_atoms):
+                total = total * count
+            else:
+                merged = merged | clauses
+                mentioned |= atoms
+        total = total * self.count(merged, mentioned)
+        covered = rest | mentioned | set(map(abs, units))
+        for a in range(1, n + 1):
+            if a not in covered:
+                total = total * self.free[a]
+        return total
+
     def _free(self, atoms):
         out = self.one
         for a in atoms:
@@ -661,15 +733,16 @@ class _DpllCounter:
     def _propagate(self, clauses: frozenset, atoms: set):
         """Assign every unit clause, pass after pass.
 
-        Returns (factor, residual clauses, their atoms), where the factor
-        weighs the assigned atoms and those the residual no longer
-        mentions, or None when the units conflict or empty a clause.
+        Returns (factor, residual clauses, their atoms, assigned literals),
+        where the factor weighs the assigned atoms and those the residual no
+        longer mentions, or None when the units conflict or empty a clause.
         """
         factor = self.one
+        assigned = set()
         while True:
             units = {l for c in clauses if len(c) == 1 for l in c}
             if not units:
-                return factor, clauses, atoms
+                return factor, clauses, atoms, assigned
             if any(-l in units for l in units):
                 return None
             reduced = _assign(clauses, units)
@@ -680,6 +753,7 @@ class _DpllCounter:
                 factor = factor * self.lit_w[l]
             factor = factor * self._free(atoms - left - set(map(abs, units)))
             atoms = left
+            assigned |= units
 
     def count(self, clauses: frozenset, atoms: set):
         """Count of a clause set without empty clauses; ``atoms`` are
@@ -687,7 +761,7 @@ class _DpllCounter:
         reduced = self._propagate(clauses, atoms)
         if reduced is None:
             return self.zero
-        result, clauses, atoms = reduced
+        result, clauses, atoms, _ = reduced
         for comp in _components(clauses, atoms) if clauses else ():
             result = result * self._component(*comp)
         return result
@@ -714,7 +788,7 @@ class _DpllCounter:
             reduced = self._propagate(residual, left)
             if reduced is None:
                 continue
-            part, residual, rest = reduced
+            part, residual, rest, _ = reduced
             part = part * self.lit_w[phase] * self._free(atoms - left - {abs(lit)})
             for comp in _components(residual, rest) if residual else ():
                 part = part * self._component(*comp)
@@ -861,14 +935,34 @@ def _branch_literal(clauses: frozenset) -> int:
 
 
 def wfomc(t: WeightedTheory, d: Domain, engine: str = "brute",
-          cap: int | None = None) -> Weight:
-    """Weighted first-order model count of the theory over the domain."""
+          cap: int | None = None, query: Formula | None = None):
+    """Weighted first-order model count of the theory over the domain.
+
+    Given a query sentence over the theory's predicates, returns the pair
+    (count of t ∧ query, count of t). Brute force makes the two counts
+    independently. DPLL grounds t ∧ query once, encodes the theory's
+    sentences and then the query's over one base, and answers both counts
+    from one search (``wmc_dpll``).
+    """
+    if query is not None:
+        with_query = t.replace(sentences=t.sentences + (query,))
+        missing = sorted({sig.name for sig in with_query.predicates()}
+                         - {sig.name for sig in t.predicates()})
+        if missing:
+            raise WfomcError(f"query predicate(s) {missing} not in the theory")
     if engine == "brute":
+        if query is not None:
+            return wfomc(with_query, d, engine, cap), wfomc(t, d, engine, cap)
         # The Herbrand base size is known before grounding; refuse early.
         _check_brute_cap(sum(len(d) ** sig.arity for sig in t.predicates()), cap)
         return wmc_bruteforce(ground(t, d), cap=cap)
     if engine == "dpll":
-        return wmc_dpll(tseitin_ground(ground(t, d)))
+        if query is None:
+            return wmc_dpll(tseitin_ground(ground(t, d)))
+        theory = tseitin_ground(replace(ground(with_query, d), sentences=t.sentences))
+        # The query's definition atoms are numbered after the theory's.
+        encoded = tseitin_ground(replace(theory, clauses=None, sentences=(query,), domain=d))
+        return wmc_dpll(theory, encoded)
     raise WfomcError(f"unknown engine {engine!r} (expected 'brute' or 'dpll')")
 
 

@@ -483,8 +483,16 @@ def query_probability(e: WfomcEncoding, d: Domain, query: Formula,
                       engine: str = "brute") -> Weight:
     """Pr(query) = count(theory + query) / count(theory).
 
-    The query is conjoined after Skolemization; that is exactly the situation
-    the elimination step is modular for.
+    Both counts come from one ``wfomc`` call. With the dpll engine that is
+    one grounding and one search: the theory is counted once, and only the
+    parts of its search that the query touches are counted again. The query
+    is conjoined after Skolemization; that is exactly the situation the
+    elimination step is modular for.
+
+    The query's predicates must be the model's: those of the prepared
+    theory's sentences, or weighted ones. A weighted predicate that no
+    sentence mentions (a ProbLog fact that no rule uses) joins the theory
+    through a tautology, so that both counts range over the same atoms.
     """
     if free_vars(query):
         raise WfomcError("query must be a sentence")
@@ -493,10 +501,22 @@ def query_probability(e: WfomcEncoding, d: Domain, query: Formula,
     missing = [c.name for c in formula_constants(query) if c.name not in names]
     if missing:
         raise WfomcError(f"query constant(s) {missing} not in the domain")
+    unused = predicates(query) - set(prepared.predicates())
+    missing = sorted(sig.name for sig in unused if sig not in prepared.weights.pairs)
+    if missing:
+        raise WfomcError(f"query predicate(s) {missing} not in the model")
+    if unused:
+        prepared = prepared.replace(sentences=prepared.sentences + tuple(
+            _tautology(sig) for sig in sorted(unused, key=lambda p: (p.name, p.arity))))
 
-    denominator = wfomc(prepared, d, engine)
+    numerator, denominator = wfomc(prepared, d, engine, query=query)
     if denominator == 0:
         raise WfomcError("model has zero partition function")
-    with_query = prepared.replace(sentences=prepared.sentences + (query,))
-    numerator = wfomc(with_query, d, engine)
     return numerator / denominator
+
+
+def _tautology(sig: PredicateSig) -> Formula:
+    """forall x1..xk (p(x1..xk) | ~p(x1..xk)): it puts p's atoms in the base."""
+    vars_ = tuple(f"x{i + 1}" for i in range(sig.arity))
+    atom = Atom(sig, tuple(Variable(v) for v in vars_))
+    return _forall(vars_, Or(atom, Not(atom)))

@@ -169,6 +169,15 @@ class TestCheck:
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             "error: argument --sizes: expected comma-separated integers, got '1,x'"]
 
+    @pytest.mark.parametrize("sizes", ["0", "4", "-1", "1,4"])
+    def test_sizes_outside_the_generator_range_are_usage_errors(self, capsys, sizes):
+        with pytest.raises(SystemExit) as e:
+            main(["check", "--seeds", "2", "--sizes", sizes])
+        assert e.value.code == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: argument --sizes: expected sizes within {{1,2,3}}, got {sizes!r}"]
+
     @pytest.mark.parametrize("argv,message", [
         (("--max-atoms", "-5", "--seeds", "5"),
          "argument --max-atoms: expected a non-negative integer, got '-5'"),
@@ -237,6 +246,17 @@ class TestExitCodes:
         code, out, err = run(capsys, "count", SAMPLES / "stress.fol", "--domain-size", "1")
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    @pytest.mark.parametrize("sample,query", [
+        ("workshop.plp", "Q(C1)"),
+        ("employment.mln", "Boss(C1) & Q"),
+    ])
+    def test_query_predicate_outside_the_model_is_two(self, capsys, engine, sample, query):
+        code, out, err = run(capsys, "prob", SAMPLES / sample, "--domain-size", "2",
+                             "--query", query, "--engine", engine)
+        assert code == 2 and out == ""
+        assert err == "error: query predicate(s) ['Q'] not in the model\n"
 
     def test_non_tight_program_is_two(self, capsys, tmp_path):
         f = tmp_path / "cyc.plp"

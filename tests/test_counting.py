@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import domain, theory
+from conftest import domain, formula, theory
 from wfomc import _kernels as K, grounding
-from wfomc.encoders import _eval_ground, encode_mln, query_probability
+from wfomc.encoders import _eval_ground, encode_mln, encode_problog, query_probability
 from wfomc.errors import CapExceededError, WfomcError
-from wfomc.frontends import parse_mln
+from wfomc.frontends import parse_mln, parse_problog
 from wfomc.counting import (
     _clause_walk,
     clauses_of,
@@ -547,6 +547,105 @@ class TestClauseFormGrounding:
         assert got == pytest.approx(2 ** 11 * ew / (2 ** 11 * ew + (2 ** 11 - 1) * ew + 1),
                                     rel=1e-12)
         assert wmc_bruteforce(ground(smokers, Domain.of_size(2))) == _smokers_closed_form(2)
+
+
+def _sweep_queries(t, d, rng):
+    """The six query shapes over ``t``'s base: true, false, a literal, a
+    clause, a conjunction and (l & l) | l."""
+    atoms = grounding.herbrand_base(t, d).atoms
+    out = [TRUE, FALSE]
+    if atoms:
+        def lit():
+            a = rng.choice(atoms)
+            return a if rng.random() < 0.5 else Not(a)
+        out += [lit(), Or(lit(), lit()), And(lit(), lit()), Or(And(lit(), lit()), lit())]
+    return out
+
+
+def _assert_one_pass(t, d, q, brute=True):
+    """wfomc(t, d, query=q) on dpll is the pair of two independent counts,
+    and equals brute force's pair; returns it."""
+    got = wfomc(t, d, engine="dpll", query=q)
+    with_query = t.replace(sentences=t.sentences + (q,))
+    assert got == (wfomc(with_query, d, engine="dpll"), wfomc(t, d, engine="dpll")), q
+    if brute:
+        assert got == wfomc(t, d, query=q) == (wfomc(with_query, d), wfomc(t, d)), q
+    return got
+
+
+class TestQueryCount:
+    """One dpll search answers count(t ∧ q) and count(t)."""
+
+    # Every fifteenth seed: each case runs three dpll searches, and the
+    # suite must stay fast.
+    @pytest.mark.parametrize("seed", range(0, 300, 15))
+    def test_matches_two_counts_on_generated_theories(self, seed):
+        t = gen_theory(GenConfig(seed=seed, domain_sizes=(1, 2, 3)))
+        for th in (t, to_cnf_distribute(skolemize(t))):
+            for n in (1, 2, 3):
+                d = Domain.of_size(n)
+                rng = random.Random(f"{seed}/{n}")
+                small = len(grounding.herbrand_base(th, d)) <= 16
+                for q in _sweep_queries(th, d, rng):
+                    _assert_one_pass(th, d, q, brute=small)
+
+    def test_query_against_a_forced_unit_is_zero(self):
+        t = theory("Boss(A)\nforall x forall y (Sk0(x) | ~WorksFor(x,y))\n"
+                   "forall x (Sk0(x) | ~Boss(x))\nweight Sk0 1 1 -1")
+        d = domain("A", "B")
+        num, den = _assert_one_pass(t, d, formula("~Boss(A)"))
+        assert num == 0 and den != 0
+        assert _assert_one_pass(t, d, formula("Boss(A)")) == (den, den)
+
+    def test_query_touching_every_component(self):
+        boss = theory("weight Boss 1 1/3 2\nforall x exists y (WorksFor(x,y) | Boss(x))")
+        t = to_cnf_distribute(skolemize(boss))
+        d = Domain.of_size(3)
+        num, den = _assert_one_pass(t, d, formula("exists x Boss(x)"))
+        assert 0 < num < den
+
+    def test_query_with_definitions(self):
+        enc = encode_problog(parse_problog(
+            "0.1 :: Attends(x).\n0.3 :: ToSeries(x).\nSeries :- Attends(x), ToSeries(x).\n"))
+        t = enc.prepared().theory
+        q = formula("(Attends(C1) & ToSeries(C1)) | Series")
+        for n in (1, 2, 3):
+            num, den = _assert_one_pass(t, Domain.of_size(n), q)
+            assert num / den == 1 - Fraction(97, 100) ** n
+
+    def test_unconstrained_skolem_atom_in_the_query(self):
+        # ~Boss(A) and ~WorksFor(A,.) satisfy every clause of Sk0(A), so the
+        # theory's propagation leaves it free, with free factor 1 + (-1) = 0.
+        t = theory("weight Sk0 1 1 -1\nforall x forall y (Sk0(x) | ~WorksFor(x,y))\n"
+                   "forall x (Sk0(x) | ~Boss(x))\n~Boss(A)\nforall y ~WorksFor(A,y)")
+        d = domain("A", "B")
+        num, den = _assert_one_pass(t, d, formula("Sk0(A)"))
+        assert den == 0 and num != 0
+        num, den = _assert_one_pass(t, d, formula("~Sk0(A) & ~Sk0(B)"))
+        assert den == 0 and num != 0
+
+    @pytest.mark.parametrize("q,want", [(TRUE, 1), (FALSE, 0)])
+    def test_constant_queries(self, q, want):
+        t = to_cnf_distribute(skolemize(theory(
+            "weight Boss 1 1/3 2\nforall x exists y (WorksFor(x,y) | Boss(x))")))
+        num, den = _assert_one_pass(t, Domain.of_size(2), q)
+        assert num == want * den and den != 0
+
+    def test_float_mode_matches_two_counts(self):
+        enc = encode_mln(parse_mln("1.3 exists y (WorksFor(x,y) | Boss(x))\n"))
+        t = enc.prepared().theory
+        d = Domain.of_size(4, extra=(Constant("A"),))
+        for text in ("Boss(A)", "exists x Boss(x)", "WorksFor(A,C1) | ~Boss(C2)"):
+            q = formula(text)
+            num, den = wfomc(t, d, engine="dpll", query=q)
+            want = wfomc(t.replace(sentences=t.sentences + (q,)), d, engine="dpll")
+            assert den == wfomc(t, d, engine="dpll")
+            assert num == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    def test_query_predicate_outside_the_theory(self, engine):
+        with pytest.raises(WfomcError, match=r"query predicate\(s\) \['Q'\] not in the theory"):
+            wfomc(theory("forall x P(x)"), domain("A"), engine, query=formula("P(A) & Q"))
 
 
 class TestModelEnumeration:

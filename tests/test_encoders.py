@@ -19,6 +19,7 @@ from wfomc.encoders import (
     tightness_check,
 )
 from wfomc.logic import (
+    FALSE,
     Atom,
     Domain,
     PredicateSig,
@@ -26,6 +27,8 @@ from wfomc.logic import (
     classify_normal_form,
     predicates,
 )
+
+from perfbench.workloads import WORKSHOP_KINDS, workshop_probability
 
 EMPLOYMENT = "1.3 exists y (WorksFor(x,y) | Boss(x))"
 WORKSHOP = """
@@ -234,10 +237,15 @@ class TestQueryProbability:
         assert query_probability(enc, domain("A"), TRUE) == 1
 
     def test_zero_partition_function_is_an_error(self):
-        t = theory("P(A)\n~P(A)")
-        enc = WfomcEncoding(t)
-        with pytest.raises(WfomcError, match="partition"):
-            query_probability(enc, domain("A"), formula("P(A)"))
+        cases = [
+            ("P(A)\n~P(A)", "P(A)"),  # no model
+            ("weight P 0 1 -1\nP | ~P", "P"),  # models whose weights cancel
+        ]
+        for text, query in cases:
+            enc = WfomcEncoding(theory(text))
+            for engine in ("brute", "dpll"):
+                with pytest.raises(WfomcError, match="partition"):
+                    query_probability(enc, domain("A"), formula(query), engine=engine)
 
     def test_query_constant_outside_domain_is_an_error(self):
         enc = encode_problog(parse_problog(WORKSHOP))
@@ -246,11 +254,37 @@ class TestQueryProbability:
 
     def test_engines_agree(self):
         enc = encode_problog(parse_problog(WORKSHOP))
+        for n in (2, 3):
+            d = Domain.of_size(n)
+            for kind, text in enumerate(WORKSHOP_KINDS):
+                q = formula(text.format(c=f"C{n}"))
+                got = query_probability(enc, d, q, engine="dpll")
+                assert got == query_probability(enc, d, q, engine="brute"), (n, text)
+                assert got == workshop_probability(kind, n), (n, text)
+
+    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    def test_constant_queries(self, engine):
+        enc = encode_problog(parse_problog(WORKSHOP))
+        d = Domain.of_size(2)
+        assert query_probability(enc, d, TRUE, engine=engine) == 1
+        assert query_probability(enc, d, FALSE, engine=engine) == 0
+
+    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    def test_query_predicate_outside_the_model_is_an_error(self, engine):
+        enc = encode_problog(parse_problog(WORKSHOP))
+        with pytest.raises(WfomcError, match=r"query predicate\(s\) \['Q', 'R'\] not in the model"):
+            query_probability(enc, domain("A"), formula("Series & R(A) | Q"), engine=engine)
+
+    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    def test_fact_that_no_rule_uses(self, engine):
+        # A weighted predicate that no sentence mentions is still the model's.
+        enc = encode_problog(parse_problog("0.5 :: a.\n0.1 :: Rain(x).\nWet :- Rain(x)."))
         d = domain("A", "B")
-        q = formula("Series")
-        assert query_probability(enc, d, q, engine="brute") == query_probability(
-            enc, d, q, engine="dpll"
-        )
+        assert query_probability(enc, d, formula("a"), engine=engine) == Fraction(1, 2)
+        enc = encode_problog(parse_problog("0.1 :: Attends(x).\n0.3 :: ToSeries(x).\n"
+                                           "Series :- ToSeries(x)."))
+        assert query_probability(enc, d, formula("Attends(A) & Series"),
+                                 engine=engine) == Fraction(1, 10) * (1 - Fraction(49, 100))
 
 
 class TestNoisyOr:
