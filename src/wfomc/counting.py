@@ -18,8 +18,10 @@ DPLL grounds and searches the theory once, then conditions the query on the
 theory's top-level unit assignment and counts again only the components the
 query touches, with the same memo.
 
-Counts are exact rationals unless the problem is in float mode. Negative
-weights flow through both engines unchanged.
+Every count is an exact rational: ``ground`` turns each weight into a
+``Fraction``, so a float weight counts as its exact binary value. Skolem
+weights (1, -1) make counts alternating sums, which floats would cancel to
+noise. Negative weights flow through both engines unchanged.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import CapExceededError, WfomcError
-from .grounding import GroundProblem, HerbrandBase, clause_instances, ground
+from .grounding import GroundProblem, HerbrandBase, check_constants, clause_instances, ground
 from .logic import (
-    EXACT,
     And,
     Atom,
     Domain,
@@ -50,8 +51,10 @@ from .logic import (
     Or,
     PredicateSig,
     TrueF,
-    Weight,
     WeightedTheory,
+    constants,
+    free_vars,
+    predicates,
     strip_foralls,
 )
 
@@ -143,7 +146,7 @@ def compile_program(formula: Formula, base: HerbrandBase) -> Program:
 
 
 def wmc_bruteforce(g: GroundProblem, cap: int | None = None,
-                   block_bits: int = _BLOCK_BITS) -> Weight:
+                   block_bits: int = _BLOCK_BITS) -> Fraction:
     """Sum of weight products over all satisfying assignments of the base."""
     n = len(g.base)
     _check_brute_cap(n, cap)
@@ -153,7 +156,7 @@ def wmc_bruteforce(g: GroundProblem, cap: int | None = None,
 
     # Atoms the formula never mentions contribute an independent (wt + wf)
     # factor each; enumeration only runs over the mentioned atoms.
-    free = _one(g.mode)
+    free = Fraction(1)
     for i in range(n):
         if i not in used:
             wt, wf = g.weights[i]
@@ -162,11 +165,8 @@ def wmc_bruteforce(g: GroundProblem, cap: int | None = None,
     used_weights = [g.weights[i] for i in prog.atoms]
     unit = all(wt == 1 and wf == 1 for wt, wf in used_weights)
 
-    if g.mode == EXACT:
-        total, den = _sum_exact(prog, used_weights, m, unit, block_bits)
-        return Fraction(total, den) * free * g.scalar
-    total_f = _sum_float(prog, used_weights, m, unit, block_bits)
-    return total_f * free * g.scalar
+    total, den = _sum_exact(prog, used_weights, m, unit, block_bits)
+    return Fraction(total, den) * free * g.scalar
 
 
 def _check_brute_cap(n: int, cap: int | None):
@@ -176,10 +176,6 @@ def _check_brute_cap(n: int, cap: int | None):
             f"Herbrand base has {n} atoms, above the brute-force cap {limit}; "
             "use wmc_dpll (or raise WFOMC_MAX_ATOMS)"
         )
-
-
-def _one(mode: str) -> Weight:
-    return Fraction(1) if mode == EXACT else 1.0
 
 
 def _blocks(m: int, block_bits: int):
@@ -213,14 +209,16 @@ def _sum_exact(prog: Program, weights, m: int, unit: bool,
     k = m // 2
     low = _weight_table(nums_t[:k], nums_f[:k])
     high = _weight_table(nums_t[k:], nums_f[k:])
-    bound = max(abs(x) for x in low) * max(abs(x) for x in high)
+    # Every table entry and every product is at most the bound, also when
+    # one table is all zeros.
+    bound = max(1, *map(abs, low)) * max(1, *map(abs, high))
     low_mask = (1 << k) - 1
 
     total = 0
     if bound < _INT64_SAFE:
         low_a = np.asarray(low, dtype=np.int64)
         high_a = np.asarray(high, dtype=np.int64)
-        chunk = max(1, _INT64_SAFE // max(bound, 1))
+        chunk = _INT64_SAFE // bound
         for start, count in _blocks(m, block_bits):
             mask = K.satisfying_mask(prog.ops, prog.args, prog.stack_need,
                                      start, count)
@@ -234,28 +232,10 @@ def _sum_exact(prog: Program, weights, m: int, unit: bool,
         for start, count in _blocks(m, block_bits):
             mask = K.satisfying_mask(prog.ops, prog.args, prog.stack_need,
                                      start, count)
-            for j in np.nonzero(mask)[0].tolist():
+            for j in np.flatnonzero(mask.view(np.bool_)).tolist():
                 a = start + j
                 total += low[a & low_mask] * high[a >> k]
     return total, den
-
-
-def _sum_float(prog: Program, weights, m: int, unit: bool,
-               block_bits: int) -> float:
-    k = m // 2
-    low = np.asarray(_weight_table([w[0] for w in weights[:k]],
-                                   [w[1] for w in weights[:k]]), dtype=np.float64)
-    high = np.asarray(_weight_table([w[0] for w in weights[k:]],
-                                    [w[1] for w in weights[k:]]), dtype=np.float64)
-    low_mask = (1 << k) - 1
-    total = 0.0
-    for start, count in _blocks(m, block_bits):
-        mask = K.satisfying_mask(prog.ops, prog.args, prog.stack_need,
-                                 start, count)
-        idx = np.arange(start, start + count, dtype=np.int64)[mask.view(np.bool_)]
-        if idx.size:
-            total += float(np.sum(low[idx & low_mask] * high[idx >> k]))
-    return total
 
 
 def _weight_table(nums_t: list, nums_f: list) -> list:
@@ -287,7 +267,7 @@ def weighted_models(g: GroundProblem, cap: int = 20):
     mask = K.satisfying_mask(full.ops, full.args, full.stack_need, 0, 1 << n)
     for a in np.nonzero(mask)[0].tolist():
         bits = tuple((a >> i) & 1 for i in range(n))
-        w = _one(g.mode)
+        w = Fraction(1)
         for i, b in enumerate(bits):
             wt, wf = g.weights[i]
             w = w * (wt if b else wf)
@@ -424,7 +404,6 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
     taken = {a.pred.name for a in atoms}
     clauses: dict[frozenset[int], None] = {}
     counter = [0]
-    one = _one(g.mode)
 
     def new_var() -> int:
         while f"Aux{counter[0]}" in taken:
@@ -432,7 +411,7 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
         sig = PredicateSig(f"Aux{counter[0]}", 0)
         counter[0] += 1
         atoms.append(Atom(sig, ()))
-        weights.append((one, one))
+        weights.append((Fraction(1), Fraction(1)))
         return len(atoms)
 
     def add(lits) -> bool:
@@ -566,7 +545,7 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
     base = g.base
     if len(atoms) > len(base):
         base = base.extended(tuple(atoms[len(base):]))
-    return GroundProblem(base, tuple(weights), g.scalar, g.mode, clauses=out)
+    return GroundProblem(base, tuple(weights), g.scalar, clauses=out)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +575,7 @@ def wmc_dpll(g: GroundProblem, query: GroundProblem | None = None):
     top = None if frozenset() in current else counter._propagate(current, atoms)
     components = []  # (clauses, atoms, count) per top-level component
     if top is None:
-        total = counter.zero
+        total = 0
     else:
         total, residual, rest, _ = top
         for comp in _components(residual, rest) if residual else ():
@@ -607,19 +586,18 @@ def wmc_dpll(g: GroundProblem, query: GroundProblem | None = None):
         if a not in atoms:
             total = total * counter.free[a]
     if query is None:
-        return counter.value(total, g)
+        return counter.value(total)
     with_query = counter.conditioned(top, components, query_clauses, len(query.base))
-    return counter.value(with_query, query), counter.value(total, g)
+    return counter.value(with_query), counter.value(total)
 
 
 class _DpllCounter:
     """Weighted counts of clause sets, each over the atoms it mentions.
 
-    Atoms are numbered from 1 and literals are signed atom numbers. In exact
-    mode each atom's two weights are scaled by the lcm of their denominators
-    once, so the search multiplies Python ints and the caller divides the
-    final total by ``den``, the product of those scales over the whole base.
-    Float mode counts in floats and ``den`` stays 1.
+    Atoms are numbered from 1 and literals are signed atom numbers. Each
+    atom's two weights are scaled by the lcm of their denominators once, so
+    the search multiplies Python ints and ``value`` divides a final total by
+    ``den``, the product of those scales over the whole base.
 
     The memo is keyed by each component's clauses up to a renaming of the
     domain constants (``_key``), so components that differ only by such a
@@ -634,7 +612,7 @@ class _DpllCounter:
         self.lit_w = [None] * (2 * n + 1)
         self.free = [None] * (n + 1)  # free[a] = wt + wf of atom a
         self.den = 1
-        self.one, self.zero = (1, 0) if g.mode == EXACT else (1.0, 0.0)
+        self.scalar = g.scalar
         # Each block whose atoms share one weight pair is set up in one
         # step and may be renamed in a key; the atoms of any other block,
         # and those outside the layout, are set up one at a time and pinned.
@@ -656,21 +634,20 @@ class _DpllCounter:
         runs += [(i, 1) for i in range(base.end, n)]
         for i, k in runs:
             wt, wf = weights[i]
-            if g.mode == EXACT:
-                d = math.lcm(wt.denominator, wf.denominator)
-                wt, wf = int(wt * d), int(wf * d)
-                self.den *= d ** k
+            d = math.lcm(wt.denominator, wf.denominator)
+            wt, wf = int(wt * d), int(wf * d)
+            self.den *= d ** k
             self.lit_w[i + 1:i + 1 + k] = [wt] * k
             self.lit_w[2 * n + 1 - i - k:2 * n + 1 - i] = [wf] * k
             self.free[i + 1:i + 1 + k] = [wt + wf] * k
         # Per atom and per literal, filled by _decode as keys need them.
         self.layout: dict[int, tuple] = {}
         self.features: dict[int, tuple] = {}
-        self.memo: dict[frozenset, int | float] = {}
+        self.memo: dict[frozenset, int] = {}
 
-    def value(self, total, g: GroundProblem) -> Weight:
-        """A search total as a count of ``g``: unscaled, times its scalar."""
-        return (Fraction(total, self.den) if g.mode == EXACT else total) * g.scalar
+    def value(self, total: int) -> Fraction:
+        """A search total as a count: unscaled, times the problem's scalar."""
+        return Fraction(total, self.den) * self.scalar
 
     def conditioned(self, top, components, query_clauses, n: int):
         """Count of the theory's clauses and ``query_clauses`` over atoms
@@ -688,14 +665,14 @@ class _DpllCounter:
         (1, -1)).
         """
         if top is None or frozenset() in query_clauses:
-            return self.zero
+            return 0
         _, _, rest, units = top
         reduced = _assign(frozenset(query_clauses), units)
         if reduced is None:
-            return self.zero
+            return 0
         merged, query_atoms = reduced
         mentioned = set(query_atoms)
-        total = self.one
+        total = 1
         for l in units:
             total = total * self.lit_w[l]
         for clauses, atoms, count in components:
@@ -712,7 +689,7 @@ class _DpllCounter:
         return total
 
     def _free(self, atoms):
-        out = self.one
+        out = 1
         for a in atoms:
             out = out * self.free[a]
         return out
@@ -724,7 +701,7 @@ class _DpllCounter:
         keeps the search depth from growing with the clause length
         (`exists y R(y)` grounds to one clause with a literal per constant).
         """
-        total = falsified = self.one
+        total = falsified = 1
         for l in clause:
             total = total * self.free[abs(l)]
             falsified = falsified * self.lit_w[-l]
@@ -737,7 +714,7 @@ class _DpllCounter:
         where the factor weighs the assigned atoms and those the residual no
         longer mentions, or None when the units conflict or empty a clause.
         """
-        factor = self.one
+        factor = 1
         assigned = set()
         while True:
             units = {l for c in clauses if len(c) == 1 for l in c}
@@ -760,7 +737,7 @@ class _DpllCounter:
         exactly the atoms its clauses mention."""
         reduced = self._propagate(clauses, atoms)
         if reduced is None:
-            return self.zero
+            return 0
         result, clauses, atoms, _ = reduced
         for comp in _components(clauses, atoms) if clauses else ():
             result = result * self._component(*comp)
@@ -779,7 +756,7 @@ class _DpllCounter:
         if hit is not None:
             return hit
         lit = _branch_literal(clauses)
-        total = self.zero
+        total = 0
         for phase in (lit, -lit):
             assigned = _assign(clauses, {phase})
             if assigned is None:
@@ -938,32 +915,48 @@ def wfomc(t: WeightedTheory, d: Domain, engine: str = "brute",
           cap: int | None = None, query: Formula | None = None):
     """Weighted first-order model count of the theory over the domain.
 
-    Given a query sentence over the theory's predicates, returns the pair
-    (count of t ∧ query, count of t). Brute force makes the two counts
-    independently. DPLL grounds t ∧ query once, encodes the theory's
-    sentences and then the query's over one base, and answers both counts
-    from one search (``wmc_dpll``).
+    Given a query sentence over the theory's predicates and the domain's
+    constants, returns the pair (count of t ∧ query, count of t). Brute
+    force makes the two counts independently. DPLL grounds t once, encodes
+    the theory's sentences and then the query's over its base, and answers
+    both counts from one search (``wmc_dpll``).
     """
     if query is not None:
-        with_query = t.replace(sentences=t.sentences + (query,))
-        missing = sorted({sig.name for sig in with_query.predicates()}
-                         - {sig.name for sig in t.predicates()})
-        if missing:
-            raise WfomcError(f"query predicate(s) {missing} not in the theory")
+        _check_query(t, d, query)
     if engine == "brute":
         if query is not None:
+            with_query = t.replace(sentences=t.sentences + (query,))
             return wfomc(with_query, d, engine, cap), wfomc(t, d, engine, cap)
         # The Herbrand base size is known before grounding; refuse early.
         _check_brute_cap(sum(len(d) ** sig.arity for sig in t.predicates()), cap)
         return wmc_bruteforce(ground(t, d), cap=cap)
     if engine == "dpll":
+        theory = tseitin_ground(ground(t, d))
         if query is None:
-            return wmc_dpll(tseitin_ground(ground(t, d)))
-        theory = tseitin_ground(replace(ground(with_query, d), sentences=t.sentences))
+            return wmc_dpll(theory)
         # The query's definition atoms are numbered after the theory's.
         encoded = tseitin_ground(replace(theory, clauses=None, sentences=(query,), domain=d))
         return wmc_dpll(theory, encoded)
     raise WfomcError(f"unknown engine {engine!r} (expected 'brute' or 'dpll')")
+
+
+def _check_query(t: WeightedTheory, d: Domain, query: Formula):
+    """Raise unless ``query`` is a sentence over t's predicates, with their
+    arities, and d's constants. Since its predicates are t's, t's base is
+    the base of t ∧ query, and t's sentences need no second check."""
+    free = free_vars(query)
+    if free:
+        raise WfomcError(f"query has free variable(s) {sorted(free)}")
+    arity = {sig.name: sig.arity for sig in t.predicates()}
+    used = predicates(query)
+    for sig in used:
+        if arity.get(sig.name, sig.arity) != sig.arity:
+            raise WfomcError(f"predicate {sig.name} used with arities "
+                             f"{arity[sig.name]} and {sig.arity}")
+    missing = sorted({sig.name for sig in used} - set(arity))
+    if missing:
+        raise WfomcError(f"query predicate(s) {missing} not in the theory")
+    check_constants(constants(query), d, "the query")
 
 
 # ---------------------------------------------------------------------------
@@ -980,15 +973,8 @@ def export_dimacs(g: GroundProblem) -> str:
         wt, wf = g.weights[i]
         lines.append(f"c atom {i + 1} {a.pred.name}"
                      + ("(" + ",".join(t.name for t in a.args) + ")" if a.args else ""))
-        lines.append(f"c wght {i + 1} {_dimacs_weight(wt)}")
-        lines.append(f"c wght {-(i + 1)} {_dimacs_weight(wf)}")
+        lines.append(f"c wght {i + 1} {wt.numerator}/{wt.denominator}")
+        lines.append(f"c wght {-(i + 1)} {wf.numerator}/{wf.denominator}")
     for c in clauses:
         lines.append(" ".join(str(l) for l in sorted(c, key=abs)) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def _dimacs_weight(w: Weight) -> str:
-    if isinstance(w, float):
-        return repr(w)
-    f = Fraction(w)
-    return f"{f.numerator}/{f.denominator}"

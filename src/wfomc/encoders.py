@@ -38,7 +38,6 @@ from .logic import (
     WeightFn,
     WeightedTheory,
     children,
-    constants as formula_constants,
     first_occurrence_vars,
     fold_and,
     fold_or,
@@ -74,7 +73,8 @@ class WfomcEncoding:
 def encode_mln(m: MlnModel) -> WfomcEncoding:
     """Per soft formula: a parameter predicate over its free variables, tied
     by an equivalence and weighted (e^w, 1). Hard formulas become plain
-    constraints. Float mode throughout (e^w is irrational)."""
+    constraints. The weights are floats (e^w is irrational); counting takes
+    each as its exact binary value."""
     reserved = set()
     for r in m.rules:
         reserved |= {sig.name for sig in predicates(r.formula)}
@@ -89,7 +89,11 @@ def encode_mln(m: MlnModel) -> WfomcEncoding:
         else:
             p = Atom(namer.fresh("P", len(xbar)), tuple(Variable(v) for v in xbar))
             sentences.append(_forall(xbar, Iff(p, r.formula)))
-            pairs[p.pred] = (math.exp(r.weight), 1.0)
+            try:
+                pairs[p.pred] = (math.exp(r.weight), 1.0)
+            except OverflowError:
+                raise WfomcError(f"soft weight {r.weight}: e^{r.weight} is out of "
+                                 "float range") from None
     return WfomcEncoding(WeightedTheory(tuple(sentences), WeightFn(pairs, FLOAT)))
 
 
@@ -489,18 +493,16 @@ def query_probability(e: WfomcEncoding, d: Domain, query: Formula,
     is conjoined after Skolemization; that is exactly the situation the
     elimination step is modular for.
 
+    The counts are exact, so the ratio is exact. A model with float weights
+    (an MLN's e^w) gets it as a float, rounded once here: this is the one
+    place a float leaves the pipeline.
+
     The query's predicates must be the model's: those of the prepared
     theory's sentences, or weighted ones. A weighted predicate that no
     sentence mentions (a ProbLog fact that no rule uses) joins the theory
     through a tautology, so that both counts range over the same atoms.
     """
-    if free_vars(query):
-        raise WfomcError("query must be a sentence")
     prepared = e.prepared().theory
-    names = {c.name for c in d.constants}
-    missing = [c.name for c in formula_constants(query) if c.name not in names]
-    if missing:
-        raise WfomcError(f"query constant(s) {missing} not in the domain")
     unused = predicates(query) - set(prepared.predicates())
     missing = sorted(sig.name for sig in unused if sig not in prepared.weights.pairs)
     if missing:
@@ -512,7 +514,13 @@ def query_probability(e: WfomcEncoding, d: Domain, query: Formula,
     numerator, denominator = wfomc(prepared, d, engine, query=query)
     if denominator == 0:
         raise WfomcError("model has zero partition function")
-    return numerator / denominator
+    ratio = numerator / denominator
+    if prepared.weights.mode != FLOAT:
+        return ratio
+    try:
+        return float(ratio)
+    except OverflowError:
+        raise WfomcError("the probability is out of float range") from None
 
 
 def _tautology(sig: PredicateSig) -> Formula:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping
 
@@ -24,7 +25,6 @@ from .logic import (
     PredicateSig,
     TrueF,
     Variable,
-    Weight,
     WeightedTheory,
     fold_and,
     fold_or,
@@ -76,7 +76,8 @@ class HerbrandBase:
 class GroundProblem:
     """A weighted counting problem over a Herbrand base.
 
-    It holds either closed ``sentences`` to ground over ``domain``, or
+    Weights and the scalar are exact. It holds either closed ``sentences``
+    to ground over ``domain``, or
     ``clauses``: a CNF whose literals are signed base numbers (index + 1,
     negative when negated), where an empty clause leaves no model.
     ``formula``, the ground conjunction, is built from whichever is held on
@@ -85,9 +86,8 @@ class GroundProblem:
     """
 
     base: HerbrandBase
-    weights: tuple[tuple[Weight, Weight], ...]  # per base index
-    scalar: Weight
-    mode: str
+    weights: tuple[tuple[Fraction, Fraction], ...]  # per base index
+    scalar: Fraction
     sentences: tuple[Formula, ...] = ()
     domain: Domain | None = None
     clauses: tuple[frozenset[int], ...] | None = None
@@ -104,7 +104,7 @@ class GroundProblem:
 
 
 def herbrand_base(t: WeightedTheory, d: Domain) -> HerbrandBase:
-    _check_constants(t, d)
+    check_constants(t.constants(), d, "the theory")
     atoms: list[Atom] = []
     blocks = []
     for sig in t.predicates():
@@ -118,18 +118,18 @@ def herbrand_base(t: WeightedTheory, d: Domain) -> HerbrandBase:
 def ground(t: WeightedTheory, d: Domain) -> GroundProblem:
     """Expand quantifiers over the domain; sentences become one conjunction.
 
-    The base, weights and scale are computed here; the ground formula is
+    The base, weights and scale are computed here, all exact: a float weight
+    enters as ``Fraction(w)``, its exact binary value. The ground formula is
     built when ``formula`` is first read.
     """
     base = herbrand_base(t, d)
     weights = []
     for sig, _ in base.blocks:  # one shared pair per block
-        weights += [t.weights.get(sig)] * base.size ** sig.arity
-    weights = tuple(weights)
-    scalar = t.weights.one()
+        weights += [t.weights.exact(sig)] * base.size ** sig.arity
+    scalar = Fraction(1)
     for sf in t.scale:
-        scalar = scalar * (sf.base ** (len(d) ** sf.nvars))
-    return GroundProblem(base, weights, scalar, t.mode, t.sentences, d)
+        scalar = scalar * Fraction(sf.base) ** (len(d) ** sf.nvars)
+    return GroundProblem(base, tuple(weights), scalar, t.sentences, d)
 
 
 def clause_instances(lits: list[tuple[Atom, bool]], base: HerbrandBase,
@@ -174,11 +174,12 @@ def _clause_formula(clauses, base: HerbrandBase) -> Formula:
     return fold_and(parts)
 
 
-def _check_constants(t: WeightedTheory, d: Domain):
+def check_constants(constants, d: Domain, owner: str):
+    """Raise unless each of ``constants`` (those of ``owner``) is in ``d``."""
     names = {c.name for c in d.constants}
-    missing = [c.name for c in t.constants() if c.name not in names]
+    missing = sorted(c.name for c in constants if c.name not in names)
     if missing:
-        raise WfomcError(f"constant(s) {missing} of the theory missing from the domain")
+        raise WfomcError(f"constant(s) {missing} of {owner} missing from the domain")
 
 
 def expand(f: Formula, d: Domain, env: Mapping[str, Constant] | None = None) -> Formula:

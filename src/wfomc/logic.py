@@ -397,14 +397,17 @@ class WeightFn:
         one = Fraction(1) if self.mode == EXACT else 1.0
         return (one, one)
 
+    def exact(self, sig: PredicateSig) -> tuple[Fraction, Fraction]:
+        """``get(sig)`` as exact rationals: a float weight is its exact
+        binary value."""
+        wt, wf = self.get(sig)
+        return (wt, wf) if self.mode == EXACT else (Fraction(wt), Fraction(wf))
+
     def extended(self, extra: Mapping[PredicateSig, tuple[Weight, Weight]]) -> "WeightFn":
         merged = dict(self.pairs)
         for sig, pair in extra.items():
             merged[sig] = pair
         return WeightFn(merged, self.mode)
-
-    def one(self) -> Weight:
-        return Fraction(1) if self.mode == EXACT else 1.0
 
 
 @dataclass(frozen=True)
@@ -444,10 +447,6 @@ class WeightedTheory:
         # sentences, so equality, hashing and repr ignore it.
         object.__setattr__(self, "_predicates",
                            tuple(sorted(sigs, key=lambda p: (p.name, p.arity))))
-
-    @property
-    def mode(self) -> str:
-        return self.weights.mode
 
     def predicates(self) -> tuple[PredicateSig, ...]:
         """All predicates occurring in the sentences, sorted by (name, arity)."""

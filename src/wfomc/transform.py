@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .errors import WfomcError
 from .logic import (
-    EXACT,
     FALSE,
     TRUE,
     And,
@@ -294,12 +293,13 @@ def _pull(f: Formula) -> tuple[list, Formula]:
 # The elimination step
 
 
-def _default_wf(t: WeightedTheory) -> Weight:
-    return Fraction(-1) if t.mode == EXACT else -1.0
+# The weights of a Skolem predicate are (1, -1). Weight pairs are written
+# exact here; ``WeightFn`` stores them in its own mode.
+_SKOLEM_WF = Fraction(-1)
 
 
 def eliminate_one(t: WeightedTheory, site: ElimSite, namer: FreshNamer, *,
-                  _skolem_false_weight: Weight | None = None,
+                  _skolem_false_weight: Weight = _SKOLEM_WF,
                   _treat_forall_as_exists: bool = False) -> WeightedTheory:
     """One elimination: replace the quantified subexpression by a fresh atom
     and append the three relaxation sentences with their weights.
@@ -308,7 +308,6 @@ def eliminate_one(t: WeightedTheory, site: ElimSite, namer: FreshNamer, *,
     replacement atom appears negated and the appended disjuncts keep the
     body's original polarity.
     """
-    wf_s = _default_wf(t) if _skolem_false_weight is None else _skolem_false_weight
     sentence = t.sentences[site.sentence_index]
     node = formula_at(sentence, site.path)
     if not isinstance(node, QUANT) or node.var != site.var:
@@ -337,8 +336,7 @@ def eliminate_one(t: WeightedTheory, site: ElimSite, namer: FreshNamer, *,
     sentences = list(t.sentences)
     sentences[site.sentence_index] = replaced
     sentences.extend(appended)
-    one = t.weights.one()
-    weights = t.weights.extended({z.pred: (one, one), s.pred: (one, wf_s)})
+    weights = t.weights.extended({z.pred: (1, 1), s.pred: (1, _skolem_false_weight)})
     return t.replace(sentences=tuple(sentences), weights=weights)
 
 
@@ -359,8 +357,7 @@ def _shortcut_step(t: WeightedTheory, site: ElimSite, namer: FreshNamer,
     new_sentence = _wrap(Or(s, negate(node.body)), ys + (site.var,))
     sentences = list(t.sentences)
     sentences[site.sentence_index] = new_sentence
-    one = t.weights.one()
-    weights = t.weights.extended({s.pred: (one, wf_s)})
+    weights = t.weights.extended({s.pred: (1, wf_s)})
     return t.replace(sentences=tuple(sentences), weights=weights)
 
 
@@ -393,21 +390,20 @@ def skolemize_full(t: WeightedTheory) -> WeightedTheory:
 
 
 def _skolemize(t: WeightedTheory, use_shortcut: bool,
-               _skolem_false_weight: Weight | None = None,
+               _skolem_false_weight: Weight = _SKOLEM_WF,
                _treat_forall_as_exists: bool = False) -> WeightedTheory:
     t = standardize_apart(t)
     namer = FreshNamer.for_theory(t)
-    wf_s = _default_wf(t) if _skolem_false_weight is None else _skolem_false_weight
     while True:
         site = next_internal_site(t)
         if site is None:
             return t
         if use_shortcut and site.kind == "exists" and _prefix_universal(t, site):
-            t = _shortcut_step(t, site, namer, wf_s)
+            t = _shortcut_step(t, site, namer, _skolem_false_weight)
         else:
             t = eliminate_one(
                 t, site, namer,
-                _skolem_false_weight=wf_s,
+                _skolem_false_weight=_skolem_false_weight,
                 _treat_forall_as_exists=_treat_forall_as_exists,
             )
 
@@ -509,7 +505,6 @@ def to_cnf_tseitin(t: WeightedTheory, namer: FreshNamer | None = None) -> Weight
     the input; every model of the input extends uniquely, so counts agree."""
     _require_skolem(t, "to_cnf_tseitin")
     namer = namer or FreshNamer.for_theory(t)
-    one = t.weights.one()
     sentences: list[Formula] = []
     new_weights: dict[PredicateSig, tuple[Weight, Weight]] = {}
 
@@ -521,7 +516,7 @@ def to_cnf_tseitin(t: WeightedTheory, namer: FreshNamer | None = None) -> Weight
             """Fresh literal equivalent to g; definitional clauses -> defs."""
             fv = first_occurrence_vars(g)
             d = Atom(namer.fresh("D", len(fv)), tuple(Variable(v) for v in fv))
-            new_weights[d.pred] = (one, one)
+            new_weights[d.pred] = (1, 1)
             a = _as_literal(g.left, defs, rename)
             b = _as_literal(g.right, defs, rename)
             if isinstance(g, And):
@@ -754,9 +749,6 @@ def staged_elimination(t: WeightedTheory, site: ElimSite) -> StagedElimination:
     terms = tuple(Variable(v) for v in ys)
     z = Atom(namer.tseitin(len(ys)), terms)
     s = Atom(namer.skolem(len(ys)), terms)
-    one = t.weights.one()
-    zero = Fraction(0) if t.mode == EXACT else 0.0
-    wf_s = _default_wf(t)
 
     replaced = list(t.sentences)
     replaced[site.sentence_index] = replace_at(sentence, site.path, z)
@@ -764,7 +756,7 @@ def staged_elimination(t: WeightedTheory, site: ElimSite) -> StagedElimination:
     equivalence = _wrap(Iff(z, Exists(node.var, node.body)), ys)
     isolate = t.replace(
         sentences=tuple(replaced) + (equivalence,),
-        weights=t.weights.extended({z.pred: (one, one)}),
+        weights=t.weights.extended({z.pred: (1, 1)}),
     )
 
     forward = _wrap(Exists(node.var, Or(Not(z), node.body)), ys)
@@ -775,14 +767,14 @@ def staged_elimination(t: WeightedTheory, site: ElimSite) -> StagedElimination:
     named = _wrap(Iff(s, sigma), ys)
     feature = split.replace(
         sentences=tuple(replaced) + (named, backward),
-        weights=split.weights.extended({s.pred: (one, zero)}),
+        weights=split.weights.extended({s.pred: (1, 0)}),
     )
 
     implication = feature.replace(
         sentences=tuple(replaced) + (_wrap(Or(s, z), ys),
                                      _wrap(Or(s, negate(node.body)), ys + (site.var,)),
                                      backward),
-        weights=feature.weights.extended({s.pred: (one, wf_s)}),
+        weights=feature.weights.extended({s.pred: (1, _SKOLEM_WF)}),
     )
 
     return StagedElimination(isolate, split, feature, implication,

@@ -1,5 +1,6 @@
 import decimal
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,34 @@ class TestProb:
         assert code == 0
         assert out.strip() == "591/10000"
 
+    def test_workshop_series_float_mode_is_rounded_once(self, capsys):
+        # The float weights count as their exact binary values, and only the
+        # ratio is rounded.
+        code, out, _ = run(capsys, "prob", SAMPLES / "workshop.plp",
+                           "--query", "Series", "--domain-size", "2", "--mode", "float")
+        assert code == 0
+        assert out == "0.0591\n"
+
+    def test_skolem_cancellation_at_40_constants(self, capsys, tmp_path):
+        # The Skolem weights (1, -1) make both counts alternating sums, which
+        # only exact arithmetic holds at this size.
+        f = tmp_path / "boss.mln"
+        f.write_text("1.5 exists y (WorksFor(x,y) | Boss(x))\n")
+        argv = ("prob", f, "--query", "Boss(C1)", "--engine", "dpll", "--domain-size", "40")
+        ew, big = math.exp(1.5), 2 ** 40
+        want = big * ew / (big * ew + (big - 1) * ew + 1)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert abs(float(out) - want) <= 1e-12
+
+        def no_constant(name):
+            raise AssertionError(f"not JSON: {name}")
+
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        got = json.loads(out, parse_constant=no_constant)["probability_float"]
+        assert abs(got - want) <= 1e-12
+
     def test_mln_float(self, capsys):
         code, out, _ = run(capsys, "prob", SAMPLES / "employment.mln",
                            "--query", "Boss(A)", "--domain", "A")
@@ -257,6 +286,27 @@ class TestExitCodes:
                              "--query", query, "--engine", engine)
         assert code == 2 and out == ""
         assert err == "error: query predicate(s) ['Q'] not in the model\n"
+
+    def test_soft_weight_past_float_range_is_two(self, capsys, tmp_path):
+        f = tmp_path / "big.mln"
+        f.write_text("800 Boss(x)\n")
+        code, out, err = run(capsys, "prob", f, "--query", "Boss(C1)", "--domain-size", "1")
+        assert code == 2 and out == ""
+        assert err == "error: soft weight 800.0: e^800.0 is out of float range\n"
+
+    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    def test_float_probability_past_float_range_is_two(self, capsys, tmp_path, engine):
+        # Q's weights cancel to 2^-52 per atom, so Pr(forall x Q(x)) = 2^1040.
+        f = tmp_path / "t.fol"
+        f.write_text("weight Q 1 1 -4503599627370495/4503599627370496\n"
+                     "forall x (Q(x) | ~Q(x))\n")
+        argv = ("prob", f, "--query", "forall x Q(x)", "--domain-size", "20",
+                "--engine", engine)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == f"{2 ** 1040}\n"
+        code, out, err = run(capsys, *argv, "--mode", "float")
+        assert code == 2 and out == ""
+        assert err == "error: the probability is out of float range\n"
 
     def test_non_tight_program_is_two(self, capsys, tmp_path):
         f = tmp_path / "cyc.plp"

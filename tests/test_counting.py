@@ -85,6 +85,13 @@ class TestBruteForce:
         g = ground(theory("weight P 1 3/10 7/10\nP(A)"), domain("A"))
         assert wmc_bruteforce(g) == Fraction(3, 10)
 
+    def test_zero_weight_table_next_to_large_weights(self):
+        # The weights of Q make one enumeration table all zeros, while P's
+        # table holds 10^20, past int64.
+        g = ground(theory("weight P 0 100000000000000000000 1\nweight Q 0 0 0\nP | Q"),
+                   domain("A"))
+        assert wmc_bruteforce(g) == 0
+
     def test_cap_exceeded_directs_to_dpll(self):
         t = theory("forall x forall y (S(x) & F(x,y) -> S(y))")
         g = ground(t, Domain.of_size(5))  # 30 atoms
@@ -109,8 +116,8 @@ class TestBruteForce:
         t = theory("forall x (P(x) | Q(x))")
         t = t.replace(weights=WeightFn({PredicateSig("P", 1): (2.0, 1.0)}, "float"))
         g = ground(t, Domain.of_size(1))
-        # worlds: P Q / P ~Q / ~P Q  ->  2 + 2 + 1
-        assert wmc_bruteforce(g) == pytest.approx(5.0)
+        # worlds: P Q / P ~Q / ~P Q  ->  2 + 2 + 1, counted exactly
+        assert wmc_bruteforce(g) == 5
 
 
 def random_ground_formula(rng, atoms, depth):
@@ -244,7 +251,7 @@ class TestDpll:
         assert got == 0 and isinstance(got, Fraction)
         t = t.replace(weights=WeightFn({PredicateSig("P", 0): (0.3, -1.0)}, "float"))
         got = wmc_dpll(ground(t, domain("A")))
-        assert got == 0.0 and isinstance(got, float)
+        assert got == Fraction(0) and isinstance(got, Fraction)
 
     def test_larger_random_cnfs_match_brute_force(self):
         rng = random.Random(44)
@@ -253,14 +260,16 @@ class TestDpll:
             assert wmc_dpll(g) == wmc_bruteforce(g)
 
     def test_float_mode_matches_float_brute_force(self):
+        # Float weights count as their exact binary values on both engines.
         rng = random.Random(45)
         for _ in range(40):
             g = random_ground_problem(rng, max_atoms=12, max_clauses=30)
-            weights = tuple((float(wt), float(wf)) for wt, wf in g.weights)
-            g = replace(g, weights=weights, scalar=float(g.scalar), mode="float")
-            got, want = wmc_dpll(g), wmc_bruteforce(g)
-            assert isinstance(got, float)
-            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
+            pairs = {a.pred: (float(wt), float(wf)) for a, (wt, wf) in zip(g.base.atoms, g.weights)}
+            t = WeightedTheory(g.sentences, WeightFn(pairs, "float"))
+            g = ground(t, Domain.of_size(1))
+            assert all(isinstance(w, Fraction) for pair in g.weights for w in pair)
+            got = wmc_dpll(g)
+            assert isinstance(got, Fraction) and got == wmc_bruteforce(g)
 
     @pytest.mark.parametrize("st,sf,ft,ff", [
         (Fraction(3, 10), Fraction(-1), Fraction(-1), Fraction(3, 10)),
@@ -543,9 +552,10 @@ class TestClauseFormGrounding:
                 wmc_bruteforce(ground(smokers, Domain.of_size(2)))
         # Pr(Boss(A)): with Boss(A) all 2^11 settings of WorksFor(A,.) hold,
         # without it all but one do.
-        ew = math.exp(0.7)
-        assert got == pytest.approx(2 ** 11 * ew / (2 ** 11 * ew + (2 ** 11 - 1) * ew + 1),
-                                    rel=1e-12)
+        # Counted exactly over the float weight e^0.7 and rounded once, it is
+        # the closed form over that weight, correctly rounded.
+        ew = Fraction(math.exp(0.7))
+        assert got == float(2 ** 11 * ew / (2 ** 11 * ew + (2 ** 11 - 1) * ew + 1))
         assert wmc_bruteforce(ground(smokers, Domain.of_size(2))) == _smokers_closed_form(2)
 
 
@@ -640,7 +650,23 @@ class TestQueryCount:
             num, den = wfomc(t, d, engine="dpll", query=q)
             want = wfomc(t.replace(sentences=t.sentences + (q,)), d, engine="dpll")
             assert den == wfomc(t, d, engine="dpll")
-            assert num == pytest.approx(want, rel=1e-12)
+            assert num == want
+
+    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    def test_query_constant_outside_the_domain(self, engine):
+        with pytest.raises(WfomcError, match=r"constant\(s\) \['Z'\] of the query missing"):
+            wfomc(theory("forall x P(x)"), domain("A"), engine, query=formula("P(A) | P(Z)"))
+
+    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    def test_query_with_a_free_variable(self, engine):
+        # Unchecked, dpll would ground x as if it were universally quantified.
+        with pytest.raises(WfomcError, match=r"query has free variable\(s\) \['x'\]"):
+            wfomc(theory("forall x P(x)"), domain("A"), engine, query=formula("P(x)"))
+
+    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    def test_query_predicate_with_another_arity(self, engine):
+        with pytest.raises(WfomcError, match="predicate P used with arities 1 and 2"):
+            wfomc(theory("forall x P(x)"), domain("A"), engine, query=formula("P(A,A)"))
 
     @pytest.mark.parametrize("engine", ["brute", "dpll"])
     def test_query_predicate_outside_the_theory(self, engine):
@@ -666,6 +692,14 @@ class TestDimacsExport:
         assert "c wght 1 3/10" in lines
         assert "c wght -1 7/10" in lines
         assert lines[-1].endswith(" 0")
+
+    def test_float_weights_print_exactly(self):
+        t = theory("forall x (P(x) | ~Q(x))")
+        t = t.replace(weights=WeightFn({PredicateSig("P", 1): (0.5, 0.1)}, "float"))
+        lines = export_dimacs(ground(t, domain("A"))).splitlines()
+        assert "c wght 1 1/2" in lines
+        assert "c wght -1 3602879701896397/36028797018963968" in lines  # Fraction(0.1)
+        assert "c wght 2 1/1" in lines
 
     def test_rejects_non_cnf(self):
         g = ground(theory("P(A) <-> Q(A)"), domain("A"))
