@@ -5,6 +5,8 @@ form conversions, MLN and ProbLog encoders, and exact grounding-based
 counters used as each other's oracles.
 """
 
+import importlib
+
 from .errors import CapExceededError, NonTightProgramError, ParseError, WfomcError
 from .logic import (
     Atom,
@@ -57,6 +59,15 @@ from .encoders import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The numpy kernels of brute-force counting load on first use (PEP 562),
+    # so importing the package does not import numpy.
+    if name == "_kernels":
+        return importlib.import_module(f"{__name__}._kernels")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Atom",

@@ -4,13 +4,16 @@ Two engines:
 
   * ``wmc_bruteforce`` enumerates truth assignments with the block kernels
     from ``_kernels`` and sums exact per-assignment weight products. This is
-    the semantic reference for everything else in the package.
+    the semantic reference for everything else in the package. It is the
+    only user of numpy, which its functions import on first use, so that
+    the rest of the package loads and counts without it.
   * ``wmc_dpll`` is an exhaustive search over CNF with unit propagation,
     connected-component decomposition and symmetric component caching:
     a component's count is cached under its clauses with the domain
     constants renamed canonically, so components that differ only by a
     permutation of the constants (as the components of a universal theory
-    often do) are searched once.
+    often do) are searched once. The search runs on an explicit stack, so
+    its depth never meets Python's recursion limit.
 
 ``wfomc(t, d, engine, query=q)`` returns the pair (count of t ∧ q, count of
 t) that a probability query needs. Brute force counts the two independently.
@@ -30,13 +33,10 @@ import bisect
 import itertools
 import math
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
-from . import _kernels as K
 from .errors import CapExceededError, WfomcError
 from .grounding import GroundProblem, HerbrandBase, check_constants, clause_instances, ground
 from .logic import (
@@ -92,6 +92,10 @@ class Program:
 
 def compile_program(formula: Formula, base: HerbrandBase) -> Program:
     """Flatten a ground formula into postfix instructions over atom bits."""
+    import numpy as np
+
+    from . import _kernels as K
+
     used: list[int] = []
     bit_of: dict[int, int] = {}
     ops: list[int] = []
@@ -189,6 +193,10 @@ def _blocks(m: int, block_bits: int):
 
 def _sum_exact(prog: Program, weights, m: int, unit: bool,
                block_bits: int) -> tuple[int, int]:
+    import numpy as np
+
+    from . import _kernels as K
+
     if unit:
         sat = 0
         for start, count in _blocks(m, block_bits):
@@ -256,6 +264,10 @@ def weighted_models(g: GroundProblem, cap: int = 20):
     ``bits[i]`` is the truth value of ``g.base.atoms[i]``. Intended for
     small instances only.
     """
+    import numpy as np
+
+    from . import _kernels as K
+
     n = len(g.base)
     if n > cap:
         raise CapExceededError(f"{n} atoms is too many to enumerate models")
@@ -572,14 +584,14 @@ def wmc_dpll(g: GroundProblem, query: GroundProblem | None = None):
     counter = _DpllCounter(g if query is None else query)
     current = frozenset(clauses)
     atoms = set(map(abs, frozenset().union(*current)))
-    top = None if frozenset() in current else counter._propagate(current, atoms)
+    top = None if frozenset() in current else counter._propagate(current, atoms, _units(current))
     components = []  # (clauses, atoms, count) per top-level component
     if top is None:
         total = 0
     else:
         total, residual, rest, _ = top
         for comp in _components(residual, rest) if residual else ():
-            count = counter._component(*comp)
+            count = counter._search([comp])
             components.append((*comp, count))
             total = total * count
     for a in range(1, len(g.base) + 1):
@@ -643,6 +655,7 @@ class _DpllCounter:
         # Per atom and per literal, filled by _decode as keys need them.
         self.layout: dict[int, tuple] = {}
         self.features: dict[int, tuple] = {}
+        self.mixes = _LengthMixes()
         self.memo: dict[frozenset, int] = {}
 
     def value(self, total: int) -> Fraction:
@@ -655,10 +668,11 @@ class _DpllCounter:
 
         ``top`` is the theory's top-level propagation (None when the
         theory has no model). Its assigned literals U hold in every model,
-        so the query's clauses are reduced by U; an emptied clause leaves no
-        model. With Q the atoms of the reduced query, the count is the
-        weight of U, times the count of each component that shares no atom
-        with Q, times the count of the reduced query merged with the other
+        so the query's clauses that U satisfies drop out and the others are
+        counted with U assigned; a clause that U empties leaves no model.
+        With Q the atoms of the reduced query, the count is the weight of
+        U, times the count of each component that shares no atom with Q,
+        times the count of the reduced query merged with the other
         components, times the free factor of every atom that none of these
         mentions. It is built from parts, never by dividing the theory's
         count: an atom's free factor wt + wf can be 0 (the Skolem weights
@@ -667,32 +681,133 @@ class _DpllCounter:
         if top is None or frozenset() in query_clauses:
             return 0
         _, _, rest, units = top
-        reduced = _assign(frozenset(query_clauses), units)
-        if reduced is None:
-            return 0
-        merged, query_atoms = reduced
-        mentioned = set(query_atoms)
+        live = [c for c in query_clauses if c.isdisjoint(units)]
+        mentioned = set(map(abs, frozenset().union(*live)))
+        assigned = set(map(abs, units))
+        query_atoms = mentioned - assigned
+        merged = set(live)
         total = 1
-        for l in units:
-            total = total * self.lit_w[l]
         for clauses, atoms, count in components:
             if atoms.isdisjoint(query_atoms):
                 total = total * count
             else:
-                merged = merged | clauses
+                merged |= clauses
                 mentioned |= atoms
-        total = total * self.count(merged, mentioned)
-        covered = rest | mentioned | set(map(abs, units))
+        total = total * self.count(frozenset(merged), mentioned, units | _units(live))
+        covered = rest | mentioned | assigned
         for a in range(1, n + 1):
             if a not in covered:
                 total = total * self.free[a]
         return total
 
-    def _free(self, atoms):
-        out = 1
-        for a in atoms:
-            out = out * self.free[a]
-        return out
+    def count(self, clauses: frozenset, atoms: set, lits: set):
+        """Count of a clause set without empty clauses, times the weight of
+        ``lits``, under the conditions of ``_propagate``."""
+        reduced = self._propagate(clauses, atoms, lits)
+        if reduced is None:
+            return 0
+        factor, residual, rest, _ = reduced
+        return factor * self._search(_components(residual, rest)) if residual else factor
+
+    def _propagate(self, clauses, atoms: set, lits: set):
+        """Assign ``lits``, then each unit clause that arises, in one scan
+        of the clauses per round.
+
+        ``atoms`` are exactly the atoms of ``clauses``, and ``lits`` hold
+        the literal of every unit clause among them. A round drops the
+        clauses its literals satisfy, removes their complements from the
+        others and collects the clauses left with one literal as the next
+        round's literals. Returns (factor, residual clauses, their atoms,
+        assigned literals), where the factor weighs the assigned literals
+        and the atoms that the residual no longer mentions, or None when
+        two literals to assign conflict or a clause loses all its literals.
+        """
+        lit_w = self.lit_w
+        factor = 1
+        assigned = set()
+        while lits:
+            negs = {-l for l in lits}
+            if not negs.isdisjoint(lits):
+                return None
+            assigned |= lits
+            for l in lits:
+                factor = factor * lit_w[l]
+            touched = lits | negs
+            units = set()
+            kept = []
+            for c in clauses:
+                if c.isdisjoint(touched):
+                    kept.append(c)
+                elif c.isdisjoint(lits):
+                    c = c - negs
+                    if len(c) > 1:
+                        kept.append(c)
+                    elif c:
+                        units |= c  # assigned next round, which satisfies it
+                    else:
+                        return None
+            clauses, lits = kept, units
+        if not assigned:
+            return factor, clauses, atoms, assigned
+        residual = frozenset(clauses)
+        left = set(map(abs, frozenset().union(*residual)))
+        dropped = atoms - left
+        dropped.difference_update(map(abs, assigned))
+        free = self.free
+        for a in dropped:
+            factor = factor * free[a]
+        return factor, residual, left, assigned
+
+    def _search(self, components) -> int:
+        """Product of the counts of connected clause sets without unit or
+        empty clauses, given as (clauses, atoms) pairs.
+
+        A lone clause is counted in closed form and a memo hit is read off;
+        any other component is a search node. It branches on
+        ``_branch_literal`` and propagates each phase at once, and the
+        phases that do not conflict wait on an explicit stack, so no Python
+        call nests per decision. A frame is [memo key, total, phases], with
+        one [factor, pending components] per phase, the current one last.
+        Each finished component multiplies into the current phase of the
+        frame below it; a frame whose phases are all done stores its total.
+        """
+        memo = self.memo
+        stack = [[None, 0, [[1, list(reversed(components))]]]]
+        while True:
+            frame = stack[-1]
+            phase = frame[2][-1]
+            if phase[1]:
+                clauses, atoms = phase[1].pop()
+                if len(clauses) == 1:
+                    phase[0] = phase[0] * self._lone_clause(next(iter(clauses)))
+                    continue
+                key = self._key(clauses, atoms)
+                count = memo.get(key)
+                if count is None:
+                    lit = _branch_literal(clauses)
+                    phases = []
+                    for branch in (-lit, lit):  # the last phase is searched first
+                        reduced = self._propagate(clauses, atoms, {branch})
+                        if reduced is not None:
+                            factor, residual, rest, _ = reduced
+                            pending = _components(residual, rest)[::-1] if residual else []
+                            phases.append([factor, pending])
+                    if phases:
+                        stack.append([key, 0, phases])
+                        continue
+                    count = memo[key] = 0
+                phase[0] = phase[0] * count
+                continue
+            frame[1] = frame[1] + phase[0]
+            frame[2].pop()
+            if frame[2]:
+                continue
+            stack.pop()
+            if not stack:
+                return frame[1]
+            memo[frame[0]] = frame[1]
+            below = stack[-1][2][-1]
+            below[0] = below[0] * frame[1]
 
     def _lone_clause(self, clause: frozenset):
         """Count of one clause over its own atoms, in closed form.
@@ -707,118 +822,52 @@ class _DpllCounter:
             falsified = falsified * self.lit_w[-l]
         return total - falsified
 
-    def _propagate(self, clauses: frozenset, atoms: set):
-        """Assign every unit clause, pass after pass.
-
-        Returns (factor, residual clauses, their atoms, assigned literals),
-        where the factor weighs the assigned atoms and those the residual no
-        longer mentions, or None when the units conflict or empty a clause.
-        """
-        factor = 1
-        assigned = set()
-        while True:
-            units = {l for c in clauses if len(c) == 1 for l in c}
-            if not units:
-                return factor, clauses, atoms, assigned
-            if any(-l in units for l in units):
-                return None
-            reduced = _assign(clauses, units)
-            if reduced is None:
-                return None
-            clauses, left = reduced
-            for l in units:
-                factor = factor * self.lit_w[l]
-            factor = factor * self._free(atoms - left - set(map(abs, units)))
-            atoms = left
-            assigned |= units
-
-    def count(self, clauses: frozenset, atoms: set):
-        """Count of a clause set without empty clauses; ``atoms`` are
-        exactly the atoms its clauses mention."""
-        reduced = self._propagate(clauses, atoms)
-        if reduced is None:
-            return 0
-        result, clauses, atoms, _ = reduced
-        for comp in _components(clauses, atoms) if clauses else ():
-            result = result * self._component(*comp)
-        return result
-
-    def _component(self, clauses: frozenset, atoms: set):
-        """Count of a connected clause set without unit or empty clauses.
-
-        Branching assigns one literal and then does what ``count`` does,
-        inline, so that the search nests one call per decision.
-        """
-        if len(clauses) == 1:
-            return self._lone_clause(next(iter(clauses)))
-        key = self._key(clauses, atoms)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        lit = _branch_literal(clauses)
-        total = 0
-        for phase in (lit, -lit):
-            assigned = _assign(clauses, {phase})
-            if assigned is None:
-                continue
-            residual, left = assigned
-            reduced = self._propagate(residual, left)
-            if reduced is None:
-                continue
-            part, residual, rest, _ = reduced
-            part = part * self.lit_w[phase] * self._free(atoms - left - {abs(lit)})
-            for comp in _components(residual, rest) if residual else ():
-                part = part * self._component(*comp)
-            total = total + part
-        self.memo[key] = total
-        return total
-
     def _key(self, clauses: frozenset, atoms: set) -> frozenset:
         """The clauses with the domain constants renamed canonically.
 
         Each constant gets a signature: a sum over its occurrences of a
-        feature of (block, argument position, sign, clause length), which no
-        order of the constants changes. Constants are renumbered 0, 1, ...
-        by (signature, position), and every renamable atom is renumbered by
-        the base layout. Atoms of nullary or non-uniformly weighted blocks
-        keep their numbers, so two clause sets with one key differ by a
-        weight-preserving bijection on atoms, and have one count, whatever
-        the signatures are: weak signatures cost only hits. A set that
-        mentions an atom outside the layout (a Tseitin definition, numbered
-        per ground conjunct, so no renaming can match it) is its own key.
+        feature of (block, argument position, sign) times a factor of the
+        clause length, which no order of the constants changes. Constants
+        are renumbered 0, 1, ... by (signature, position), and every
+        renamable atom is renumbered by the base layout. Atoms of nullary or
+        non-uniformly weighted blocks keep their numbers, so two clause sets
+        with one key differ by a weight-preserving bijection on atoms, and
+        have one count, whatever the signatures are: weak signatures cost
+        only hits. A set that mentions an atom outside the layout (a Tseitin
+        definition, numbered per ground conjunct, so no renaming can match
+        it) is its own key.
         """
         if max(atoms) > self.end:
             return clauses
-        # A literal's occurrences weigh alike within one clause length, so
-        # they are counted first. One length gives every occurrence the
-        # same positive factor, which cannot change the order.
-        if len(set(map(len, clauses))) == 1:
-            weight = Counter(itertools.chain.from_iterable(clauses))
-        else:
-            by_length: dict[int, list] = {}
-            for c in clauses:
-                by_length.setdefault(len(c), []).append(c)
-            weight = {}
-            for length, group in by_length.items():
-                m = _mix(length)
-                for l, k in Counter(itertools.chain.from_iterable(group)).items():
-                    weight[l] = weight.get(l, 0) + k * m
-        features, decode = self.features, self._decode
-        signature: dict[int, int] = {}
+        # A literal's occurrences are summed first, each weighing its
+        # clause length's factor, in one pass over the clauses.
+        mixes = self.mixes
+        weight: dict[int, int] = {}
+        get = weight.get
+        for c in clauses:
+            m = mixes[len(c)]
+            for l in c:
+                weight[l] = get(l, 0) + m
+        features = self.features
+        signature: defaultdict[int, int] = defaultdict(int)
         for l, w in weight.items():
             terms = features.get(l)
-            for const, f in decode(l) if terms is None else terms:
-                signature[const] = signature.get(const, 0) + f * w
-        rank = {const: i for i, const in enumerate(
-            sorted(signature, key=lambda const: (signature[const], const)))}
+            if terms is None:
+                terms = self._decode(l)
+            for const, f in terms:
+                signature[const] += f * w
+        # Sorting (signature, constant) pairs orders the constants by
+        # signature, ties by position.
+        rank = {const: i for i, (_, const) in enumerate(sorted(zip(signature.values(), signature)))}
+        layout = self.layout
         renamed = {}
         for a in atoms:
-            new, terms = self.layout[a]
+            new, terms = layout[a]
             for const, stride in terms:
                 new += rank[const] * stride
             renamed[a] = new
             renamed[-a] = -new
-        return frozenset(frozenset(map(renamed.__getitem__, c)) for c in clauses)
+        return frozenset(map(frozenset, map(map, itertools.repeat(renamed.__getitem__), clauses)))
 
     def _decode(self, l: int) -> tuple:
         """Fill ``layout`` and ``features`` for the atom of literal ``l``
@@ -849,54 +898,57 @@ def _mix(*xs: int) -> int:
     return hash(xs) & ((1 << 61) - 1)
 
 
-def _assign(clauses: frozenset, lits: set):
-    """Apply a consistent set of literals in one pass.
+class _LengthMixes(dict):
+    """``_mix(length)`` per clause length, computed on first use."""
 
-    Returns (residual clauses, the atoms they mention), or None when some
-    clause loses all its literals.
-    """
-    negs = {-l for l in lits}
-    new = []
-    for c in clauses:
-        if not c.isdisjoint(lits):
-            continue
-        if not c.isdisjoint(negs):
-            c = c - negs
-            if not c:
-                return None
-        new.append(c)
-    return frozenset(new), set(map(abs, frozenset().union(*new)))
+    def __missing__(self, length: int) -> int:
+        m = self[length] = _mix(length)
+        return m
+
+
+def _units(clauses) -> set[int]:
+    """The literals of the unit clauses."""
+    return {l for c in clauses if len(c) == 1 for l in c}
 
 
 def _components(clauses: frozenset, atoms: set[int]) -> list[tuple[frozenset, set[int]]]:
     """Connected components as (clauses, atoms) pairs; ``atoms`` are the
-    atoms the clauses mention."""
+    atoms the clauses mention.
+
+    A union-find over the atoms, with path halving done inline: the search
+    calls this at every node, and a call per literal would cost more than
+    the rest of the loop. It stops as soon as one component holds every
+    atom.
+    """
     parent = {a: a for a in atoms}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     roots = len(atoms)
     for c in clauses:
-        it = iter(c)
-        ra = find(abs(next(it)))
-        for l in it:
-            rb = find(abs(l))
-            if ra != rb:
-                parent[rb] = ra
+        first = 0
+        for l in c:
+            x = l if l > 0 else -l
+            p = parent[x]
+            while p != x:  # path halving
+                g = parent[p]
+                parent[x] = g
+                x, p = g, parent[g]
+            if not first:
+                first = x
+            elif x != first:
+                parent[x] = first
                 roots -= 1
-    if roots == 1:
-        return [(clauses, atoms)]
+        if roots == 1:
+            return [(clauses, atoms)]
+    root_of: dict[int, int] = {}
+    members: dict[int, set[int]] = {}
+    for a in atoms:
+        x = a
+        while parent[x] != x:
+            x = parent[x]
+        root_of[a] = x
+        members.setdefault(x, set()).add(a)
     groups: dict[int, list] = {}
     for c in clauses:
-        root = find(abs(next(iter(c))))
-        groups.setdefault(root, []).append(c)
-    members: dict[int, set[int]] = {root: set() for root in groups}
-    for a in atoms:
-        members[find(a)].add(a)
+        groups.setdefault(root_of[abs(next(iter(c)))], []).append(c)
     return [(frozenset(g), members[root]) for root, g in groups.items()]
 
 
@@ -917,19 +969,21 @@ def wfomc(t: WeightedTheory, d: Domain, engine: str = "brute",
 
     Given a query sentence over the theory's predicates and the domain's
     constants, returns the pair (count of t ∧ query, count of t). Brute
-    force makes the two counts independently. DPLL grounds t once, encodes
+    force grounds t once and makes the two counts independently, the query
+    joining t's sentences for the first. DPLL grounds t once, encodes
     the theory's sentences and then the query's over its base, and answers
     both counts from one search (``wmc_dpll``).
     """
     if query is not None:
         _check_query(t, d, query)
     if engine == "brute":
-        if query is not None:
-            with_query = t.replace(sentences=t.sentences + (query,))
-            return wfomc(with_query, d, engine, cap), wfomc(t, d, engine, cap)
         # The Herbrand base size is known before grounding; refuse early.
         _check_brute_cap(sum(len(d) ** sig.arity for sig in t.predicates()), cap)
-        return wmc_bruteforce(ground(t, d), cap=cap)
+        g = ground(t, d)
+        if query is None:
+            return wmc_bruteforce(g, cap=cap)
+        with_query = replace(g, sentences=g.sentences + (query,))
+        return wmc_bruteforce(with_query, cap=cap), wmc_bruteforce(g, cap=cap)
     if engine == "dpll":
         theory = tseitin_ground(ground(t, d))
         if query is None:

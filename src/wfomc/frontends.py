@@ -605,9 +605,8 @@ def serialize_problog(prog: LogicProgram) -> str:
 
 
 def count_json(value: Weight) -> dict:
-    """Lossless JSON form of a count: exact values keep numerator/denominator."""
-    if isinstance(value, float):
-        return {"count_float": value}
+    """Lossless JSON form of a count, which is always exact: numerator and
+    denominator in full."""
     frac = Fraction(value)
     return {"count": {"num": _int_str(frac.numerator), "den": _int_str(frac.denominator)}}
 

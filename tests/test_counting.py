@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import domain, formula, theory
-from wfomc import _kernels as K, grounding
+from wfomc import _kernels as K, counting, grounding
 from wfomc.encoders import _eval_ground, encode_mln, encode_problog, query_probability
 from wfomc.errors import CapExceededError, WfomcError
 from wfomc.frontends import parse_mln, parse_problog
@@ -296,6 +299,53 @@ class TestDpll:
         # recursion per unit would pass the interpreter's limit.
         t = theory("forall x Stress(x)\nforall x (Stress(x) -> Smokes(x))")
         assert wfomc(t, Domain.of_size(3000), engine="dpll") == 1
+
+    def test_definition_chain_under_a_low_recursion_limit(self):
+        # The definitions of the Or-chain are decided one atom at a time,
+        # about n decisions deep. The search keeps them on an explicit
+        # stack, so 60 frames above the caller's depth are enough at n=150.
+        t = theory("exists y (R(y) & S(y))")
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            got = wfomc(t, Domain.of_size(150), engine="dpll")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == 4 ** 150 - 3 ** 150
+
+    def test_smokers_memo_entries_at_16(self, monkeypatch):
+        # The symmetric cache holds 136 components at n=16, where a cache
+        # keyed by the literal clause set held 131 069.
+        counters = []
+
+        class Recording(counting._DpllCounter):
+            def __init__(self, g):
+                super().__init__(g)
+                counters.append(self)
+
+        monkeypatch.setattr(counting, "_DpllCounter", Recording)
+        t = theory((ROOT / "samples" / "smokers.fol").read_text())
+        assert wfomc(t, Domain.of_size(16), engine="dpll") == _smokers_closed_form(16)
+        assert [len(c.memo) for c in counters] == [136]
+
+    def test_numpy_loads_only_for_brute_force(self):
+        code = (
+            "import sys, wfomc\n"
+            "from wfomc.logic import Domain\n"
+            "t = wfomc.skolemize(wfomc.parse_theory('forall x exists y F(x,y)')[0])\n"
+            "assert wfomc.wfomc(t, Domain.of_size(3), engine='dpll') == 343\n"
+            "print('numpy' in sys.modules)\n"
+            "assert wfomc.wfomc(t, Domain.of_size(2)) == 9\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
 
 class TestSymmetricKey:

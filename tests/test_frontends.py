@@ -18,7 +18,15 @@ from wfomc.frontends import (
     serialize_problog,
     serialize_theory,
 )
-from wfomc.logic import Constant, PredicateSig, Variable
+from wfomc.counting import wfomc
+from wfomc.logic import (
+    Constant,
+    Domain,
+    PredicateSig,
+    Variable,
+    WeightedTheory,
+    WeightFn,
+)
 from wfomc.propcheck import GenConfig, gen_theory
 
 
@@ -207,7 +215,15 @@ class TestJson:
         assert count_json(Fraction(48)) == {"count": {"num": "48", "den": "1"}}
 
     def test_float_count_schema(self):
-        assert count_json(12.5) == {"count_float": 12.5}
+        # A float-weighted theory counts exactly: its count is the exact
+        # binary value of the float weights, in the exact schema.
+        t = WeightedTheory((formula("P"),),
+                           WeightFn({PredicateSig("P", 0): (0.1, 2.0)}, "float"))
+        got = wfomc(t, Domain.of_size(1))
+        assert got == Fraction(0.1)
+        assert count_json(got) == {
+            "count": {"num": "3602879701896397", "den": "36028797018963968"}
+        }
 
     def test_int_str_past_the_digit_limit(self):
         # Built without str(int), which refuses more than 4300 digits.
