@@ -15,11 +15,20 @@ Two engines:
     often do) are searched once. The search runs on an explicit stack, so
     its depth never meets Python's recursion limit.
 
+DPLL counts clauses, and ``tseitin_ground`` makes them at the first-order
+level: a sentence that reads as one clause, disjunctive quantifiers
+included, is instantiated from the Herbrand base layout; the others are
+Skolemized (the source paper's count-preserving step) and clausified before
+they are instantiated. No ground formula is built, and every atom, Skolem
+and definition atoms included, lies in the base layout, so the symmetric
+cache can rename all of them.
+
 ``wfomc(t, d, engine, query=q)`` returns the pair (count of t ∧ q, count of
 t) that a probability query needs. Brute force counts the two independently.
-DPLL grounds and searches the theory once, then conditions the query on the
-theory's top-level unit assignment and counts again only the components the
-query touches, with the same memo.
+DPLL puts the theory in clause form and searches it once, then puts the
+query in clause form over the theory's, conditions it on the theory's
+top-level unit assignment and counts again only the components the query
+touches, with the same memo.
 
 Every count is an exact rational: ``ground`` turns each weight into a
 ``Fraction``, so a float weight counts as its exact binary value. Skolem
@@ -43,20 +52,23 @@ from .logic import (
     And,
     Atom,
     Domain,
+    Exists,
     FalseF,
+    ForAll,
     Formula,
     Iff,
     Implies,
     Not,
     Or,
-    PredicateSig,
     TrueF,
+    WeightFn,
     WeightedTheory,
     constants,
     free_vars,
     predicates,
     strip_foralls,
 )
+from .transform import FreshNamer, clausify, operands, skolemize
 
 DEFAULT_MAX_ATOMS = 26
 _BLOCK_BITS = 18  # assignments are enumerated in blocks of 2**_BLOCK_BITS
@@ -287,277 +299,135 @@ def weighted_models(g: GroundProblem, cap: int = 20):
 
 
 # ---------------------------------------------------------------------------
-# Clause extraction and ground Tseitin encoding
+# Clause form
 
 
-def _literal_int(f: Formula, base: HerbrandBase) -> int | None:
-    if isinstance(f, Atom):
-        i = base.index.get(f)
-        return None if i is None else i + 1
-    if isinstance(f, Not) and isinstance(f.body, Atom):
-        i = base.index.get(f.body)
-        return None if i is None else -(i + 1)
-    return None
+def _clause_walk(s: Formula):
+    """Sentence ``s`` read as one clause: (signed atoms (atom, positive),
+    inner variables), True when a constant makes it a tautology, or None.
 
-
-def _conjuncts(f: Formula):
-    """Operands of a nested conjunction, left to right.
-
-    Ground folds are left-deep and their depth grows with the domain size,
-    so the spine is walked with an explicit stack rather than by recursion.
+    Below the leading universal prefix, literals are collected through the
+    connectives of a disjunction under their polarity (``operands``), so
+    ``S(x) & F(x,y) -> S(y)`` is the clause ``~S(x) | ~F(x,y) | S(y)``; a
+    ``true`` literal makes it a tautology and a ``false`` one drops out. A
+    disjunctive quantifier (``exists`` under positive polarity, ``forall``
+    under negative) whose variable the prefix does not bind is walked
+    through too, and its variable is inner: the clause of a binding of the
+    prefix holds the literals of every binding of the inner variables
+    (``clause_instances``). Any other operand gives None.
     """
-    stack = [f]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, And):
-            stack.append(f.right)
-            stack.append(f.left)
-        else:
-            yield f
-
-
-def _clause_literals(f: Formula, base: HerbrandBase) -> list[int] | None:
+    prefix, f = strip_foralls(s)
     lits = []
-    stack = [f]  # an explicit stack, as in _conjuncts, for long disjunctions
+    inner = []
+    stack = [(f, True)]
     while stack:
-        f = stack.pop()
-        if isinstance(f, Or):
-            stack.append(f.right)
-            stack.append(f.left)
-            continue
-        lit = _literal_int(f, base)
-        if lit is None:
-            return None
-        lits.append(lit)
-    return lits
+        for g, pos in operands(*stack.pop(), False):
+            if isinstance(g, Atom):
+                lits.append((g, pos))
+            elif isinstance(g, (TrueF, FalseF)):
+                if isinstance(g, TrueF) == pos:
+                    return True
+            elif isinstance(g, Exists if pos else ForAll) and g.var not in prefix:
+                inner.append(g.var)
+                stack.append((g.body, pos))
+            else:
+                return None
+    return lits, inner
+
+
+def _add_instances(lits, inner, base: HerbrandBase, d: Domain, clauses: dict):
+    """Add the ground instances of a clause to ``clauses``, numbered from
+    the base layout. Instances that are tautologies are dropped; a clause
+    without literals is the empty clause (the domain is never empty)."""
+    if not lits:
+        clauses[frozenset()] = None
+        return
+    instances = clause_instances(lits, base, d, inner)
+    positive = {a.pred for a, pos in lits if pos}
+    if any(not pos and a.pred in positive for a, pos in lits):
+        for inst in instances:  # some instance may be a tautology
+            c = frozenset(inst)
+            if not any(-l in c for l in c):
+                clauses[c] = None
+    else:
+        clauses.update(dict.fromkeys(map(frozenset, instances)))
+
+
+def _read_clauses(sentences, base: HerbrandBase, d: Domain, clauses: dict) -> list:
+    """Add the instances of each sentence that reads as one clause
+    (``_clause_walk``) to ``clauses``; return the other sentences."""
+    rest = []
+    for s in sentences:
+        walked = _clause_walk(s)
+        if walked is None:
+            rest.append(s)
+        elif walked is not True:
+            _add_instances(*walked, base, d, clauses)
+    return rest
+
+
+def _clause_tuple(clauses: dict) -> tuple[frozenset[int], ...]:
+    """The clauses, or only the empty clause when they hold it."""
+    return (frozenset(),) if frozenset() in clauses else tuple(clauses)
 
 
 def clauses_of(g: GroundProblem) -> list[frozenset[int]] | None:
-    """Clause view of a ground problem, or None if its formula is not CNF.
+    """Clause view of a ground problem, or None unless every sentence reads
+    as one clause.
 
     A problem in clause form (``tseitin_ground``'s output) returns its
-    clauses. Otherwise the ground formula is read: tautological clauses are
-    dropped, and an unsatisfiable constant yields a single empty clause.
+    clauses. Otherwise each sentence's instances are numbered from the base
+    layout, and no ground formula is built: tautological and repeated
+    clauses are dropped, and a false clause leaves the single empty clause.
     """
     if g.clauses is not None:
         return list(g.clauses)
-    out: list[frozenset[int]] = []
-    for f in _conjuncts(g.formula):
-        if isinstance(f, TrueF):
-            continue
-        if isinstance(f, FalseF):
-            out.append(frozenset())
-            continue
-        lits = _clause_literals(f, g.base)
-        if lits is None:
-            return None
-        clause = frozenset(lits)
-        if any(-l in clause for l in clause):
-            continue
-        out.append(clause)
-    return out
-
-
-def _clause_walk(f: Formula) -> list[tuple[Atom, bool]] | bool | None:
-    """Signed atoms (atom, positive) of ``f`` read as a single clause, True
-    when a constant makes it a tautology, or None when ``f`` has a
-    conjunction or a quantifier under its polarity.
-
-    Literals are collected through disjunctions, implications, negated
-    conjunctions, negations and constants, so ``S(x) & F(x,y) -> S(y)`` is
-    the clause ``~S(x) | ~F(x,y) | S(y)``. ``f`` may be ground or the matrix
-    of a universal sentence. An explicit stack, as ground folds are as deep
-    as the domain is large.
-    """
-    lits = []
-    stack = [(f, True)]
-    while stack:
-        f, pos = stack.pop()
-        if isinstance(f, Atom):
-            lits.append((f, pos))
-        elif isinstance(f, (TrueF, FalseF)):
-            if isinstance(f, TrueF) == pos:
-                return True
-        elif isinstance(f, Not):
-            stack.append((f.body, not pos))
-        elif isinstance(f, Or if pos else And):
-            stack.append((f.right, pos))
-            stack.append((f.left, pos))
-        elif pos and isinstance(f, Implies):
-            stack.append((f.right, True))
-            stack.append((f.left, False))
-        else:
-            return None
-    return lits
+    clauses: dict[frozenset[int], None] = {}
+    if _read_clauses(g.sentences, g.base, g.domain, clauses):
+        return None
+    return list(_clause_tuple(clauses))
 
 
 def tseitin_ground(g: GroundProblem) -> GroundProblem:
-    """Equivalence-preserving CNF of a ground problem, in clause form.
+    """Clause form of a ground problem, with the same weighted count.
 
-    A problem already in clause form is returned as it is. Otherwise each
-    sentence is taken on its own. When its matrix (the sentence without its
-    leading universal quantifiers) reads as one clause (``_clause_walk``),
-    its instances are numbered straight from the base order
-    (``clause_instances``), and no ground formula is built. The other
-    sentences are grounded together, and each ground conjunct is kept as a
-    clause when it reads as one. Otherwise its subformulas get definition
-    atoms, each biconditionally tied to the subformula it names, so each
-    model of the input extends to exactly one model of the output and the
-    weighted count is unchanged (new atoms weigh (1, 1)). Tautologies and
-    repeated clauses are dropped; a false clause leaves the single empty
-    clause. Definition atoms follow every atom of ``g``'s base, so a query's
-    sentences encoded over a theory's clause form get definitions numbered
-    after the theory's.
+    A problem already in clause form is returned as it is. No ground
+    formula is built: each sentence that reads as one clause
+    (``_clause_walk``) has its instances numbered from the base layout. The
+    other sentences are Skolemized together (``skolemize``, which keeps the
+    count), and each matrix that is still not one clause is put in clause
+    form at the first-order level (``transform.clausify``). The predicates
+    these steps add, Skolem predicates weighted (1, -1) and definitions
+    (1, 1), get names fresh against every predicate of the base and blocks
+    laid out after its own, so a query encoded over a theory's clause form
+    gets its predicates numbered after the theory's.
     """
     if g.clauses is not None:
         return g
-    atoms = list(g.base.atoms)
-    weights = list(g.weights)
-    taken = {a.pred.name for a in atoms}
+    base, weights, d = g.base, g.weights, g.domain
     clauses: dict[frozenset[int], None] = {}
-    counter = [0]
-
-    def new_var() -> int:
-        while f"Aux{counter[0]}" in taken:
-            counter[0] += 1
-        sig = PredicateSig(f"Aux{counter[0]}", 0)
-        counter[0] += 1
-        atoms.append(Atom(sig, ()))
-        weights.append((Fraction(1), Fraction(1)))
-        return len(atoms)
-
-    def add(lits) -> bool:
-        """Keep a clause unless it is a tautology; False if it is empty."""
-        c = frozenset(lits)
-        if not c:
-            return False
-        if not any(-l in c for l in c):
-            clauses[c] = None
-        return True
-
-    def combine(f: Formula, l, r):
-        """Literal (or constant) naming a binary node, given its operands'."""
-        if isinstance(f, And):
-            if l is False or r is False:
-                return False
-            if l is True:
-                return r
-            if r is True:
-                return l
-            v = new_var()
-            add([-v, l])
-            add([-v, r])
-            add([v, -l, -r])
-            return v
-        if isinstance(f, Or):
-            if l is True or r is True:
-                return True
-            if l is False:
-                return r
-            if r is False:
-                return l
-            v = new_var()
-            add([-v, l, r])
-            add([v, -l])
-            add([v, -r])
-            return v
-        if isinstance(f, Implies):
-            if l is False or r is True:
-                return True
-            if l is True:
-                return r
-            if r is False:
-                return (not l) if isinstance(l, bool) else -l
-            v = new_var()
-            add([-v, -l, r])
-            add([v, l])
-            add([v, -r])
-            return v
-        # Iff
-        if isinstance(l, bool):
-            if isinstance(r, bool):
-                return l == r
-            return r if l else -r
-        if isinstance(r, bool):
-            return l if r else -l
-        v = new_var()
-        add([-v, -l, r])
-        add([-v, l, -r])
-        add([v, l, r])
-        add([v, -l, -r])
-        return v
-
-    def enc(root: Formula):
-        """Post-order walk with an explicit stack: ground folds are left-deep
-        and as deep as the domain is large. Left operands are encoded before
-        right ones, so definition atoms are numbered as by a recursive walk."""
-        stack = [(root, False)]
-        done: list = []  # encodings of finished subformulas
-        while stack:
-            f, operands_done = stack.pop()
-            if isinstance(f, TrueF):
-                done.append(True)
-            elif isinstance(f, FalseF):
-                done.append(False)
-            elif isinstance(f, Atom):
-                done.append(g.base.index[f] + 1)
-            elif not isinstance(f, (Not, And, Or, Implies, Iff)):
-                raise WfomcError(f"cannot encode {type(f).__name__}")
-            elif not operands_done:
-                stack.append((f, True))
-                if isinstance(f, Not):
-                    stack.append((f.body, False))
-                else:
-                    stack.append((f.right, False))
-                    stack.append((f.left, False))
-            elif isinstance(f, Not):
-                e = done.pop()
-                done.append((not e) if isinstance(e, bool) else -e)
-            else:
-                r = done.pop()
-                done.append(combine(f, done.pop(), r))
-        return done[0]
-
-    def encode() -> bool:
-        """Add the clauses of every sentence; False once one is unsatisfiable."""
-        rest = []
-        for s in g.sentences:
-            lits = _clause_walk(strip_foralls(s)[1])
-            if lits is None:
-                rest.append(s)
-            elif lits == []:
-                return False  # the domain is never empty
-            elif lits is not True:
-                instances = clause_instances(lits, g.base, g.domain)
-                positive = {a.pred for a, pos in lits if pos}
-                if any(not pos and a.pred in positive for a, pos in lits):
-                    for inst in instances:  # some instance may be a tautology
-                        add(inst)
-                else:
-                    clauses.update(dict.fromkeys(map(frozenset, instances)))
-        if not rest:
-            return True
-        index = g.base.index
-        for f in _conjuncts(replace(g, sentences=tuple(rest)).formula):
-            lits = _clause_walk(f)
-            if lits is True:
-                continue
-            if lits is not None:
-                if not add([index[a] + 1 if pos else -index[a] - 1 for a, pos in lits]):
-                    return False
-                continue
-            e = enc(f)
-            if e is False:
-                return False
-            if e is not True:
-                add([e])
-        return True
-
-    out = tuple(clauses) if encode() else (frozenset(),)
-    base = g.base
-    if len(atoms) > len(base):
-        base = base.extended(tuple(atoms[len(base):]))
-    return GroundProblem(base, tuple(weights), g.scalar, clauses=out)
+    rest = _read_clauses(g.sentences, base, d, clauses)
+    if rest:
+        known = {sig: (1, 1) for sig, _ in base.blocks}
+        # A weight for every predicate of the base reserves its name, so
+        # the names skolemize picks are fresh against all of them.
+        sk = skolemize(WeightedTheory(tuple(rest), WeightFn(known)))
+        namer = FreshNamer.for_theory(sk)
+        new = [sig for sig in sk.predicates() if sig not in known]
+        pending = []  # (literals, inner variables) per clause
+        for s in sk.sentences:
+            walked = _clause_walk(s)
+            if walked is None:
+                pending += [([(l, True) if isinstance(l, Atom) else (l.body, False) for l in c], ())
+                            for c in clausify(strip_foralls(s)[1], namer, new)]
+            elif walked is not True:
+                pending.append(walked)
+        base = base.appended(new, d)
+        for sig in new:
+            weights += (sk.weights.exact(sig),) * len(d) ** sig.arity
+        for lits, inner in pending:
+            _add_instances(lits, inner, base, d, clauses)
+    return GroundProblem(base, weights, g.scalar, clauses=_clause_tuple(clauses))
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +435,12 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
 
 
 def wmc_dpll(g: GroundProblem, query: GroundProblem | None = None):
-    """Component-caching DPLL count; requires a CNF ground formula.
+    """Component-caching DPLL count; requires a problem in clause form, or
+    one whose sentences each read as one clause (``clauses_of``).
 
-    Given ``query``, a CNF over ``g``'s base extended by the query's own
-    definition atoms (``tseitin_ground`` of the query's sentences over the
-    clause form of ``g``), returns the pair (count of g ∧ query, count of g)
+    Given ``query``, clauses over ``g``'s base extended by blocks for the
+    query's own predicates (``tseitin_ground`` of the query's sentences over
+    the clause form of ``g``), returns the pair (count of g ∧ query, count of g)
     from one search. The count of ``g`` is kept in parts: its top-level unit
     assignment and its residual components. The query's clauses are reduced
     by that assignment and merged with the components they share an atom
@@ -626,9 +497,8 @@ class _DpllCounter:
         self.den = 1
         self.scalar = g.scalar
         # Each block whose atoms share one weight pair is set up in one
-        # step and may be renamed in a key; the atoms of any other block,
-        # and those outside the layout, are set up one at a time and pinned.
-        self.end = base.end  # atoms above this number are never renamed
+        # step and may be renamed in a key; the atoms of any other block
+        # are set up one at a time and pinned.
         self.firsts = []  # first atom of each block
         # Per block: argument strides, and per argument the feature of a
         # positive and of a negative literal; none when the block is pinned.
@@ -643,7 +513,6 @@ class _DpllCounter:
                                 tuple(_mix(first, j, 1) for j in args),
                                 tuple(_mix(first, j, -1) for j in args)))
             runs += [(first, k)] if uniform else [(i, 1) for i in range(first, first + k)]
-        runs += [(i, 1) for i in range(base.end, n)]
         for i, k in runs:
             wt, wf = weights[i]
             d = math.lcm(wt.denominator, wf.denominator)
@@ -829,16 +698,12 @@ class _DpllCounter:
         feature of (block, argument position, sign) times a factor of the
         clause length, which no order of the constants changes. Constants
         are renumbered 0, 1, ... by (signature, position), and every
-        renamable atom is renumbered by the base layout. Atoms of nullary or
-        non-uniformly weighted blocks keep their numbers, so two clause sets
-        with one key differ by a weight-preserving bijection on atoms, and
-        have one count, whatever the signatures are: weak signatures cost
-        only hits. A set that mentions an atom outside the layout (a Tseitin
-        definition, numbered per ground conjunct, so no renaming can match
-        it) is its own key.
+        renamable atom is renumbered by the base layout, definition and
+        Skolem atoms included. Atoms of nullary or non-uniformly weighted
+        blocks keep their numbers, so two clause sets with one key differ by
+        a weight-preserving bijection on atoms, and have one count, whatever
+        the signatures are: weak signatures cost only hits.
         """
-        if max(atoms) > self.end:
-            return clauses
         # A literal's occurrences are summed first, each weighing its
         # clause length's factor, in one pass over the clauses.
         mixes = self.mixes
@@ -970,9 +835,9 @@ def wfomc(t: WeightedTheory, d: Domain, engine: str = "brute",
     Given a query sentence over the theory's predicates and the domain's
     constants, returns the pair (count of t ∧ query, count of t). Brute
     force grounds t once and makes the two counts independently, the query
-    joining t's sentences for the first. DPLL grounds t once, encodes
-    the theory's sentences and then the query's over its base, and answers
-    both counts from one search (``wmc_dpll``).
+    joining t's sentences for the first. DPLL puts t's sentences in
+    clause form and then the query's over it (``tseitin_ground``), and
+    answers both counts from one search (``wmc_dpll``).
     """
     if query is not None:
         _check_query(t, d, query)
@@ -988,7 +853,7 @@ def wfomc(t: WeightedTheory, d: Domain, engine: str = "brute",
         theory = tseitin_ground(ground(t, d))
         if query is None:
             return wmc_dpll(theory)
-        # The query's definition atoms are numbered after the theory's.
+        # The query's own predicates are laid out after the theory's.
         encoded = tseitin_ground(replace(theory, clauses=None, sentences=(query,), domain=d))
         return wmc_dpll(theory, encoded)
     raise WfomcError(f"unknown engine {engine!r} (expected 'brute' or 'dpll')")

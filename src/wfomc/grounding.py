@@ -33,16 +33,17 @@ from .logic import (
 
 @dataclass(frozen=True)
 class HerbrandBase:
-    """All ground atoms over a theory's predicates and a domain's constants.
+    """All ground atoms over some predicates and a domain's constants.
 
-    Ordering is deterministic: predicates sorted by (name, arity), argument
-    tuples in lexicographic domain order. ``blocks`` records this layout:
-    per predicate, in base order, the index of its first atom. The block of
-    an ``a``-ary predicate holds ``size ** a`` atoms, and the atom whose
-    ``k``-th argument is the domain's constant at position ``p_k`` has index
-    ``first + sum(p_k * strides(a)[k])``. Atoms from ``end`` on lie
-    outside the layout: the definition atoms that ``tseitin_ground``
-    appends, or every atom of a base built without a layout.
+    Every atom lies in the layout that ``blocks`` records: per predicate, in
+    base order, the index of its first atom. The block of an ``a``-ary
+    predicate holds ``size ** a`` atoms, argument tuples in lexicographic
+    domain order, and the atom whose ``k``-th argument is the domain's
+    constant at position ``p_k`` has index ``first + sum(p_k * strides(a)[k])``.
+    A theory's base lays out its predicates sorted by (name, arity); the
+    predicates that clause form adds (``counting.tseitin_ground``) get
+    blocks after them. A base built by hand without ``blocks`` serves only
+    to compile formulas.
     """
 
     atoms: tuple[Atom, ...]
@@ -57,19 +58,19 @@ class HerbrandBase:
         """Per argument position, the index step of the next constant."""
         return tuple(self.size ** (arity - 1 - k) for k in range(arity))
 
-    @property
-    def end(self) -> int:
-        """Index of the first atom outside the blocks."""
-        if not self.blocks:
-            return 0
-        sig, first = self.blocks[-1]
-        return first + self.size ** sig.arity
-
-    def extended(self, atoms: tuple[Atom, ...]) -> "HerbrandBase":
-        """This base with ``atoms`` appended outside the layout."""
-        atoms = self.atoms + atoms
-        return HerbrandBase(atoms, {a: i for i, a in enumerate(atoms)},
-                            self.size, self.blocks)
+    def appended(self, sigs, d: Domain) -> "HerbrandBase":
+        """This base with a block per predicate of ``sigs`` after its own,
+        laid out over ``d``."""
+        atoms = list(self.atoms)
+        index = dict(self.index)  # a copy keeps the hashes it holds
+        blocks = list(self.blocks)
+        for sig in sigs:
+            blocks.append((sig, len(atoms)))
+            for combo in itertools.product(d.constants, repeat=sig.arity):
+                a = Atom(sig, combo)
+                index[a] = len(atoms)
+                atoms.append(a)
+        return HerbrandBase(tuple(atoms), index, len(d), tuple(blocks))
 
 
 @dataclass(frozen=True)
@@ -105,14 +106,7 @@ class GroundProblem:
 
 def herbrand_base(t: WeightedTheory, d: Domain) -> HerbrandBase:
     check_constants(t.constants(), d, "the theory")
-    atoms: list[Atom] = []
-    blocks = []
-    for sig in t.predicates():
-        blocks.append((sig, len(atoms)))
-        for combo in itertools.product(d.constants, repeat=sig.arity):
-            atoms.append(Atom(sig, combo))
-    return HerbrandBase(tuple(atoms), {a: i for i, a in enumerate(atoms)},
-                        len(d), tuple(blocks))
+    return HerbrandBase((), {}).appended(t.predicates(), d)
 
 
 def ground(t: WeightedTheory, d: Domain) -> GroundProblem:
@@ -132,35 +126,44 @@ def ground(t: WeightedTheory, d: Domain) -> GroundProblem:
     return GroundProblem(base, tuple(weights), scalar, t.sentences, d)
 
 
-def clause_instances(lits: list[tuple[Atom, bool]], base: HerbrandBase,
-                     d: Domain) -> Iterator[tuple[int, ...]]:
+def clause_instances(lits: list[tuple[Atom, bool]], base: HerbrandBase, d: Domain,
+                     inner) -> Iterator[tuple[int, ...]]:
     """Ground instances of a clause as signed base numbers, one tuple of
-    literals per binding of the clause's variables to ``d``'s constants.
+    literals per binding of the clause's outer variables to ``d``'s
+    constants.
 
     ``lits`` are (atom, positive) pairs whose arguments are variables and
-    constants, and ``base`` is laid out over ``d``. No ground atom is built:
-    an atom's number is read off the base layout (``HerbrandBase``), with
-    each variable first bound to position 0 and then stepped along its
-    stride. An empty clause has no literals to bind and yields nothing; the
-    caller decides what it means.
+    constants, and ``base`` is laid out over ``d``. The variables named in
+    ``inner`` are those of disjunctive quantifiers inside the clause: each
+    instance holds the literals of every binding of them. No ground atom is
+    built: an atom's number is read off the base layout (``HerbrandBase``),
+    with each variable first bound to position 0 and then stepped along its
+    stride, the outer variables first. An empty clause has no literals to
+    bind and yields nothing; the caller decides what it means.
     """
     n = base.size
     first = dict(base.blocks)
     position = {c: i for i, c in enumerate(d.constants)}
     variables = list(dict.fromkeys(
         x.name for atom, _ in lits for x in atom.args if isinstance(x, Variable)))
-    columns = []
+    outer = [v for v in variables if v not in inner]
+    columns = []  # per literal: its numbers, and how many per outer binding
     for atom, positive in lits:
         args = atom.args
         strides = base.strides(len(args))
         col = [first[atom.pred] + 1 + sum(position[x] * s for x, s in zip(args, strides)
                                           if not isinstance(x, Variable))]
-        for v in variables:
+        own = list(dict.fromkeys(
+            x.name for x in args if isinstance(x, Variable) and x.name in inner))
+        for v in outer + own:
             stride = sum(s for x, s in zip(args, strides)
                          if isinstance(x, Variable) and x.name == v)
             col = [c + stride * i for c in col for i in range(n)]
-        columns.append(col if positive else [-c for c in col])
-    return zip(*columns)
+        columns.append((col if positive else [-c for c in col], n ** len(own)))
+    if not inner:
+        return zip(*(col for col, _ in columns))
+    return (tuple(itertools.chain.from_iterable(col[j * k:(j + 1) * k] for col, k in columns))
+            for j in range(n ** len(outer)))
 
 
 def _clause_formula(clauses, base: HerbrandBase) -> Formula:

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import WfomcError
 from .logic import (
+    BINARY,
     FALSE,
     TRUE,
     And,
@@ -500,74 +501,173 @@ def _account_dropped(before: WeightedTheory, after: WeightedTheory) -> WeightedT
 
 
 def to_cnf_tseitin(t: WeightedTheory, namer: FreshNamer | None = None) -> WeightedTheory:
-    """Structure-preserving CNF: name conjunctions nested under disjunctions
-    with fresh definition predicates weighted (1, 1). Output size is linear in
-    the input; every model of the input extends uniquely, so counts agree."""
+    """Structure-preserving CNF: ``true`` and ``false`` are dropped from each
+    matrix, then every conjunction or biconditional nested in a clause and
+    every operand of a biconditional that is not a literal is named with a
+    fresh definition predicate weighted (1, 1) (``_definitional_clauses``).
+    Output size is linear in the input; every model of the input extends
+    uniquely, so counts agree."""
     _require_skolem(t, "to_cnf_tseitin")
     namer = namer or FreshNamer.for_theory(t)
     sentences: list[Formula] = []
-    new_weights: dict[PredicateSig, tuple[Weight, Weight]] = {}
-
+    defs: list[PredicateSig] = []
     for s in t.sentences:
         _, matrix = strip_foralls(s)
-        defs: list[Formula] = []
-
-        def rename(g: Formula) -> Formula:
-            """Fresh literal equivalent to g; definitional clauses -> defs."""
-            fv = first_occurrence_vars(g)
-            d = Atom(namer.fresh("D", len(fv)), tuple(Variable(v) for v in fv))
-            new_weights[d.pred] = (1, 1)
-            a = _as_literal(g.left, defs, rename)
-            b = _as_literal(g.right, defs, rename)
-            if isinstance(g, And):
-                defs.extend([
-                    Or(Not(d), a),
-                    Or(Not(d), b),
-                    fold_or([d, negate(a), negate(b)]),
-                ])
-            else:
-                defs.extend([
-                    fold_or([Not(d), a, b]),
-                    Or(d, negate(a)),
-                    Or(d, negate(b)),
-                ])
-            return d
-
-        clauses = _struct_clauses(to_nnf(matrix), defs, rename)
-        for clause in clauses:
+        for clause in _definitional_clauses(_drop_constants(matrix), namer, defs):
             sentences.append(close_universally(_clause_formula(clause)))
-        for dclause in defs:
-            sentences.append(close_universally(dclause))
-
-    out = t.replace(sentences=tuple(sentences), weights=t.weights.extended(new_weights))
+    out = t.replace(sentences=tuple(sentences),
+                    weights=t.weights.extended(dict.fromkeys(defs, (1, 1))))
     return _account_dropped(t, out)
 
 
-def _as_literal(g: Formula, defs: list[Formula], rename) -> Formula:
-    if is_literal(g):
-        return g
-    if isinstance(g, (And, Or)):
-        return rename(g)
-    raise WfomcError(f"matrix not in negation normal form: {type(g).__name__}")
+def clausify(matrix: Formula, namer: FreshNamer, defs: list[PredicateSig]) -> list[list[Formula]]:
+    """Clauses (lists of literals) of a quantifier-free matrix that count as
+    it does over the same universal prefix.
+
+    ``true`` and ``false`` are dropped first. The matrix is then distributed
+    when that gives no more clauses than it has literals, and otherwise
+    clausified with definitions as by ``to_cnf_tseitin``; each definition
+    predicate, weighted (1, 1), is appended to ``defs``.
+    """
+    m = _drop_constants(matrix)
+    clauses, _, literals = _sizes(m)
+    if clauses <= literals:
+        return _distribute(to_nnf(m))
+    return _definitional_clauses(m, namer, defs)
 
 
-def _struct_clauses(f: Formula, defs: list[Formula], rename) -> list[list[Formula]]:
-    if isinstance(f, And):
-        return _struct_clauses(f.left, defs, rename) + _struct_clauses(f.right, defs, rename)
+def _drop_constants(f: Formula) -> Formula:
+    """``f`` with every ``true`` and ``false`` simplified away: ``TRUE``,
+    ``FALSE`` or a formula without constants."""
+    if isinstance(f, Not):
+        return _const_not(_drop_constants(f.body))
+    if not isinstance(f, BINARY):
+        return f
+    left, right = _drop_constants(f.left), _drop_constants(f.right)
+    const = (TrueF, FalseF)
+    if not isinstance(left, const) and not isinstance(right, const):
+        return type(f)(left, right)
+    cls = type(f)
+    if cls is Implies:  # l -> r is ~l | r
+        cls, left = Or, _const_not(left)
+    if isinstance(right, const):  # &, | and <-> are symmetric
+        left, right = right, left
+    if cls is And:
+        return right if isinstance(left, TrueF) else FALSE
+    if cls is Or:
+        return TRUE if isinstance(left, TrueF) else right
+    return right if isinstance(left, TrueF) else _const_not(right)  # Iff
+
+
+def _const_not(f: Formula) -> Formula:
     if isinstance(f, TrueF):
-        return []
+        return FALSE
     if isinstance(f, FalseF):
-        return [[]]
-    return [_flat_disjunct(f, defs, rename)]
+        return TRUE
+    return negate(f)
 
 
-def _flat_disjunct(f: Formula, defs: list[Formula], rename) -> list[Formula]:
+def _sizes(f: Formula) -> tuple[int, int, int]:
+    """(clauses of ``f`` distributed, clauses of ``~f`` distributed, literals
+    of ``f``), with both polarities counted in one pass."""
+    if isinstance(f, Atom):
+        return 1, 1, 1
+    if isinstance(f, TrueF):
+        return 0, 1, 0
+    if isinstance(f, FalseF):
+        return 1, 0, 0
+    if isinstance(f, Not):
+        pos, neg, k = _sizes(f.body)
+        return neg, pos, k
+    lp, ln, lk = _sizes(f.left)
+    rp, rn, rk = _sizes(f.right)
+    if isinstance(f, And):
+        return lp + rp, ln * rn, lk + rk
     if isinstance(f, Or):
-        return (_flat_disjunct(f.left, defs, rename)
-                + _flat_disjunct(f.right, defs, rename))
-    if isinstance(f, TrueF) or isinstance(f, FalseF):
-        raise WfomcError("constants under disjunction are not supported here")
-    return [_as_literal(f, defs, rename)]
+        return lp * rp, ln + rn, lk + rk
+    if isinstance(f, Implies):
+        return ln * rp, lp + rn, lk + rk
+    return ln * rp + lp * rn, lp * rp + ln * rn, lk + rk  # Iff
+
+
+def _definitional_clauses(m: Formula, namer: FreshNamer,
+                          defs: list[PredicateSig]) -> list[list[Formula]]:
+    """Clauses of a matrix without constants (or a lone constant), linear in
+    its size.
+
+    The matrix is read as a conjunction of clauses through its connectives
+    under their polarity, as ``to_nnf`` would push negations, but without
+    building the NNF, which doubles both operands of every ``<->``. An
+    operand that fits neither shape (a conjunction inside a clause, or a
+    biconditional) is named by a fresh atom D(free variables), tied to it by
+    an equivalence whose clauses name its own operands in turn. So each
+    subformula is named at most once, and every model extends to exactly
+    one model of the clauses. The clauses of ``m`` come first, then the
+    definitions'.
+    """
+    if isinstance(m, TrueF):
+        return []
+    if isinstance(m, FalseF):
+        return [[]]
+    definitions: list[list[Formula]] = []
+
+    def literal(f: Formula, pos: bool) -> Formula:
+        """A literal equivalent to f, or to ~f when not ``pos``."""
+        while isinstance(f, Not):
+            f, pos = f.body, not pos
+        if not isinstance(f, Atom):
+            fv = first_occurrence_vars(f)
+            d = Atom(namer.fresh("D", len(fv)), tuple(Variable(v) for v in fv))
+            defs.append(d.pred)
+            if isinstance(f, Iff):
+                a, b = literal(f.left, True), literal(f.right, True)
+                definitions.extend([[Not(d), negate(a), b], [Not(d), a, negate(b)],
+                                    [d, a, b], [d, negate(a), negate(b)]])
+            elif isinstance(f, And):
+                lits = [literal(g, p) for g, p in operands(f, True, True)]
+                definitions.extend([Not(d), l] for l in lits)
+                definitions.append([d] + [negate(l) for l in lits])
+            else:  # Or, Implies
+                lits = [literal(g, p) for g, p in operands(f, True, False)]
+                definitions.append([Not(d)] + lits)
+                definitions.extend([d, negate(l)] for l in lits)
+            f = d
+        return f if pos else Not(f)
+
+    clauses = []
+    for g, pos in operands(m, True, True):
+        if isinstance(g, Iff):
+            a, b = literal(g.left, True), literal(g.right, True)
+            if pos:
+                clauses += [[negate(a), b], [a, negate(b)]]
+            else:
+                clauses += [[a, b], [negate(a), negate(b)]]
+        else:
+            clauses.append([literal(h, p) for h, p in operands(g, pos, False)])
+    return clauses + definitions
+
+
+def operands(f: Formula, pos: bool, conjunctive: bool) -> list[tuple[Formula, bool]]:
+    """The operands (subformula, polarity) of ``f`` under polarity ``pos``
+    read as one n-ary conjunction (or disjunction), left to right, through
+    ``~``, ``&``, ``|`` and ``->`` as ``to_nnf`` would push negations; an
+    operand is never a negation. An explicit stack, so a long fold needs no
+    recursion."""
+    out = []
+    stack = [(f, pos)]
+    while stack:
+        f, pos = stack.pop()
+        if isinstance(f, Not):
+            stack.append((f.body, not pos))
+        elif isinstance(f, And if pos == conjunctive else Or):
+            stack.append((f.right, pos))
+            stack.append((f.left, pos))
+        elif isinstance(f, Implies) and pos != conjunctive:
+            stack.append((f.right, pos))
+            stack.append((f.left, not pos))
+        else:
+            out.append((f, pos))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +698,8 @@ def _matches(pattern: Atom, occurrence: Atom) -> bool:
     return True
 
 
-def _clause_of(sentence: Formula) -> list[_Lit] | None:
-    _, matrix = strip_foralls(sentence)
-    if isinstance(matrix, TrueF):
-        return []
-    if isinstance(matrix, FalseF):
-        return None  # signalled separately by caller
+def _clause_of(matrix: Formula) -> list[_Lit]:
+    """The literals of a clause, in document order."""
     lits: list[_Lit] = []
     stack = [matrix]
     while stack:
@@ -617,20 +713,7 @@ def _clause_of(sentence: Formula) -> list[_Lit] | None:
             lits.append(_Lit(False, f.body))
         else:
             raise WfomcError("unit propagation expects a clausal theory")
-    # Preserve document order.
-    ordered = []
-    _reorder(matrix, ordered)
-    return ordered
-
-
-def _reorder(matrix: Formula, out: list[_Lit]):
-    if isinstance(matrix, Or):
-        _reorder(matrix.left, out)
-        _reorder(matrix.right, out)
-    elif isinstance(matrix, Atom):
-        out.append(_Lit(True, matrix))
-    else:
-        out.append(_Lit(False, matrix.body))
+    return lits
 
 
 def _all_distinct_vars(a: Atom) -> bool:
@@ -649,14 +732,12 @@ def unit_propagate(t: WeightedTheory) -> WeightedTheory:
     """
     clauses: list[list[_Lit]] = []
     for s in t.sentences:
-        if isinstance(s, TrueF):
-            continue
         _, matrix = strip_foralls(s)
+        if isinstance(matrix, TrueF):
+            continue
         if isinstance(matrix, FalseF):
             return t.replace(sentences=(FALSE,))
-        c = _clause_of(s)
-        if c is not None:
-            clauses.append(c)
+        clauses.append(_clause_of(matrix))
 
     scale = list(t.scale)
     forced: set[PredicateSig] = set()

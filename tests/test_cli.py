@@ -49,6 +49,22 @@ class TestCount:
         assert code == 0, err
         assert int(out) == 2 ** 1200 - 1
 
+    def test_disjunctive_quantifiers_count_with_dpll(self, capsys):
+        # parents.fol reads as one clause per x, over all n^2 pairs (y, z).
+        n = 32
+        code, out, err = run(capsys, "count", SAMPLES / "parents.fol",
+                             "--domain-size", n, "--engine", "dpll")
+        assert code == 0, err
+        assert int(decimal.Decimal(out)) == (2 ** (n * n + 1) - 1) ** n
+
+    def test_skolemized_sentence_counts_with_dpll(self, capsys, tmp_path):
+        f = tmp_path / "exists.fol"
+        f.write_text("exists y (R(y) & S(y))\n")
+        n = 3000
+        code, out, err = run(capsys, "count", f, "--domain-size", n, "--engine", "dpll")
+        assert code == 0, err
+        assert int(decimal.Decimal(out)) == 4 ** n - 3 ** n
+
     def test_counts_past_the_int_str_digit_limit(self, capsys):
         # 3**10000 has 4772 digits, more than str(int) converts by default.
         want = 3 ** 10000
@@ -129,6 +145,14 @@ class TestCnf:
             "forall x (~P(x) | Q(x))",
             "forall x (P(x) | ~Q(x))",
         ]
+
+
+    def test_tseitin_flag_with_a_constant(self, capsys, tmp_path):
+        f = tmp_path / "t.fol"
+        f.write_text("forall x (P(x) | (Q(x) & true))\n")
+        code, out, err = run(capsys, "cnf", f, "--tseitin")
+        assert code == 0, err
+        assert out.splitlines() == ["forall x (P(x) | Q(x))"]
 
 
 class TestProb:

@@ -35,16 +35,18 @@ from wfomc.logic import (
     Atom,
     Constant,
     Domain,
+    Exists,
+    ForAll,
     Iff,
     Implies,
     Not,
     Or,
     PredicateSig,
     ScaleFactor,
+    Variable,
     WeightFn,
     WeightedTheory,
     fold_or,
-    strip_foralls,
 )
 from wfomc.propcheck import GenConfig, gen_theory
 from wfomc.transform import skolemize, to_cnf_distribute
@@ -186,8 +188,6 @@ class TestDefinitionLifting:
         weights = {s: (rng.choice(WEIGHT_POOL), rng.choice(WEIGHT_POOL)) for s in sigs}
         # tautological clauses keep every predicate in the base
         sentences = []
-        from wfomc.logic import ForAll, Variable
-
         for s in sigs:
             args = tuple(Variable("x") for _ in range(s.arity))
             a = Atom(s, args)
@@ -301,9 +301,8 @@ class TestDpll:
         assert wfomc(t, Domain.of_size(3000), engine="dpll") == 1
 
     def test_definition_chain_under_a_low_recursion_limit(self):
-        # The definitions of the Or-chain are decided one atom at a time,
-        # about n decisions deep. The search keeps them on an explicit
-        # stack, so 60 frames above the caller's depth are enough at n=150.
+        # Neither clause form nor search may nest a call per constant: 60
+        # frames above the caller's depth are enough at n=150.
         t = theory("exists y (R(y) & S(y))")
         depth, frame = 0, sys._getframe()
         while frame is not None:
@@ -428,14 +427,6 @@ class TestGroundTseitin:
         assert wmc_bruteforce(gt) == wmc_bruteforce(g)
         assert wmc_dpll(gt) == wmc_bruteforce(g)
 
-    def test_definitions_numbered_left_to_right(self):
-        gt = tseitin_ground(ground(theory("(P & Q) | (R & S)"), domain("A")))
-        assert [a.pred.name for a in gt.base.atoms] == ["P", "Q", "R", "S",
-                                                        "Aux0", "Aux1", "Aux2"]
-        assert clauses_of(gt) == [frozenset(c) for c in (
-            [-5, 1], [-5, 2], [5, -1, -2], [-6, 3], [-6, 4], [6, -3, -4],
-            [-7, 5, 6], [7, -5], [7, -6], [7])]
-
     def test_clause_shaped_conjunct_gets_no_definitions(self):
         # A negated conjunction and an implication read as one clause.
         gt = tseitin_ground(ground(theory("~(P & Q) | (R -> ~S)"), domain("A")))
@@ -466,8 +457,9 @@ class TestGroundTseitin:
         assert len(clauses) == 56 and all(len(c) == 3 for c in clauses)
 
     def test_mixed_random_formulas_keep_counts(self):
-        # Deeper random formulas with constants: some conjuncts read as one
-        # clause, others get definitions; both keep the count.
+        # Deeper random formulas with constants: some sentences read as one
+        # clause, the others are distributed or get definitions; all keep
+        # the count.
         rng = random.Random(46)
         sigs = [PredicateSig(f"P{i}", 0) for i in range(5)]
         atoms = [Atom(s, ()) for s in sigs]
@@ -490,11 +482,16 @@ class TestGroundTseitin:
         assert paths == {False, True}
 
     def test_long_fold_encodes_without_recursion(self):
+        # Skolemized, the sentence is one clause per constant, all sharing
+        # the nullary Skolem atom.
         g = ground(theory("exists y (R(y) & S(y))"), Domain.of_size(1200))
-        assert clauses_of(tseitin_ground(g)) is not None
+        gt = tseitin_ground(g)
+        assert len(gt.base) == 2401 and gt.base.atoms[-1].pred.name == "Sk0"
+        assert len(clauses_of(gt)) == 1200
 
     def test_deep_non_clausal_conjunct_counts(self):
-        # One conjunct negating a 1200-deep fold: a clause of 1200 literals.
+        # A negated universal is a disjunctive quantifier: one clause of
+        # 1200 literals.
         t = theory("~(forall y R(y))")
         assert wfomc(t, Domain.of_size(1200), engine="dpll") == 2 ** 1200 - 1
 
@@ -505,29 +502,44 @@ class TestGroundTseitin:
                 assert wfomc(t, Domain.of_size(n), engine=engine) == 4 ** n - 3 ** n
 
 
-def _formula_path(g):
-    """Clause form of ``g`` computed from its ground formula, handed to
-    ``tseitin_ground`` as one ground sentence: unless that formula is a
-    single clause, every conjunct is read off the formula."""
-    return tseitin_ground(replace(g, sentences=(g.formula,)))
+def _formula_clauses(g):
+    """The clauses of ``g``'s ground formula, read off the formula itself
+    conjunct by conjunct, or None unless every conjunct reads as one clause.
+    Tautologies are dropped, and a false conjunct leaves only the empty
+    clause."""
+    out = set()
+    stack = [g.formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, And):
+            stack += [f.left, f.right]
+            continue
+        walked = _clause_walk(f)
+        if walked is None:
+            return None
+        if walked is not True:
+            c = frozenset(g.base.index[a] + 1 if pos else -g.base.index[a] - 1
+                          for a, pos in walked[0])
+            if not any(-l in c for l in c):
+                out.add(c)
+    return {frozenset()} if frozenset() in out else out
 
 
 def _assert_paths_agree(t, d):
-    """Clause instantiation and the formula path give the same clauses over
-    the same base, and dpll equals brute force where brute force is cheap.
-    Returns True if some sentence took the clause path."""
+    """Each sentence that reads as one clause instantiates to the clauses
+    of its ground formula, and dpll equals brute force where brute force is
+    cheap. Returns True if some sentence took the clause path."""
     g = ground(t, d)
-    gt, ref = tseitin_ground(g), _formula_path(g)
-    assert gt.base == ref.base
-    assert set(clauses_of(gt)) == set(clauses_of(ref))
-    plain = clauses_of(g)
-    if plain is not None and frozenset() in plain:
-        assert clauses_of(gt) == [frozenset()]
-    elif plain is not None:
-        assert set(clauses_of(gt)) == set(plain)
+    clause_path = False
+    for s in t.sentences:
+        one = replace(g, sentences=(s,))
+        clauses = clauses_of(one)
+        if clauses is not None:
+            clause_path = True
+            assert set(clauses) == _formula_clauses(one), s
     if len(g.base) <= 18:
         assert wfomc(t, d, engine="dpll") == wmc_bruteforce(g)
-    return any(_clause_walk(strip_foralls(s)[1]) is not None for s in t.sentences)
+    return clause_path
 
 
 def _smokers_closed_form(n):
@@ -584,12 +596,16 @@ class TestClauseFormGrounding:
         assert g.formula is g.formula
 
     def test_dpll_builds_no_ground_formula(self, monkeypatch):
-        # The sentences of both theories read as clauses, so the dpll path
-        # must count them without the grounder.
+        # Clause-shaped sentences are instantiated, disjunctive quantifiers
+        # included (parents), and a non-clausal query is Skolemized and
+        # clausified first: the dpll path counts all of them without the
+        # grounder.
         smokers = theory((ROOT / "samples" / "smokers.fol").read_text())
+        parents = theory((ROOT / "samples" / "parents.fol").read_text())
         enc = encode_mln(parse_mln("0.7 exists y (WorksFor(x,y) | Boss(x))\n")).prepared()
         d = Domain.of_size(10, extra=(Constant("A"),))
         boss = theory("Boss(A)").sentences[0]
+        query = formula("exists x (S(x) & F(x,x))")
 
         def no_grounder(*_):
             raise AssertionError("built a ground formula")
@@ -597,9 +613,12 @@ class TestClauseFormGrounding:
         with monkeypatch.context() as m:
             m.setattr(grounding._Grounder, "instantiate", no_grounder)
             assert wfomc(smokers, Domain.of_size(8), engine="dpll") == _smokers_closed_form(8)
+            assert wfomc(parents, Domain.of_size(4), engine="dpll") == (2 ** 17 - 1) ** 4
+            pair = wfomc(smokers, Domain.of_size(3), engine="dpll", query=query)
             got = query_probability(enc, d, boss, engine="dpll")
             with pytest.raises(AssertionError, match="ground formula"):
                 wmc_bruteforce(ground(smokers, Domain.of_size(2)))
+        assert pair == wfomc(smokers, Domain.of_size(3), query=query)
         # Pr(Boss(A)): with Boss(A) all 2^11 settings of WorksFor(A,.) hold,
         # without it all but one do.
         # Counted exactly over the float weight e^0.7 and rounded once, it is
@@ -609,16 +628,78 @@ class TestClauseFormGrounding:
         assert wmc_bruteforce(ground(smokers, Domain.of_size(2))) == _smokers_closed_form(2)
 
 
+class TestFirstOrderClauseForm:
+    """DPLL reads its clauses at the first-order level: disjunctive
+    quantifiers are walked, other sentences are Skolemized and clausified,
+    and every predicate that adds lies in the base layout."""
+
+    def test_exists_conjunction_at_5000(self):
+        # Skolemized, one clause per constant, all sharing the nullary
+        # Skolem atom.
+        n = 5000
+        t = theory("exists y (R(y) & S(y))")
+        assert wfomc(t, Domain.of_size(n), engine="dpll") == 4 ** n - 3 ** n
+
+    def test_nested_biconditionals_stay_linear(self):
+        # Distributed, the right-nested chain P0 <-> (P1 <-> ... P14) gives
+        # 2^14 clauses per constant; named, a few per level.
+        depth = 14
+        text = f"P{depth}(x)"
+        for i in reversed(range(depth)):
+            text = f"(P{i}(x) <-> {text})"
+        t = theory("forall x " + text)
+        g = tseitin_ground(ground(t, Domain.of_size(2)))
+        assert len(g.clauses) <= 2 * 4 * depth
+        d = Domain.of_size(1)
+        assert wfomc(t, d, engine="dpll") == wfomc(t, d)
+
+    def test_skolemized_query_adds_a_unary_block(self):
+        boss = theory((ROOT / "samples" / "boss.fol").read_text())
+        q = formula("forall x exists y (WorksFor(x,y) & Boss(y))")
+        for n in (1, 2, 3):
+            d = Domain.of_size(n)
+            theory_form = tseitin_ground(ground(boss, d))
+            encoded = tseitin_ground(replace(theory_form, clauses=None, sentences=(q,), domain=d))
+            added = encoded.base.blocks[len(theory_form.base.blocks):]
+            assert [sig.arity for sig, _ in added] == [1]
+            _assert_one_pass(boss, d, q)
+
+    @pytest.mark.parametrize("name", ["D0", "Z0", "Sk0"])
+    def test_fresh_names_avoid_the_theory_predicates(self, name):
+        # The query needs Z, Sk and D predicates: each existential sits
+        # under a conjunction, and the last matrix distributes to more
+        # clauses than it has literals.
+        t = theory(f"weight P 1 2 1/3\nforall x ({name}(x) | P(x))\n"
+                   "forall x forall y (F(x,y) -> P(x))")
+        assert t.weights.get(PredicateSig(name, 1)) == (1, 1)
+        q = formula(f"(exists x (P(x) & {name}(x))) & forall y ((P(y) & F(y,y)) | "
+                    f"({name}(y) & F(y,y)) | (P(y) & {name}(y)))")
+        for n in (1, 2):
+            d = Domain.of_size(n)
+            theory_form = tseitin_ground(ground(t, d))
+            encoded = tseitin_ground(replace(theory_form, clauses=None, sentences=(q,), domain=d))
+            added = {sig.name[0] for sig, _ in encoded.base.blocks[len(theory_form.base.blocks):]}
+            assert added == {"D", "S", "Z"}
+            _assert_one_pass(t, d, q)
+
+
 def _sweep_queries(t, d, rng):
-    """The six query shapes over ``t``'s base: true, false, a literal, a
-    clause, a conjunction and (l & l) | l."""
+    """The seven query shapes over ``t``'s base: true, false, a literal, a
+    clause, a conjunction, (l & l) | l, and forall x exists y (l & l) with
+    the literals' arguments drawn from x and y, which dpll Skolemizes."""
     atoms = grounding.herbrand_base(t, d).atoms
     out = [TRUE, FALSE]
     if atoms:
         def lit():
             a = rng.choice(atoms)
             return a if rng.random() < 0.5 else Not(a)
-        out += [lit(), Or(lit(), lit()), And(lit(), lit()), Or(And(lit(), lit()), lit())]
+
+        def open_lit():
+            sig = rng.choice(t.predicates())
+            a = Atom(sig, tuple(Variable(rng.choice("xy")) for _ in range(sig.arity)))
+            return a if rng.random() < 0.5 else Not(a)
+        out += [lit(), Or(lit(), lit()), And(lit(), lit()), Or(And(lit(), lit()), lit()),
+                ForAll("x", Exists("y", And(open_lit(), open_lit())))]
     return out
 
 

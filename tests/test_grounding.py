@@ -65,22 +65,22 @@ class TestHerbrandBase:
 
 class TestGround:
     def test_universal_becomes_conjunction_of_clauses(self):
-        from wfomc.counting import clauses_of
-
         t = theory("forall x exists y (WorksFor(x,y) | Boss(x))")
         g = ground(t, domain("A", "B"))
-        clauses = clauses_of(g)
-        assert clauses is not None and len(clauses) == 2
 
-        def lit(name, *args):
-            a = Atom(PredicateSig(name, len(args)), tuple(Constant(c) for c in args))
-            return g.base.index[a] + 1
+        def atom(name, *args):
+            return Atom(PredicateSig(name, len(args)), tuple(Constant(c) for c in args))
 
-        want = {
-            frozenset({lit("WorksFor", "A", "A"), lit("WorksFor", "A", "B"), lit("Boss", "A")}),
-            frozenset({lit("WorksFor", "B", "A"), lit("WorksFor", "B", "B"), lit("Boss", "B")}),
-        }
-        assert set(clauses) == want
+        # The ground formula: per x, the disjunction over y, Boss(x) once.
+        assert g.formula == fold_and([
+            fold_or([atom("WorksFor", "A", "A"), atom("Boss", "A"), atom("WorksFor", "A", "B")]),
+            fold_or([atom("WorksFor", "B", "A"), atom("Boss", "B"), atom("WorksFor", "B", "B")]),
+        ])
+        # The clauses instantiated from the sentence are those of the formula.
+        want = {frozenset(g.base.index[a] + 1 for a in (atom("WorksFor", x, "A"),
+                                                        atom("WorksFor", x, "B"), atom("Boss", x)))
+                for x in "AB"}
+        assert set(clauses_of(g)) == want
 
     def test_ground_sentence_maps_to_itself(self):
         t = theory("P(A) -> Q(A)")

@@ -293,6 +293,26 @@ class TestCnfTseitin:
         d = Domain.of_size(2)
         assert wfomc(t, d, engine="dpll") == wfomc(out, d, engine="dpll")
 
+    def test_constants_are_dropped_first(self):
+        # A matrix in NNF with a constant inside a disjunction.
+        t = theory("forall x (P(x) | (Q(x) & true))")
+        out = to_cnf_tseitin(t)
+        assert classify_normal_form(out) == "fo-cnf"
+        for n in (1, 2, 3):
+            d = Domain.of_size(n)
+            assert wfomc(t, d) == wfomc(out, d)
+
+    def test_nested_biconditionals_are_named_once(self):
+        # Each level names its right operand: two clauses for the top and
+        # four per definition, where NNF would double every level.
+        t = theory("forall x (P(x) <-> (Q(x) <-> (R(x) <-> (S(x) <-> T(x)))))")
+        out = to_cnf_tseitin(t)
+        assert len(out.sentences) == 2 + 4 * 3
+        assert sum(sig.name.startswith("D") for sig in out.predicates()) == 3
+        for n in (1, 2):
+            d = Domain.of_size(n)
+            assert wfomc(t, d) == wfomc(out, d)
+
     def test_definition_predicates_weighted_one_one(self):
         t = theory("forall x (P(x) | Q(x) & R(x))")
         out = to_cnf_tseitin(t)
@@ -311,6 +331,13 @@ class TestUnitPropagate:
             "forall x (Sk0(x) | ~Boss(x))",
         ]
         assert list(out.sentences) == [theory(s).sentences[0] for s in texts]
+
+    def test_true_matrix_is_skipped(self):
+        # A true matrix is no clause at all, not the empty clause.
+        t = theory("forall x (P(x) | Q(x))\nforall x true")
+        out = unit_propagate(t)
+        assert out.sentences == t.sentences[:1]
+        assert wfomc(out, Domain.of_size(2)) == wfomc(t, Domain.of_size(2)) == 9
 
     def test_no_units_unchanged(self):
         t = theory("forall x (P(x) | Q(x))\nforall y (~P(y) | R(y))")
