@@ -38,7 +38,6 @@ noise. Negative weights flow through both engines unchanged.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import os
@@ -47,7 +46,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import CapExceededError, WfomcError
-from .grounding import GroundProblem, HerbrandBase, check_constants, clause_instances, ground
+from .grounding import (
+    GroundProblem,
+    HerbrandBase,
+    check_constants,
+    clause_instances,
+    ground,
+    herbrand_base,
+)
 from .logic import (
     And,
     Atom,
@@ -108,21 +114,17 @@ def compile_program(formula: Formula, base: HerbrandBase) -> Program:
 
     from . import _kernels as K
 
-    used: list[int] = []
-    bit_of: dict[int, int] = {}
+    used: list[int] = []  # base index per bit
+    bit_of: dict[Atom, int] = {}
     ops: list[int] = []
     args: list[int] = []
 
     def emit(f: Formula) -> int:  # returns stack need of the subtree
         if isinstance(f, Atom):
-            idx = base.index.get(f)
-            if idx is None:
-                raise WfomcError(f"ground atom {f} not in the Herbrand base")
-            bit = bit_of.get(idx)
+            bit = bit_of.get(f)
             if bit is None:
-                bit = len(used)
-                bit_of[idx] = bit
-                used.append(idx)
+                bit = bit_of[f] = len(used)
+                used.append(base.atom_index(f))
             ops.append(K.OP_LOAD)
             args.append(bit)
             return 1
@@ -284,11 +286,10 @@ def weighted_models(g: GroundProblem, cap: int = 20):
     if n > cap:
         raise CapExceededError(f"{n} atoms is too many to enumerate models")
     prog = compile_program(g.formula, g.base)
-    full = Program(prog.ops,
-                   np.asarray([prog.atoms[a] if prog.ops[i] == K.OP_LOAD else 0
-                               for i, a in enumerate(prog.args)], dtype=np.int64),
-                   prog.stack_need, tuple(range(n)))
-    mask = K.satisfying_mask(full.ops, full.args, full.stack_need, 0, 1 << n)
+    # Bit i of an assignment is base atom i: loads read base indices.
+    args = np.asarray([prog.atoms[a] if op == K.OP_LOAD else 0
+                       for op, a in zip(prog.ops, prog.args)], dtype=np.int64)
+    mask = K.satisfying_mask(prog.ops, args, prog.stack_need, 0, 1 << n)
     for a in np.nonzero(mask)[0].tolist():
         bits = tuple((a >> i) & 1 for i in range(n))
         w = Fraction(1)
@@ -335,14 +336,14 @@ def _clause_walk(s: Formula):
     return lits, inner
 
 
-def _add_instances(lits, inner, base: HerbrandBase, d: Domain, clauses: dict):
+def _add_instances(lits, inner, base: HerbrandBase, clauses: dict):
     """Add the ground instances of a clause to ``clauses``, numbered from
     the base layout. Instances that are tautologies are dropped; a clause
     without literals is the empty clause (the domain is never empty)."""
     if not lits:
         clauses[frozenset()] = None
         return
-    instances = clause_instances(lits, base, d, inner)
+    instances = clause_instances(lits, base, inner)
     positive = {a.pred for a, pos in lits if pos}
     if any(not pos and a.pred in positive for a, pos in lits):
         for inst in instances:  # some instance may be a tautology
@@ -353,7 +354,7 @@ def _add_instances(lits, inner, base: HerbrandBase, d: Domain, clauses: dict):
         clauses.update(dict.fromkeys(map(frozenset, instances)))
 
 
-def _read_clauses(sentences, base: HerbrandBase, d: Domain, clauses: dict) -> list:
+def _read_clauses(sentences, base: HerbrandBase, clauses: dict) -> list:
     """Add the instances of each sentence that reads as one clause
     (``_clause_walk``) to ``clauses``; return the other sentences."""
     rest = []
@@ -362,7 +363,7 @@ def _read_clauses(sentences, base: HerbrandBase, d: Domain, clauses: dict) -> li
         if walked is None:
             rest.append(s)
         elif walked is not True:
-            _add_instances(*walked, base, d, clauses)
+            _add_instances(*walked, base, clauses)
     return rest
 
 
@@ -383,7 +384,7 @@ def clauses_of(g: GroundProblem) -> list[frozenset[int]] | None:
     if g.clauses is not None:
         return list(g.clauses)
     clauses: dict[frozenset[int], None] = {}
-    if _read_clauses(g.sentences, g.base, g.domain, clauses):
+    if _read_clauses(g.sentences, g.base, clauses):
         return None
     return list(_clause_tuple(clauses))
 
@@ -404,9 +405,9 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
     """
     if g.clauses is not None:
         return g
-    base, weights, d = g.base, g.weights, g.domain
+    base, weights = g.base, g.weights
     clauses: dict[frozenset[int], None] = {}
-    rest = _read_clauses(g.sentences, base, d, clauses)
+    rest = _read_clauses(g.sentences, base, clauses)
     if rest:
         known = {sig: (1, 1) for sig, _ in base.blocks}
         # A weight for every predicate of the base reserves its name, so
@@ -422,11 +423,11 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
                             for c in clausify(strip_foralls(s)[1], namer, new)]
             elif walked is not True:
                 pending.append(walked)
-        base = base.appended(new, d)
+        base = base.appended(new)
         for sig in new:
-            weights += (sk.weights.exact(sig),) * len(d) ** sig.arity
+            weights += (sk.weights.exact(sig),) * base.block_length(sig.arity)
         for lits, inner in pending:
-            _add_instances(lits, inner, base, d, clauses)
+            _add_instances(lits, inner, base, clauses)
     return GroundProblem(base, weights, g.scalar, clauses=_clause_tuple(clauses))
 
 
@@ -496,20 +497,19 @@ class _DpllCounter:
         self.free = [None] * (n + 1)  # free[a] = wt + wf of atom a
         self.den = 1
         self.scalar = g.scalar
+        self.base = base
         # Each block whose atoms share one weight pair is set up in one
         # step and may be renamed in a key; the atoms of any other block
-        # are set up one at a time and pinned.
-        self.firsts = []  # first atom of each block
-        # Per block: argument strides, and per argument the feature of a
-        # positive and of a negative literal; none when the block is pinned.
-        self.blocks: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
+        # are set up one at a time and pinned. Per block: its first atom,
+        # argument strides, and per argument the feature of a positive and
+        # of a negative literal; none of these last three when pinned.
+        self.blocks: list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
         runs = []
         for sig, first in base.blocks:
-            k = base.size ** sig.arity
+            k = base.block_length(sig.arity)
             uniform = weights[first:first + k].count(weights[first]) == k
             args = range(sig.arity if uniform else 0)
-            self.firsts.append(first + 1)
-            self.blocks.append((base.strides(len(args)),
+            self.blocks.append((first + 1, base.strides(len(args)),
                                 tuple(_mix(first, j, 1) for j in args),
                                 tuple(_mix(first, j, -1) for j in args)))
             runs += [(first, k)] if uniform else [(i, 1) for i in range(first, first + k)]
@@ -744,14 +744,8 @@ class _DpllCounter:
         when the atom is pinned.
         """
         a = abs(l)
-        block = bisect.bisect_right(self.firsts, a) - 1
-        first = self.firsts[block]
-        strides, positive, negative = self.blocks[block]
-        offset = a - first
-        consts = []
-        for stride in strides:
-            const, offset = divmod(offset, stride)
-            consts.append(const)
+        block, consts = self.base.locate(a - 1)
+        first, strides, positive, negative = self.blocks[block]
         self.layout[a] = (first if strides else a, tuple(zip(consts, strides)))
         self.features[a] = tuple(zip(consts, positive))
         self.features[-a] = tuple(zip(consts, negative))
@@ -842,8 +836,8 @@ def wfomc(t: WeightedTheory, d: Domain, engine: str = "brute",
     if query is not None:
         _check_query(t, d, query)
     if engine == "brute":
-        # The Herbrand base size is known before grounding; refuse early.
-        _check_brute_cap(sum(len(d) ** sig.arity for sig in t.predicates()), cap)
+        # The Herbrand base's layout gives its size before any atom; refuse early.
+        _check_brute_cap(len(herbrand_base(t, d)), cap)
         g = ground(t, d)
         if query is None:
             return wmc_bruteforce(g, cap=cap)
@@ -854,7 +848,7 @@ def wfomc(t: WeightedTheory, d: Domain, engine: str = "brute",
         if query is None:
             return wmc_dpll(theory)
         # The query's own predicates are laid out after the theory's.
-        encoded = tseitin_ground(replace(theory, clauses=None, sentences=(query,), domain=d))
+        encoded = tseitin_ground(replace(theory, clauses=None, sentences=(query,)))
         return wmc_dpll(theory, encoded)
     raise WfomcError(f"unknown engine {engine!r} (expected 'brute' or 'dpll')")
 
@@ -895,5 +889,5 @@ def export_dimacs(g: GroundProblem) -> str:
         lines.append(f"c wght {i + 1} {wt.numerator}/{wt.denominator}")
         lines.append(f"c wght {-(i + 1)} {wf.numerator}/{wf.denominator}")
     for c in clauses:
-        lines.append(" ".join(str(l) for l in sorted(c, key=abs)) + " 0")
+        lines.append(" ".join([*map(str, sorted(c, key=abs)), "0"]))
     return "\n".join(lines) + "\n"

@@ -25,7 +25,6 @@ from .logic import (
     Domain,
     Exists,
     FalseF,
-    ForAll,
     Formula,
     Iff,
     Implies,
@@ -37,14 +36,14 @@ from .logic import (
     Weight,
     WeightFn,
     WeightedTheory,
-    children,
     first_occurrence_vars,
     fold_and,
     fold_or,
     free_vars,
     predicates,
+    subformulas,
 )
-from .transform import FreshNamer, skolemize, to_cnf_distribute
+from .transform import FreshNamer, _wrap, skolemize, to_cnf_distribute
 
 
 @dataclass(frozen=True)
@@ -85,22 +84,16 @@ def encode_mln(m: MlnModel) -> WfomcEncoding:
     for r in m.rules:
         xbar = first_occurrence_vars(r.formula)
         if r.hard:
-            sentences.append(_forall(xbar, r.formula))
+            sentences.append(_wrap(r.formula, xbar))
         else:
             p = Atom(namer.fresh("P", len(xbar)), tuple(Variable(v) for v in xbar))
-            sentences.append(_forall(xbar, Iff(p, r.formula)))
+            sentences.append(_wrap(Iff(p, r.formula), xbar))
             try:
                 pairs[p.pred] = (math.exp(r.weight), 1.0)
             except OverflowError:
                 raise WfomcError(f"soft weight {r.weight}: e^{r.weight} is out of "
                                  "float range") from None
     return WfomcEncoding(WeightedTheory(tuple(sentences), WeightFn(pairs, FLOAT)))
-
-
-def _forall(vars_: tuple[str, ...], body: Formula) -> Formula:
-    for v in reversed(vars_):
-        body = ForAll(v, body)
-    return body
 
 
 def mln_oracle(m: MlnModel, d: Domain, query: Formula, cap: int = 20) -> float:
@@ -119,11 +112,8 @@ def mln_oracle(m: MlnModel, d: Domain, query: Formula, cap: int = 20) -> float:
     if free_vars(ground_query):
         raise WfomcError("query must be a sentence")
 
-    atoms: list[Atom] = []
-    seen = set()
-    for _, g in instances:
-        _collect_atoms(g, seen, atoms)
-    _collect_atoms(ground_query, seen, atoms)
+    formulas = [g for _, g in instances] + [ground_query]
+    atoms = list(dict.fromkeys(a for f in formulas for a in subformulas(f) if isinstance(a, Atom)))
     if len(atoms) > cap:
         raise CapExceededError(f"{len(atoms)} ground atoms exceed the oracle cap {cap}")
 
@@ -148,16 +138,6 @@ def mln_oracle(m: MlnModel, d: Domain, query: Formula, cap: int = 20) -> float:
     if z == 0.0:
         raise WfomcError("model has zero partition function")
     return hit / z
-
-
-def _collect_atoms(f: Formula, seen: set, out: list[Atom]):
-    if isinstance(f, Atom):
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
-        return
-    for c in children(f):
-        _collect_atoms(c, seen, out)
 
 
 def _eval_ground(f: Formula, world: set) -> bool:
@@ -258,14 +238,14 @@ def clarks_completion(p: LogicProgram) -> WeightedTheory:
         for r in rules:
             disjuncts.append(_rule_disjunct(r, canon))
         head = Atom(pred, tuple(Variable(v) for v in canon))
-        sentences.append(_forall(canon, Iff(head, fold_or(disjuncts))))
+        sentences.append(_wrap(Iff(head, fold_or(disjuncts)), canon))
 
     for pred in body_preds:
         if pred in by_head or pred in fact_preds:
             continue
         vars_ = tuple(f"x{i + 1}" for i in range(pred.arity))
         atom = Atom(pred, tuple(Variable(v) for v in vars_))
-        sentences.append(_forall(vars_, Not(atom)))
+        sentences.append(_wrap(Not(atom), vars_))
 
     return WeightedTheory(tuple(sentences))
 
@@ -527,4 +507,4 @@ def _tautology(sig: PredicateSig) -> Formula:
     """forall x1..xk (p(x1..xk) | ~p(x1..xk)): it puts p's atoms in the base."""
     vars_ = tuple(f"x{i + 1}" for i in range(sig.arity))
     atom = Atom(sig, tuple(Variable(v) for v in vars_))
-    return _forall(vars_, Or(atom, Not(atom)))
+    return _wrap(Or(atom, Not(atom)), vars_)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Mapping
@@ -33,44 +33,86 @@ from .logic import (
 
 @dataclass(frozen=True)
 class HerbrandBase:
-    """All ground atoms over some predicates and a domain's constants.
+    """The numbering of all ground atoms over some predicates and a
+    domain's constants, held as its layout: no atom is stored.
 
-    Every atom lies in the layout that ``blocks`` records: per predicate, in
-    base order, the index of its first atom. The block of an ``a``-ary
-    predicate holds ``size ** a`` atoms, argument tuples in lexicographic
-    domain order, and the atom whose ``k``-th argument is the domain's
-    constant at position ``p_k`` has index ``first + sum(p_k * strides(a)[k])``.
-    A theory's base lays out its predicates sorted by (name, arity); the
-    predicates that clause form adds (``counting.tseitin_ground``) get
-    blocks after them. A base built by hand without ``blocks`` serves only
-    to compile formulas.
+    ``blocks`` records, per predicate in base order, the index of its first
+    atom. The block of an ``a``-ary predicate holds ``block_length(a)``
+    atoms, argument tuples in lexicographic order of ``constants``, and the
+    atom whose ``k``-th argument is the constant at position ``p_k`` has
+    index ``first + sum(p_k * strides(a)[k])``. A theory's base lays out its
+    predicates sorted by (name, arity); the predicates that clause form adds
+    (``counting.tseitin_ground``) get blocks after them. Ground atoms are
+    built only when ``atoms`` is read.
     """
 
-    atoms: tuple[Atom, ...]
-    index: dict = field(compare=False, repr=False)
-    size: int = 0  # the domain size the blocks are laid out over
+    constants: tuple[Constant, ...]
     blocks: tuple[tuple[PredicateSig, int], ...] = ()
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return self.blocks[-1][1] + self.block_length(self.blocks[-1][0].arity) if self.blocks else 0
+
+    def block_length(self, arity: int) -> int:
+        return len(self.constants) ** arity
 
     def strides(self, arity: int) -> tuple[int, ...]:
         """Per argument position, the index step of the next constant."""
-        return tuple(self.size ** (arity - 1 - k) for k in range(arity))
+        return tuple(self.block_length(arity - 1 - k) for k in range(arity))
 
-    def appended(self, sigs, d: Domain) -> "HerbrandBase":
-        """This base with a block per predicate of ``sigs`` after its own,
-        laid out over ``d``."""
-        atoms = list(self.atoms)
-        index = dict(self.index)  # a copy keeps the hashes it holds
-        blocks = list(self.blocks)
+    def appended(self, sigs) -> "HerbrandBase":
+        """This base with a block per predicate of ``sigs`` after its own."""
+        blocks, end = list(self.blocks), len(self)
         for sig in sigs:
-            blocks.append((sig, len(atoms)))
-            for combo in itertools.product(d.constants, repeat=sig.arity):
-                a = Atom(sig, combo)
-                index[a] = len(atoms)
-                atoms.append(a)
-        return HerbrandBase(tuple(atoms), index, len(d), tuple(blocks))
+            blocks.append((sig, end))
+            end += self.block_length(sig.arity)
+        return HerbrandBase(self.constants, tuple(blocks))
+
+    def layout(self, atom: Atom) -> tuple[int, dict[str, int]]:
+        """The index of ``atom`` with every variable at the first constant,
+        and per variable, in order of first occurrence, the index step of
+        binding it to the next one. Raises ``WfomcError`` for an atom whose
+        predicate has no block or whose constant is not in the base."""
+        for sig, i in self.blocks:
+            if sig == atom.pred:
+                break
+        else:
+            raise WfomcError(f"ground atom {atom} not in the Herbrand base")
+        steps: dict[str, int] = {}
+        for arg, stride in zip(atom.args, self.strides(sig.arity)):
+            if isinstance(arg, Variable):
+                steps[arg.name] = steps.get(arg.name, 0) + stride
+            elif arg in self.constants:
+                i += self.constants.index(arg) * stride
+            else:
+                raise WfomcError(f"ground atom {atom} not in the Herbrand base")
+        return i, steps
+
+    def atom_index(self, atom: Atom) -> int:
+        """The index of a ground atom (``layout``), which must not have a variable."""
+        i, steps = self.layout(atom)
+        if steps:
+            raise WfomcError(f"ground atom {atom} not in the Herbrand base")
+        return i
+
+    def locate(self, i: int) -> tuple[int, tuple[int, ...]]:
+        """The block number of index ``i`` and its atom's constant positions."""
+        blocks = self.blocks
+        block = len(blocks) - 1
+        while blocks[block][1] > i:
+            block -= 1
+        sig, first = blocks[block]
+        n, offset, positions = len(self.constants), i - first, []
+        for _ in range(sig.arity):  # the last argument steps fastest
+            offset, p = divmod(offset, n)
+            positions.append(p)
+        positions.reverse()
+        return block, tuple(positions)
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        """Every ground atom in index order, built on each read."""
+        return tuple(Atom(sig, args) for sig, _ in self.blocks
+                     for args in itertools.product(self.constants, repeat=sig.arity))
 
 
 @dataclass(frozen=True)
@@ -78,7 +120,7 @@ class GroundProblem:
     """A weighted counting problem over a Herbrand base.
 
     Weights and the scalar are exact. It holds either closed ``sentences``
-    to ground over ``domain``, or
+    to ground over the base's constants, or
     ``clauses``: a CNF whose literals are signed base numbers (index + 1,
     negative when negated), where an empty clause leaves no model.
     ``formula``, the ground conjunction, is built from whichever is held on
@@ -90,14 +132,13 @@ class GroundProblem:
     weights: tuple[tuple[Fraction, Fraction], ...]  # per base index
     scalar: Fraction
     sentences: tuple[Formula, ...] = ()
-    domain: Domain | None = None
     clauses: tuple[frozenset[int], ...] | None = None
 
     @cached_property
     def formula(self) -> Formula:
         if self.clauses is not None:
             return _clause_formula(self.clauses, self.base)
-        g = _Grounder(self.domain)
+        g = _Grounder(self.base.constants)
         parts: dict[int, None] = {}
         for s in self.sentences:
             g.flatten(And, g.instantiate(s, {}), parts)
@@ -106,58 +147,49 @@ class GroundProblem:
 
 def herbrand_base(t: WeightedTheory, d: Domain) -> HerbrandBase:
     check_constants(t.constants(), d, "the theory")
-    return HerbrandBase((), {}).appended(t.predicates(), d)
+    return HerbrandBase(d.constants).appended(t.predicates())
 
 
 def ground(t: WeightedTheory, d: Domain) -> GroundProblem:
-    """Expand quantifiers over the domain; sentences become one conjunction.
-
-    The base, weights and scale are computed here, all exact: a float weight
-    enters as ``Fraction(w)``, its exact binary value. The ground formula is
-    built when ``formula`` is first read.
+    """Lay out the Herbrand base and compute the weights and scale factor,
+    all exact: a float weight enters as ``Fraction(w)``, its exact binary
+    value. No ground atom is built here, and the ground formula (quantifiers
+    expanded, sentences one conjunction) only when ``formula`` is first read.
     """
     base = herbrand_base(t, d)
     weights = []
     for sig, _ in base.blocks:  # one shared pair per block
-        weights += [t.weights.exact(sig)] * base.size ** sig.arity
+        weights += [t.weights.exact(sig)] * base.block_length(sig.arity)
     scalar = Fraction(1)
     for sf in t.scale:
         scalar = scalar * Fraction(sf.base) ** (len(d) ** sf.nvars)
-    return GroundProblem(base, tuple(weights), scalar, t.sentences, d)
+    return GroundProblem(base, tuple(weights), scalar, t.sentences)
 
 
-def clause_instances(lits: list[tuple[Atom, bool]], base: HerbrandBase, d: Domain,
+def clause_instances(lits: list[tuple[Atom, bool]], base: HerbrandBase,
                      inner) -> Iterator[tuple[int, ...]]:
     """Ground instances of a clause as signed base numbers, one tuple of
-    literals per binding of the clause's outer variables to ``d``'s
+    literals per binding of the clause's outer variables to the base's
     constants.
 
     ``lits`` are (atom, positive) pairs whose arguments are variables and
-    constants, and ``base`` is laid out over ``d``. The variables named in
-    ``inner`` are those of disjunctive quantifiers inside the clause: each
-    instance holds the literals of every binding of them. No ground atom is
-    built: an atom's number is read off the base layout (``HerbrandBase``),
-    with each variable first bound to position 0 and then stepped along its
-    stride, the outer variables first. An empty clause has no literals to
-    bind and yields nothing; the caller decides what it means.
+    constants of the base. The variables named in ``inner`` are those of
+    disjunctive quantifiers inside the clause: each instance holds the
+    literals of every binding of them. No ground atom is built: each
+    literal's numbers start at its atom's ``HerbrandBase.layout``, every
+    variable at the first constant, and step along each variable's stride,
+    the outer variables first. An empty clause has no literals to bind and
+    yields nothing; the caller decides what it means.
     """
-    n = base.size
-    first = dict(base.blocks)
-    position = {c: i for i, c in enumerate(d.constants)}
-    variables = list(dict.fromkeys(
-        x.name for atom, _ in lits for x in atom.args if isinstance(x, Variable)))
-    outer = [v for v in variables if v not in inner]
+    n = len(base.constants)
+    layouts = [base.layout(atom) for atom, _ in lits]
+    outer = list(dict.fromkeys(v for _, steps in layouts for v in steps if v not in inner))
     columns = []  # per literal: its numbers, and how many per outer binding
-    for atom, positive in lits:
-        args = atom.args
-        strides = base.strides(len(args))
-        col = [first[atom.pred] + 1 + sum(position[x] * s for x, s in zip(args, strides)
-                                          if not isinstance(x, Variable))]
-        own = list(dict.fromkeys(
-            x.name for x in args if isinstance(x, Variable) and x.name in inner))
+    for (start, steps), (_, positive) in zip(layouts, lits):
+        own = [v for v in steps if v in inner]
+        col = [start + 1]
         for v in outer + own:
-            stride = sum(s for x, s in zip(args, strides)
-                         if isinstance(x, Variable) and x.name == v)
+            stride = steps.get(v, 0)
             col = [c + stride * i for c in col for i in range(n)]
         columns.append((col if positive else [-c for c in col], n ** len(own)))
     if not inner:
@@ -168,11 +200,11 @@ def clause_instances(lits: list[tuple[Atom, bool]], base: HerbrandBase, d: Domai
 
 def _clause_formula(clauses, base: HerbrandBase) -> Formula:
     """Conjunction of the clauses, literals in base order in each."""
-    parts = []
+    atoms, parts = base.atoms, []
     for c in clauses:
         if not c:
             return FALSE
-        parts.append(fold_or([base.atoms[l - 1] if l > 0 else Not(base.atoms[-l - 1])
+        parts.append(fold_or([atoms[l - 1] if l > 0 else Not(atoms[-l - 1])
                               for l in sorted(c, key=abs)]))
     return fold_and(parts)
 
@@ -192,7 +224,7 @@ def expand(f: Formula, d: Domain, env: Mapping[str, Constant] | None = None) -> 
     Variables bound in ``env`` or by an enclosing quantifier are replaced by
     their constants; other variables stay free.
     """
-    g = _Grounder(d)
+    g = _Grounder(d.constants)
     return g.nodes[g.instantiate(f, dict(env or {}))]
 
 
@@ -214,8 +246,8 @@ class _Grounder:
     which for a left-deep fold would recurse once per domain constant.
     """
 
-    def __init__(self, d: Domain):
-        self.consts = d.constants
+    def __init__(self, constants: tuple[Constant, ...]):
+        self.consts = constants
         self.nodes: list[Formula] = []  # by id
         self.kids: list[tuple[int, ...]] = []  # child ids, by id
         self.ids: dict[tuple, int] = {}  # (Atom, pred, args) or (type, *child ids)

@@ -453,10 +453,12 @@ class WeightedTheory:
         return self._predicates
 
     def constants(self) -> tuple[Constant, ...]:
-        out = set()
-        for s in self.sentences:
-            out |= constants(s)
-        return tuple(sorted(out, key=lambda c: c.name))
+        """All constants of the sentences, sorted by name; kept after the
+        first call, since checks ask for them once per domain and count."""
+        if "_constants" not in self.__dict__:
+            found = set().union(*map(constants, self.sentences))
+            object.__setattr__(self, "_constants", tuple(sorted(found, key=lambda c: c.name)))
+        return self._constants
 
     def replace(self, **kw) -> "WeightedTheory":
         data = {

@@ -11,9 +11,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .counting import DEFAULT_MAX_ATOMS, wfomc
+from .counting import max_atoms_cap, wfomc
 from .errors import CapExceededError, WfomcError
 from .frontends import serialize_formula, serialize_theory
+from .grounding import herbrand_base
 from .logic import (
     And,
     Atom,
@@ -175,15 +176,6 @@ class CheckReport:
         return not self.failures
 
 
-def _base_size(t: WeightedTheory, n: int) -> int:
-    return sum(n ** sig.arity for sig in t.predicates())
-
-
-def _atom_cap(max_atoms: int | None) -> int:
-    """The given atom cap, 0 included, else the brute-force default."""
-    return DEFAULT_MAX_ATOMS if max_atoms is None else max_atoms
-
-
 # ---------------------------------------------------------------------------
 # Soundness
 
@@ -191,33 +183,36 @@ def _atom_cap(max_atoms: int | None) -> int:
 def check_soundness(t: WeightedTheory, sizes=(1, 2), max_atoms: int | None = None,
                     transform=skolemize, shrink: bool = True) -> CheckReport:
     """Exact count equality before and after the transformation, at every
-    domain size; the smallest failing size is reported with a shrunk witness."""
+    domain size; the smallest failing size is reported with a shrunk witness.
+    A size is skipped where either Herbrand base has more atoms than the cap
+    (``max_atoms_cap``) that every count is held to."""
     checked = skipped = 0
     failures: list[Counterexample] = []
+    cap = max_atoms_cap(max_atoms)
     out = transform(t)
     for n in sorted(sizes):
-        if max(_base_size(t, n), _base_size(out, n)) > _atom_cap(max_atoms):
+        d = Domain.of_size(n, extra=t.constants())
+        if max(len(herbrand_base(x, d)) for x in (t, out)) > cap:
             skipped += 1
             continue
-        d = Domain.of_size(n, extra=t.constants())
-        before = wfomc(t, d)
-        after = wfomc(out, d)
+        before = wfomc(t, d, cap=cap)
+        after = wfomc(out, d, cap=cap)
         checked += 1
         if before != after:
             witness = t
             if shrink:
-                witness = shrink_theory(t, lambda s: _count_mismatch(s, transform, n))
-                before = wfomc(witness, d)
-                after = wfomc(transform(witness), d)
+                witness = shrink_theory(t, lambda s: _count_mismatch(s, transform, n, cap))
+                before = wfomc(witness, d, cap=cap)
+                after = wfomc(transform(witness), d, cap=cap)
             failures.append(Counterexample(witness, n, before, after))
             break
     return CheckReport(checked, skipped, tuple(failures))
 
 
-def _count_mismatch(t: WeightedTheory, transform, n: int) -> bool:
+def _count_mismatch(t: WeightedTheory, transform, n: int, cap: int) -> bool:
     try:
         d = Domain.of_size(n, extra=t.constants())
-        return wfomc(t, d) != wfomc(transform(t), d)
+        return wfomc(t, d, cap=cap) != wfomc(transform(t), d, cap=cap)
     except (WfomcError, CapExceededError):
         return False
 
@@ -239,21 +234,22 @@ def check_modularity(t: WeightedTheory, sizes=(1, 2), samples: int = 3,
     rng = rng or random.Random(0)
     checked = skipped = 0
     failures: list[Counterexample] = []
+    cap = max_atoms_cap(max_atoms)
     sk = skolemize(t)
     original = set(t.predicates())
     for n in sorted(sizes):
-        if max(_base_size(t, n), _base_size(sk, n)) > _atom_cap(max_atoms):
+        d = Domain.of_size(n, extra=t.constants())
+        if max(len(herbrand_base(x, d)) for x in (t, sk)) > cap:
             skipped += 1
             continue
-        d = Domain.of_size(n, extra=t.constants())
         phis = queries if queries is not None else [
             gen_ground_conjunction(rng, t, d) for _ in range(samples)
         ]
         for phi in phis:
             if not predicates(phi) <= original:
                 raise WfomcError("query ranges outside the original predicates")
-            before = wfomc(_conjoin(t, phi), d)
-            after = wfomc(_conjoin(sk, phi), d)
+            before = wfomc(_conjoin(t, phi), d, cap=cap)
+            after = wfomc(_conjoin(sk, phi), d, cap=cap)
             checked += 1
             if before != after:
                 failures.append(Counterexample(t, n, before, after, phi))

@@ -48,6 +48,7 @@ from .logic import (
     predicates,
     standardize_apart,
     strip_foralls,
+    subformulas,
     with_children,
 )
 
@@ -163,14 +164,8 @@ def internal_quantifier_count(t: WeightedTheory) -> int:
     total = 0
     for s in t.sentences:
         _, body = strip_foralls(s)
-        total += sum(1 for g in _walk(body) if isinstance(g, QUANT))
+        total += sum(1 for g in subformulas(body) if isinstance(g, QUANT))
     return total
-
-
-def _walk(f: Formula):
-    yield f
-    for c in children(f):
-        yield from _walk(c)
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ class TestKernels:
         # time. Nine atoms give 512 assignments, so bits above 5 (constant
         # per word) and blocks that start past word 0 are both exercised.
         atoms = [Atom(PredicateSig(f"P{i}", 0), ()) for i in range(9)]
-        base = HerbrandBase(tuple(atoms), {a: i for i, a in enumerate(atoms)})
+        base = HerbrandBase(()).appended(a.pred for a in atoms)
         rng = random.Random(7)
         checked = 0
         while checked < 30:
@@ -168,7 +168,7 @@ class TestKernels:
             checked += 1
 
     def test_unaligned_block_start_is_rejected(self):
-        prog = compile_program(TRUE, HerbrandBase((), {}))
+        prog = compile_program(TRUE, HerbrandBase(()))
         with pytest.raises(ValueError, match="aligned"):
             K.satisfying_words(prog.ops, prog.args, prog.stack_need, 32, 64)
 
@@ -518,7 +518,7 @@ def _formula_clauses(g):
         if walked is None:
             return None
         if walked is not True:
-            c = frozenset(g.base.index[a] + 1 if pos else -g.base.index[a] - 1
+            c = frozenset(g.base.atom_index(a) + 1 if pos else -g.base.atom_index(a) - 1
                           for a, pos in walked[0])
             if not any(-l in c for l in c):
                 out.add(c)
@@ -627,6 +627,26 @@ class TestClauseFormGrounding:
         assert got == float(2 ** 11 * ew / (2 ** 11 * ew + (2 ** 11 - 1) * ew + 1))
         assert wmc_bruteforce(ground(smokers, Domain.of_size(2))) == _smokers_closed_form(2)
 
+    def test_dpll_builds_as_many_atoms_at_any_domain_size(self, monkeypatch):
+        # The Herbrand base is its layout: grounding, clause form and search
+        # number atoms without building them, so raw parents (one clause of
+        # n^2 + 1 literals per constant) builds the same atoms at n=8 and 16.
+        parents = theory((ROOT / "samples" / "parents.fol").read_text())
+        built = [0]
+        check_arity = Atom.__post_init__
+
+        def counted(atom):
+            built[0] += 1
+            check_arity(atom)
+
+        monkeypatch.setattr(Atom, "__post_init__", counted)
+        per_size = []
+        for n in (8, 16):
+            built[0] = 0
+            assert wfomc(parents, Domain.of_size(n), engine="dpll") == (2 ** (n * n + 1) - 1) ** n
+            per_size.append(built[0])
+        assert per_size[0] == per_size[1]
+
 
 class TestFirstOrderClauseForm:
     """DPLL reads its clauses at the first-order level: disjunctive
@@ -659,7 +679,7 @@ class TestFirstOrderClauseForm:
         for n in (1, 2, 3):
             d = Domain.of_size(n)
             theory_form = tseitin_ground(ground(boss, d))
-            encoded = tseitin_ground(replace(theory_form, clauses=None, sentences=(q,), domain=d))
+            encoded = tseitin_ground(replace(theory_form, clauses=None, sentences=(q,)))
             added = encoded.base.blocks[len(theory_form.base.blocks):]
             assert [sig.arity for sig, _ in added] == [1]
             _assert_one_pass(boss, d, q)
@@ -677,7 +697,7 @@ class TestFirstOrderClauseForm:
         for n in (1, 2):
             d = Domain.of_size(n)
             theory_form = tseitin_ground(ground(t, d))
-            encoded = tseitin_ground(replace(theory_form, clauses=None, sentences=(q,), domain=d))
+            encoded = tseitin_ground(replace(theory_form, clauses=None, sentences=(q,)))
             added = {sig.name[0] for sig, _ in encoded.base.blocks[len(theory_form.base.blocks):]}
             assert added == {"D", "S", "Z"}
             _assert_one_pass(t, d, q)
@@ -822,7 +842,8 @@ class TestDimacsExport:
         assert lines[0] == "p cnf 2 1"
         assert "c wght 1 3/10" in lines
         assert "c wght -1 7/10" in lines
-        assert lines[-1].endswith(" 0")
+        assert lines[-1] == "1 -2 0"
+        assert export_dimacs(ground(theory("false"), domain("A"))) == "p cnf 0 1\n0\n"
 
     def test_float_weights_print_exactly(self):
         t = theory("forall x (P(x) | ~Q(x))")

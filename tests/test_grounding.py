@@ -19,6 +19,7 @@ from wfomc.logic import (
     ForAll,
     Or,
     PredicateSig,
+    Variable,
     children,
     fold_and,
     fold_or,
@@ -62,6 +63,38 @@ class TestHerbrandBase:
         with pytest.raises(WfomcError):
             herbrand_base(t, domain("B"))
 
+    def _base(self):
+        # Nullary, unary and binary blocks, then a Skolem block after them.
+        t = theory("Q\nforall x forall y (S(x) & F(x,y) -> S(y))")
+        return herbrand_base(t, domain("A", "B", "C")).appended([PredicateSig("Sk0", 1)])
+
+    def test_index_atom_index_round_trips(self):
+        base = self._base()
+        assert len(base) == 9 + 1 + 3 + 3
+        assert [sig.name for sig, _ in base.blocks] == ["F", "Q", "S", "Sk0"]
+        atoms = base.atoms
+        assert len(atoms) == len(base) == len(set(atoms))
+        for i, a in enumerate(atoms):
+            assert base.atom_index(a) == i
+            block, positions = base.locate(i)
+            assert base.blocks[block][0] == a.pred
+            assert tuple(base.constants[p] for p in positions) == a.args
+        assert atoms[-1] == Atom(PredicateSig("Sk0", 1), (Constant("C"),))
+
+    @pytest.mark.parametrize("text", ["R(A)", "S(A,A)", "S(D)", "F(A,D)"])
+    def test_atom_outside_the_base_is_an_error(self, text):
+        with pytest.raises(WfomcError, match="not in the Herbrand base"):
+            self._base().atom_index(formula(text))
+
+    def test_non_ground_atom_is_an_error(self):
+        base = self._base()
+        atom = Atom(PredicateSig("F", 2), (Constant("A"), Variable("x")))
+        with pytest.raises(WfomcError, match="not in the Herbrand base"):
+            base.atom_index(atom)
+        # The layout of an atom with variables places each at the first
+        # constant and gives its stride.
+        assert base.layout(atom) == (0, {"x": 1})
+
 
 class TestGround:
     def test_universal_becomes_conjunction_of_clauses(self):
@@ -77,8 +110,8 @@ class TestGround:
             fold_or([atom("WorksFor", "B", "A"), atom("Boss", "B"), atom("WorksFor", "B", "B")]),
         ])
         # The clauses instantiated from the sentence are those of the formula.
-        want = {frozenset(g.base.index[a] + 1 for a in (atom("WorksFor", x, "A"),
-                                                        atom("WorksFor", x, "B"), atom("Boss", x)))
+        want = {frozenset(g.base.atom_index(a) + 1 for a in (atom("WorksFor", x, "A"),
+                                                           atom("WorksFor", x, "B"), atom("Boss", x)))
                 for x in "AB"}
         assert set(clauses_of(g)) == want
 

@@ -112,6 +112,31 @@ class TestSoundness:
         rep = check_soundness(t, (3,), max_atoms=20)
         assert rep.skipped == 1 and rep.checked == 0 and rep.ok
 
+    def test_the_given_cap_holds_for_the_counts(self):
+        # With the constant A the domain at n=2 has 3 constants: R has 27
+        # atoms, over the default cap of 26 and under the given 40. Only 12
+        # are mentioned, so brute force is fast.
+        t = theory("forall x exists y R(x,y,A)")
+        rep = check_soundness(t, (1, 2), max_atoms=40)
+        assert rep.checked == 2 and rep.skipped == 0 and rep.ok
+
+    def test_skip_test_counts_the_constants_of_the_theory(self):
+        # At n=2 the base has 27 atoms over {C1, C2, A}, not the 8 of two
+        # constants, so the size is skipped rather than over the cap.
+        t = theory("forall x exists y R(x,y,A)")
+        rep = check_soundness(t, (1, 2), max_atoms=10)
+        assert rep.checked == 1 and rep.skipped == 1 and rep.ok
+
+    def test_cap_from_the_environment_skips_sizes(self, monkeypatch):
+        # The cap from the environment is the one cap: a size whose base is
+        # past it (such as 20 atoms) is skipped, never counted over it.
+        monkeypatch.setenv("WFOMC_MAX_ATOMS", "12")
+        result = run_suite(seeds=50, sizes=(1, 2))
+        assert result.ok
+        checks, skipped = result.lines[-1].split(" checks, ")
+        assert int(checks) > 0 and int(skipped.split()[0]) > 0
+        assert result.lines == run_suite(seeds=50, sizes=(1, 2), max_atoms=12).lines
+
 
 class TestModularity:
     def test_employment_with_boss_query(self):
