@@ -30,10 +30,11 @@ query in clause form over the theory's, conditions it on the theory's
 top-level unit assignment and counts again only the components the query
 touches, with the same memo.
 
-Every count is an exact rational: ``ground`` turns each weight into a
-``Fraction``, so a float weight counts as its exact binary value. Skolem
-weights (1, -1) make counts alternating sums, which floats would cancel to
-noise. Negative weights flow through both engines unchanged.
+Every count is an exact rational: ``ground`` turns each predicate's weight
+pair (one per base block) into ``Fraction``s, so a float weight counts as
+its exact binary value. Skolem weights (1, -1) make counts alternating
+sums, which floats would cancel to noise. Negative weights flow through
+both engines unchanged.
 """
 
 from __future__ import annotations
@@ -166,21 +167,20 @@ def compile_program(formula: Formula, base: HerbrandBase) -> Program:
 def wmc_bruteforce(g: GroundProblem, cap: int | None = None,
                    block_bits: int = _BLOCK_BITS) -> Fraction:
     """Sum of weight products over all satisfying assignments of the base."""
-    n = len(g.base)
-    _check_brute_cap(n, cap)
+    _check_brute_cap(len(g.base), cap)
     prog = compile_program(g.formula, g.base)
     m = len(prog.atoms)
     used = set(prog.atoms)
+    weights = g.atom_weights
 
     # Atoms the formula never mentions contribute an independent (wt + wf)
     # factor each; enumeration only runs over the mentioned atoms.
     free = Fraction(1)
-    for i in range(n):
+    for i, (wt, wf) in enumerate(weights):
         if i not in used:
-            wt, wf = g.weights[i]
             free = free * (wt + wf)
 
-    used_weights = [g.weights[i] for i in prog.atoms]
+    used_weights = [weights[i] for i in prog.atoms]
     unit = all(wt == 1 and wf == 1 for wt, wf in used_weights)
 
     total, den = _sum_exact(prog, used_weights, m, unit, block_bits)
@@ -290,11 +290,11 @@ def weighted_models(g: GroundProblem, cap: int = 20):
     args = np.asarray([prog.atoms[a] if op == K.OP_LOAD else 0
                        for op, a in zip(prog.ops, prog.args)], dtype=np.int64)
     mask = K.satisfying_mask(prog.ops, args, prog.stack_need, 0, 1 << n)
+    weights = g.atom_weights
     for a in np.nonzero(mask)[0].tolist():
         bits = tuple((a >> i) & 1 for i in range(n))
         w = Fraction(1)
-        for i, b in enumerate(bits):
-            wt, wf = g.weights[i]
+        for b, (wt, wf) in zip(bits, weights):
             w = w * (wt if b else wf)
         yield bits, w * g.scalar
 
@@ -424,8 +424,7 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
             elif walked is not True:
                 pending.append(walked)
         base = base.appended(new)
-        for sig in new:
-            weights += (sk.weights.exact(sig),) * base.block_length(sig.arity)
+        weights += tuple(map(sk.weights.exact, new))
         for lits, inner in pending:
             _add_instances(lits, inner, base, clauses)
     return GroundProblem(base, weights, g.scalar, clauses=_clause_tuple(clauses))
@@ -466,9 +465,7 @@ def wmc_dpll(g: GroundProblem, query: GroundProblem | None = None):
             count = counter._search([comp])
             components.append((*comp, count))
             total = total * count
-    for a in range(1, len(g.base) + 1):
-        if a not in atoms:
-            total = total * counter.free[a]
+    total = counter.times_free(total, atoms, len(g.base))
     if query is None:
         return counter.value(total)
     with_query = counter.conditioned(top, components, query_clauses, len(query.base))
@@ -479,9 +476,9 @@ class _DpllCounter:
     """Weighted counts of clause sets, each over the atoms it mentions.
 
     Atoms are numbered from 1 and literals are signed atom numbers. Each
-    atom's two weights are scaled by the lcm of their denominators once, so
+    block's weight pair is scaled by the lcm of its denominators once, so
     the search multiplies Python ints and ``value`` divides a final total by
-    ``den``, the product of those scales over the whole base.
+    ``den``, the product of those scales over every atom of the base.
 
     The memo is keyed by each component's clauses up to a renaming of the
     domain constants (``_key``), so components that differ only by such a
@@ -489,38 +486,28 @@ class _DpllCounter:
     """
 
     def __init__(self, g: GroundProblem):
-        weights, base = g.weights, g.base
-        n = len(weights)
+        base = self.base = g.base
+        n = len(base)
         # lit_w[l] is the weight of literal l; a negative index counts from
         # the end, so both signs fit in one list of 2n + 1 slots.
         self.lit_w = [None] * (2 * n + 1)
         self.free = [None] * (n + 1)  # free[a] = wt + wf of atom a
         self.den = 1
         self.scalar = g.scalar
-        self.base = base
-        # Each block whose atoms share one weight pair is set up in one
-        # step and may be renamed in a key; the atoms of any other block
-        # are set up one at a time and pinned. Per block: its first atom,
-        # argument strides, and per argument the feature of a positive and
-        # of a negative literal; none of these last three when pinned.
+        # Per block: its first atom, argument strides, and per argument the
+        # feature of a positive and of a negative literal.
         self.blocks: list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
-        runs = []
-        for sig, first in base.blocks:
+        for (sig, first), (wt, wf) in zip(base.blocks, g.weights):
             k = base.block_length(sig.arity)
-            uniform = weights[first:first + k].count(weights[first]) == k
-            args = range(sig.arity if uniform else 0)
-            self.blocks.append((first + 1, base.strides(len(args)),
-                                tuple(_mix(first, j, 1) for j in args),
-                                tuple(_mix(first, j, -1) for j in args)))
-            runs += [(first, k)] if uniform else [(i, 1) for i in range(first, first + k)]
-        for i, k in runs:
-            wt, wf = weights[i]
             d = math.lcm(wt.denominator, wf.denominator)
             wt, wf = int(wt * d), int(wf * d)
             self.den *= d ** k
-            self.lit_w[i + 1:i + 1 + k] = [wt] * k
-            self.lit_w[2 * n + 1 - i - k:2 * n + 1 - i] = [wf] * k
-            self.free[i + 1:i + 1 + k] = [wt + wf] * k
+            self.lit_w[first + 1:first + 1 + k] = [wt] * k
+            self.lit_w[2 * n + 1 - first - k:2 * n + 1 - first] = [wf] * k
+            self.free[first + 1:first + 1 + k] = [wt + wf] * k
+            self.blocks.append((first + 1, base.strides(sig.arity),
+                                tuple(_mix(first, j, 1) for j in range(sig.arity)),
+                                tuple(_mix(first, j, -1) for j in range(sig.arity))))
         # Per atom and per literal, filled by _decode as keys need them.
         self.layout: dict[int, tuple] = {}
         self.features: dict[int, tuple] = {}
@@ -530,6 +517,14 @@ class _DpllCounter:
     def value(self, total: int) -> Fraction:
         """A search total as a count: unscaled, times the problem's scalar."""
         return Fraction(total, self.den) * self.scalar
+
+    def times_free(self, total: int, covered: set, n: int) -> int:
+        """``total`` times the free factor of each atom 1..n not in ``covered``."""
+        free = self.free
+        for a in range(1, n + 1):
+            if a not in covered:
+                total = total * free[a]
+        return total
 
     def conditioned(self, top, components, query_clauses, n: int):
         """Count of the theory's clauses and ``query_clauses`` over atoms
@@ -563,11 +558,7 @@ class _DpllCounter:
                 merged |= clauses
                 mentioned |= atoms
         total = total * self.count(frozenset(merged), mentioned, units | _units(live))
-        covered = rest | mentioned | assigned
-        for a in range(1, n + 1):
-            if a not in covered:
-                total = total * self.free[a]
-        return total
+        return self.times_free(total, rest | mentioned | assigned, n)
 
     def count(self, clauses: frozenset, atoms: set, lits: set):
         """Count of a clause set without empty clauses, times the weight of
@@ -697,11 +688,11 @@ class _DpllCounter:
         Each constant gets a signature: a sum over its occurrences of a
         feature of (block, argument position, sign) times a factor of the
         clause length, which no order of the constants changes. Constants
-        are renumbered 0, 1, ... by (signature, position), and every
-        renamable atom is renumbered by the base layout, definition and
-        Skolem atoms included. Atoms of nullary or non-uniformly weighted
-        blocks keep their numbers, so two clause sets with one key differ by
-        a weight-preserving bijection on atoms, and have one count, whatever
+        are renumbered 0, 1, ... by (signature, position), and every atom
+        is renumbered by the base layout, definition and Skolem atoms
+        included (a nullary atom keeps its number). All atoms of a block
+        weigh the same, so two clause sets with one key differ by a
+        weight-preserving bijection on atoms, and have one count, whatever
         the signatures are: weak signatures cost only hits.
         """
         # A literal's occurrences are summed first, each weighing its
@@ -740,13 +731,12 @@ class _DpllCounter:
 
         ``layout[a]`` is (a's number with every constant at position 0,
         one (constant position, stride) per argument), and ``features[l]``
-        one (constant position, feature) per argument; both have no terms
-        when the atom is pinned.
+        one (constant position, feature) per argument.
         """
         a = abs(l)
         block, consts = self.base.locate(a - 1)
         first, strides, positive, negative = self.blocks[block]
-        self.layout[a] = (first if strides else a, tuple(zip(consts, strides)))
+        self.layout[a] = (first, tuple(zip(consts, strides)))
         self.features[a] = tuple(zip(consts, positive))
         self.features[-a] = tuple(zip(consts, negative))
         return self.features[l]
@@ -882,8 +872,7 @@ def export_dimacs(g: GroundProblem) -> str:
     if clauses is None:
         raise WfomcError("export_dimacs needs a CNF ground formula")
     lines = [f"p cnf {len(g.base)} {len(clauses)}"]
-    for i, a in enumerate(g.base.atoms):
-        wt, wf = g.weights[i]
+    for i, (a, (wt, wf)) in enumerate(zip(g.base.atoms, g.atom_weights)):
         lines.append(f"c atom {i + 1} {a.pred.name}"
                      + ("(" + ",".join(t.name for t in a.args) + ")" if a.args else ""))
         lines.append(f"c wght {i + 1} {wt.numerator}/{wt.denominator}")

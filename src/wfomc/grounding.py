@@ -119,8 +119,9 @@ class HerbrandBase:
 class GroundProblem:
     """A weighted counting problem over a Herbrand base.
 
-    Weights and the scalar are exact. It holds either closed ``sentences``
-    to ground over the base's constants, or
+    Weights and the scalar are exact, one weight pair per predicate: per
+    entry of ``base.blocks``, in block order. It holds either closed
+    ``sentences`` to ground over the base's constants, or
     ``clauses``: a CNF whose literals are signed base numbers (index + 1,
     negative when negated), where an empty clause leaves no model.
     ``formula``, the ground conjunction, is built from whichever is held on
@@ -129,10 +130,21 @@ class GroundProblem:
     """
 
     base: HerbrandBase
-    weights: tuple[tuple[Fraction, Fraction], ...]  # per base index
+    weights: tuple[tuple[Fraction, Fraction], ...]  # per base block
     scalar: Fraction
     sentences: tuple[Formula, ...] = ()
     clauses: tuple[frozenset[int], ...] | None = None
+
+    def __post_init__(self):
+        if len(self.weights) != len(self.base.blocks):
+            raise WfomcError(f"{len(self.weights)} weight pair(s) for "
+                             f"{len(self.base.blocks)} Herbrand base block(s)")
+
+    @property
+    def atom_weights(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """Every base atom's weight pair in index order; for small bases."""
+        return tuple(pair for (sig, _), pair in zip(self.base.blocks, self.weights)
+                     for _ in range(self.base.block_length(sig.arity)))
 
     @cached_property
     def formula(self) -> Formula:
@@ -151,19 +163,18 @@ def herbrand_base(t: WeightedTheory, d: Domain) -> HerbrandBase:
 
 
 def ground(t: WeightedTheory, d: Domain) -> GroundProblem:
-    """Lay out the Herbrand base and compute the weights and scale factor,
-    all exact: a float weight enters as ``Fraction(w)``, its exact binary
-    value. No ground atom is built here, and the ground formula (quantifiers
-    expanded, sentences one conjunction) only when ``formula`` is first read.
+    """Lay out the Herbrand base and compute the scale factor and one weight
+    pair per predicate, all exact: a float weight enters as ``Fraction(w)``,
+    its exact binary value. No ground atom is built here, and the ground
+    formula (quantifiers expanded, sentences one conjunction) only when
+    ``formula`` is first read.
     """
     base = herbrand_base(t, d)
-    weights = []
-    for sig, _ in base.blocks:  # one shared pair per block
-        weights += [t.weights.exact(sig)] * base.block_length(sig.arity)
+    weights = tuple(t.weights.exact(sig) for sig, _ in base.blocks)
     scalar = Fraction(1)
     for sf in t.scale:
         scalar = scalar * Fraction(sf.base) ** (len(d) ** sf.nvars)
-    return GroundProblem(base, tuple(weights), scalar, t.sentences)
+    return GroundProblem(base, weights, scalar, t.sentences)
 
 
 def clause_instances(lits: list[tuple[Atom, bool]], base: HerbrandBase,

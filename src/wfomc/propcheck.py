@@ -38,11 +38,11 @@ from .logic import (
     predicates,
     standardize_apart,
     substitute,
+    with_children,
 )
 from .transform import (
     ElimSite,
     StagedElimination,
-    _skolemize,
     replace_at,
     skolemize,
     staged_elimination,
@@ -326,15 +326,24 @@ def staged_case_table(stages: StagedElimination, d: Domain, stage: str) -> dict:
 
 
 def skolemize_wrong_cancellation_weight(t: WeightedTheory) -> WeightedTheory:
-    """Deliberately wrong: the cancellation predicate's negative branch gets
+    """Deliberately wrong: the cancellation predicates' negative branch gets
     weight +1, so relaxation models no longer cancel."""
-    return _skolemize(t, use_shortcut=True, _skolem_false_weight=Fraction(1))
+    sk = skolemize(t)
+    return sk.replace(weights=sk.weights.extended(
+        {sig: (1, 1) for sig, pair in sk.weights.pairs.items()
+         if pair == (1, -1) and sig not in t.weights.pairs}))
 
 
 def skolemize_skip_universal_rewrite(t: WeightedTheory) -> WeightedTheory:
     """Deliberately wrong: universal sites are eliminated as if existential,
-    skipping the double-negation rewrite."""
-    return _skolemize(t, use_shortcut=True, _treat_forall_as_exists=True)
+    skipping the double-negation rewrite; that is, each ``forall`` below a
+    sentence's leading universal prefix is read as ``exists``."""
+    return skolemize(t.replace(sentences=tuple(map(_exists_below_prefix, t.sentences))))
+
+
+def _exists_below_prefix(f: Formula, leading: bool = True) -> Formula:
+    kids = tuple(_exists_below_prefix(k, leading and isinstance(f, ForAll)) for k in children(f))
+    return Exists(f.var, *kids) if isinstance(f, ForAll) and not leading else with_children(f, kids)
 
 
 # ---------------------------------------------------------------------------

@@ -294,9 +294,7 @@ def _pull(f: Formula) -> tuple[list, Formula]:
 _SKOLEM_WF = Fraction(-1)
 
 
-def eliminate_one(t: WeightedTheory, site: ElimSite, namer: FreshNamer, *,
-                  _skolem_false_weight: Weight = _SKOLEM_WF,
-                  _treat_forall_as_exists: bool = False) -> WeightedTheory:
+def eliminate_one(t: WeightedTheory, site: ElimSite, namer: FreshNamer) -> WeightedTheory:
     """One elimination: replace the quantified subexpression by a fresh atom
     and append the three relaxation sentences with their weights.
 
@@ -314,7 +312,7 @@ def eliminate_one(t: WeightedTheory, site: ElimSite, namer: FreshNamer, *,
     z = Atom(namer.tseitin(len(ys)), terms)
     s = Atom(namer.skolem(len(ys)), terms)
 
-    if isinstance(node, Exists) or _treat_forall_as_exists:
+    if isinstance(node, Exists):
         replacement: Formula = z
         disjunct = negate(node.body)
     else:
@@ -332,7 +330,7 @@ def eliminate_one(t: WeightedTheory, site: ElimSite, namer: FreshNamer, *,
     sentences = list(t.sentences)
     sentences[site.sentence_index] = replaced
     sentences.extend(appended)
-    weights = t.weights.extended({z.pred: (1, 1), s.pred: (1, _skolem_false_weight)})
+    weights = t.weights.extended({z.pred: (1, 1), s.pred: (1, _SKOLEM_WF)})
     return t.replace(sentences=tuple(sentences), weights=weights)
 
 
@@ -342,8 +340,7 @@ def _wrap(body: Formula, vars_: tuple[str, ...]) -> Formula:
     return body
 
 
-def _shortcut_step(t: WeightedTheory, site: ElimSite, namer: FreshNamer,
-                   wf_s: Weight) -> WeightedTheory:
+def _shortcut_step(t: WeightedTheory, site: ElimSite, namer: FreshNamer) -> WeightedTheory:
     """Prefix-universal existential: skip the definition predicate entirely
     and replace the whole sentence by the single cancellation sentence."""
     sentence = t.sentences[site.sentence_index]
@@ -353,7 +350,7 @@ def _shortcut_step(t: WeightedTheory, site: ElimSite, namer: FreshNamer,
     new_sentence = _wrap(Or(s, negate(node.body)), ys + (site.var,))
     sentences = list(t.sentences)
     sentences[site.sentence_index] = new_sentence
-    weights = t.weights.extended({s.pred: (1, wf_s)})
+    weights = t.weights.extended({s.pred: (1, _SKOLEM_WF)})
     return t.replace(sentences=tuple(sentences), weights=weights)
 
 
@@ -370,14 +367,15 @@ def _prefix_universal(t: WeightedTheory, site: ElimSite) -> bool:
 # Drivers
 
 
-def skolemize(t: WeightedTheory, *, use_shortcut: bool = True) -> WeightedTheory:
+def skolemize(t: WeightedTheory) -> WeightedTheory:
     """Eliminate every internal quantifier, innermost first.
 
     Sentences of the form (forall ys, exists x, phi) take the single-sentence
-    shortcut unless ``use_shortcut`` is off; everything else goes through the
-    full elimination step. The weighted count is preserved for every domain.
+    shortcut (``skolemize_full`` never does); everything else goes through
+    the full elimination step. The weighted count is preserved for every
+    domain.
     """
-    return _skolemize(t, use_shortcut=use_shortcut)
+    return _skolemize(t, use_shortcut=True)
 
 
 def skolemize_full(t: WeightedTheory) -> WeightedTheory:
@@ -385,9 +383,7 @@ def skolemize_full(t: WeightedTheory) -> WeightedTheory:
     return _skolemize(t, use_shortcut=False)
 
 
-def _skolemize(t: WeightedTheory, use_shortcut: bool,
-               _skolem_false_weight: Weight = _SKOLEM_WF,
-               _treat_forall_as_exists: bool = False) -> WeightedTheory:
+def _skolemize(t: WeightedTheory, use_shortcut: bool) -> WeightedTheory:
     t = standardize_apart(t)
     namer = FreshNamer.for_theory(t)
     while True:
@@ -395,13 +391,9 @@ def _skolemize(t: WeightedTheory, use_shortcut: bool,
         if site is None:
             return t
         if use_shortcut and site.kind == "exists" and _prefix_universal(t, site):
-            t = _shortcut_step(t, site, namer, _skolem_false_weight)
+            t = _shortcut_step(t, site, namer)
         else:
-            t = eliminate_one(
-                t, site, namer,
-                _skolem_false_weight=_skolem_false_weight,
-                _treat_forall_as_exists=_treat_forall_as_exists,
-            )
+            t = eliminate_one(t, site, namer)
 
 
 def skolemize_prenex_shortcut(t: WeightedTheory) -> WeightedTheory:
@@ -478,14 +470,17 @@ def _push_scale(scale: list[ScaleFactor], base: Weight, nvars: int):
         scale.append(ScaleFactor(base, nvars))
 
 
-def _account_dropped(before: WeightedTheory, after: WeightedTheory) -> WeightedTheory:
+def _account_dropped(before: WeightedTheory, after: WeightedTheory,
+                     accounted=frozenset()) -> WeightedTheory:
     """If a simplification erased a predicate, its atoms became unconstrained;
-    track the (wt + wf) per-grounding factor so counts stay comparable."""
+    track the (wt + wf) per-grounding factor so counts stay comparable.
+    Predicates in ``accounted`` already have their factor in ``after``."""
     gone = set()
     for s in before.sentences:
         gone |= predicates(s)
     for s in after.sentences:
         gone -= predicates(s)
+    gone -= accounted
     if not gone:
         return after
     scale = list(after.scale)
@@ -769,22 +764,11 @@ def unit_propagate(t: WeightedTheory) -> WeightedTheory:
             if changed:
                 break  # restart with the updated clause list
 
-    seen_before: set[PredicateSig] = set()
-    for s in t.sentences:
-        seen_before |= predicates(s)
-    seen_after: set[PredicateSig] = set()
-    for c in clauses:
-        for l in c:
-            seen_after.add(l.atom.pred)
-    for sig in sorted(seen_before - seen_after - forced, key=lambda p: (p.name, p.arity)):
-        wt, wf = t.weights.get(sig)
-        _push_scale(scale, wt + wf, sig.arity)
-
     sentences = tuple(
         close_universally(fold_or([l.atom if l.positive else Not(l.atom) for l in c]))
         for c in clauses
     )
-    return t.replace(sentences=sentences, scale=tuple(scale))
+    return _account_dropped(t, t.replace(sentences=sentences, scale=tuple(scale)), forced)
 
 
 # ---------------------------------------------------------------------------

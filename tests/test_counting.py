@@ -27,7 +27,7 @@ from wfomc.counting import (
     wmc_bruteforce,
     wmc_dpll,
 )
-from wfomc.grounding import HerbrandBase, ground
+from wfomc.grounding import GroundProblem, HerbrandBase, ground
 from wfomc.logic import (
     FALSE,
     TRUE,
@@ -267,7 +267,7 @@ class TestDpll:
         rng = random.Random(45)
         for _ in range(40):
             g = random_ground_problem(rng, max_atoms=12, max_clauses=30)
-            pairs = {a.pred: (float(wt), float(wf)) for a, (wt, wf) in zip(g.base.atoms, g.weights)}
+            pairs = {sig: (float(wt), float(wf)) for (sig, _), (wt, wf) in zip(g.base.blocks, g.weights)}
             t = WeightedTheory(g.sentences, WeightFn(pairs, "float"))
             g = ground(t, Domain.of_size(1))
             assert all(isinstance(w, Fraction) for pair in g.weights for w in pair)
@@ -318,17 +318,43 @@ class TestDpll:
     def test_smokers_memo_entries_at_16(self, monkeypatch):
         # The symmetric cache holds 136 components at n=16, where a cache
         # keyed by the literal clause set held 131 069.
-        counters = []
-
-        class Recording(counting._DpllCounter):
-            def __init__(self, g):
-                super().__init__(g)
-                counters.append(self)
-
-        monkeypatch.setattr(counting, "_DpllCounter", Recording)
+        counters = _record_counters(monkeypatch)
         t = theory((ROOT / "samples" / "smokers.fol").read_text())
         assert wfomc(t, Domain.of_size(16), engine="dpll") == _smokers_closed_form(16)
         assert [len(c.memo) for c in counters] == [136]
+
+    @pytest.mark.parametrize("name,n,want,entries", [
+        ("boss", 12, (2 ** 13 - 1) ** 12, 1),
+        ("parents", 6, (2 ** 37 - 1) ** 6, 11),
+    ], ids=["boss", "parents"])
+    def test_skolemized_memo_entries(self, monkeypatch, name, n, want, entries):
+        # Skolem and definition blocks weigh one pair each, so the key
+        # renames their atoms with the rest: boss's n components share one
+        # entry.
+        counters = _record_counters(monkeypatch)
+        t = skolemize(theory((ROOT / "samples" / f"{name}.fol").read_text()))
+        assert wfomc(t, Domain.of_size(n), engine="dpll") == want
+        assert [len(c.memo) for c in counters] == [entries]
+
+    def test_per_block_problem_matches_brute_force(self):
+        # A hand-built problem: a nullary block and a binary block, with
+        # fractional and negative weights, one pair each.
+        p, r = PredicateSig("P", 0), PredicateSig("R", 2)
+        base = HerbrandBase((Constant("A"), Constant("B"))).appended((p, r))
+        x, y = Variable("x"), Variable("y")
+        sentences = (ForAll("x", ForAll("y", Or(Atom(p, ()), Not(Atom(r, (x, y)))))),
+                     ForAll("x", Exists("y", Atom(r, (x, y)))))
+        weights = ((Fraction(-3, 7), Fraction(5, 2)), (Fraction(-1, 2), Fraction(2, 3)))
+        g = GroundProblem(base, weights, Fraction(3, 4), sentences)
+        brute = wmc_bruteforce(g)
+        assert brute != 0 and wmc_dpll(g) == brute == wmc_dpll(tseitin_ground(g))
+
+    def test_weights_must_match_the_blocks(self):
+        g = ground(theory("forall x (P(x) | Q(x))"), Domain.of_size(3))
+        with pytest.raises(WfomcError, match="6 weight pair"):
+            replace(g, weights=g.atom_weights)
+        with pytest.raises(WfomcError, match="1 weight pair"):
+            replace(g, weights=g.weights[:1])
 
     def test_numpy_loads_only_for_brute_force(self):
         code = (
@@ -351,18 +377,6 @@ class TestSymmetricKey:
     """The DPLL memo shares counts among components that differ by a
     renaming of the domain constants; these cases check that it shares
     only counts that are equal."""
-
-    def test_non_uniform_weights_are_not_renamed(self):
-        # Per constant, the two clauses form one component, and the
-        # components differ only by the constant. P's atoms weigh
-        # differently, so their counts differ, and a key that renamed P's
-        # constants would give all three the first one's count.
-        t = theory("forall x (P(x) | R(x))\nforall x (~P(x) | S(x))")
-        g = ground(t, Domain.of_size(3))
-        weights = tuple((Fraction(i + 2), Fraction(-1, i + 3)) if a.pred.name == "P" else w
-                        for i, (a, w) in enumerate(zip(g.base.atoms, g.weights)))
-        g = replace(g, weights=weights)
-        assert wmc_dpll(tseitin_ground(g)) == wmc_bruteforce(g)
 
     def test_generated_theories_match_brute_force(self):
         checked = 0
@@ -545,6 +559,19 @@ def _assert_paths_agree(t, d):
 def _smokers_closed_form(n):
     # k smokers: the k(n-k) friendships from a smoker to a non-smoker are false
     return sum(math.comb(n, k) * 2 ** (n * n - k * (n - k)) for k in range(n + 1))
+
+
+def _record_counters(monkeypatch) -> list:
+    """The DPLL counters that ``wfomc`` makes from now on, in order."""
+    counters = []
+
+    class Recording(counting._DpllCounter):
+        def __init__(self, g):
+            super().__init__(g)
+            counters.append(self)
+
+    monkeypatch.setattr(counting, "_DpllCounter", Recording)
+    return counters
 
 
 class TestClauseFormGrounding:

@@ -128,11 +128,17 @@ class TestGround:
     def test_weights_follow_base_order(self):
         t = theory("weight P 1 2 3\nforall x (P(x) | Q(x))")
         g = ground(t, domain("A"))
-        by_atom = dict(zip(g.base.atoms, g.weights))
+        by_atom = dict(zip(g.base.atoms, g.atom_weights))
         p = Atom(PredicateSig("P", 1), (Constant("A"),))
         q = Atom(PredicateSig("Q", 1), (Constant("A"),))
         assert by_atom[p] == (2, 3)
         assert by_atom[q] == (1, 1)
+
+    def test_one_weight_pair_per_predicate(self):
+        # Nine million atoms, one pair: the weights do not grow with the base.
+        g = ground(theory("forall x forall y R(x,y)"), Domain.of_size(3000))
+        assert len(g.base) == 9_000_000
+        assert g.weights == ((1, 1),)
 
 
 # Reference grounding by substitution: rename bound variables apart, then
