@@ -39,12 +39,12 @@ both engines unchanged.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain, repeat
 
 from .errors import CapExceededError, WfomcError
 from .grounding import (
@@ -482,11 +482,14 @@ class _DpllCounter:
 
     The memo is keyed by each component's clauses up to a renaming of the
     domain constants (``_key``), so components that differ only by such a
-    renaming share one count.
+    renaming share one count. What the key reads about atoms depends only
+    on the base layout, and counters over one layout share it
+    (``_key_tables``); the memo holds counts, which depend on the weights,
+    and stays with the counter.
     """
 
     def __init__(self, g: GroundProblem):
-        base = self.base = g.base
+        base = g.base
         n = len(base)
         # lit_w[l] is the weight of literal l; a negative index counts from
         # the end, so both signs fit in one list of 2n + 1 slots.
@@ -494,9 +497,6 @@ class _DpllCounter:
         self.free = [None] * (n + 1)  # free[a] = wt + wf of atom a
         self.den = 1
         self.scalar = g.scalar
-        # Per block: its first atom, argument strides, and per argument the
-        # feature of a positive and of a negative literal.
-        self.blocks: list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
         for (sig, first), (wt, wf) in zip(base.blocks, g.weights):
             k = base.block_length(sig.arity)
             d = math.lcm(wt.denominator, wf.denominator)
@@ -505,13 +505,8 @@ class _DpllCounter:
             self.lit_w[first + 1:first + 1 + k] = [wt] * k
             self.lit_w[2 * n + 1 - first - k:2 * n + 1 - first] = [wf] * k
             self.free[first + 1:first + 1 + k] = [wt + wf] * k
-            self.blocks.append((first + 1, base.strides(sig.arity),
-                                tuple(_mix(first, j, 1) for j in range(sig.arity)),
-                                tuple(_mix(first, j, -1) for j in range(sig.arity))))
-        # Per atom and per literal, filled by _decode as keys need them.
-        self.layout: dict[int, tuple] = {}
-        self.features: dict[int, tuple] = {}
-        self.mixes = _LengthMixes()
+        self.tables = _key_tables(base)
+        self.renamed = [0] * (2 * n + 1)  # _key's renaming, by signed literal
         self.memo: dict[frozenset, int] = {}
 
     def value(self, total: int) -> Fraction:
@@ -622,9 +617,10 @@ class _DpllCounter:
         """Product of the counts of connected clause sets without unit or
         empty clauses, given as (clauses, atoms) pairs.
 
-        A lone clause is counted in closed form and a memo hit is read off;
-        any other component is a search node. It branches on
-        ``_branch_literal`` and propagates each phase at once, and the
+        A lone clause is counted in closed form. Any other component's
+        literal occurrences are counted once; they give its memo key
+        (``_key``) and, on a miss, its branch atom (``_branch_atom``), so
+        the node is searched. Each phase is propagated at once, and the
         phases that do not conflict wait on an explicit stack, so no Python
         call nests per decision. A frame is [memo key, total, phases], with
         one [factor, pending components] per phase, the current one last.
@@ -641,12 +637,13 @@ class _DpllCounter:
                 if len(clauses) == 1:
                     phase[0] = phase[0] * self._lone_clause(next(iter(clauses)))
                     continue
-                key = self._key(clauses, atoms)
+                occurrences = Counter(chain.from_iterable(clauses))
+                key = self._key(clauses, atoms, occurrences)
                 count = memo.get(key)
                 if count is None:
-                    lit = _branch_literal(clauses)
+                    a = _branch_atom(occurrences)
                     phases = []
-                    for branch in (-lit, lit):  # the last phase is searched first
+                    for branch in (-a, a):  # the last phase is searched first
                         reduced = self._propagate(clauses, atoms, {branch})
                         if reduced is not None:
                             factor, residual, rest, _ = reduced
@@ -682,57 +679,86 @@ class _DpllCounter:
             falsified = falsified * self.lit_w[-l]
         return total - falsified
 
-    def _key(self, clauses: frozenset, atoms: set) -> frozenset:
+    def _key(self, clauses: frozenset, atoms: set, occurrences: Counter) -> frozenset:
         """The clauses with the domain constants renamed canonically.
 
-        Each constant gets a signature: a sum over its occurrences of a
-        feature of (block, argument position, sign) times a factor of the
-        clause length, which no order of the constants changes. Constants
+        Each constant gets a signature: a sum over its occurrences, counted
+        per literal in ``occurrences``, of a feature of (block, argument
+        position, sign), which no order of the constants changes. Constants
         are renumbered 0, 1, ... by (signature, position), and every atom
-        is renumbered by the base layout, definition and Skolem atoms
-        included (a nullary atom keeps its number). All atoms of a block
-        weigh the same, so two clause sets with one key differ by a
-        weight-preserving bijection on atoms, and have one count, whatever
-        the signatures are: weak signatures cost only hits.
+        is renumbered by the base layout (``_KeyTables``), definition and
+        Skolem atoms included (a nullary atom keeps its number). All atoms
+        of a block weigh the same, so two clause sets with one key differ
+        by a weight-preserving bijection on atoms, and have one count,
+        whatever the signatures are: weak signatures cost only hits.
         """
-        # A literal's occurrences are summed first, each weighing its
-        # clause length's factor, in one pass over the clauses.
-        mixes = self.mixes
-        weight: dict[int, int] = {}
-        get = weight.get
-        for c in clauses:
-            m = mixes[len(c)]
-            for l in c:
-                weight[l] = get(l, 0) + m
-        features = self.features
+        tables = self.tables
+        features = tables.features
         signature: defaultdict[int, int] = defaultdict(int)
-        for l, w in weight.items():
-            terms = features.get(l)
+        for l, k in occurrences.items():
+            terms = features[l]
             if terms is None:
-                terms = self._decode(l)
+                terms = tables.decode(l)
             for const, f in terms:
-                signature[const] += f * w
+                signature[const] += f * k
         # Sorting (signature, constant) pairs orders the constants by
         # signature, ties by position.
         rank = {const: i for i, (_, const) in enumerate(sorted(zip(signature.values(), signature)))}
-        layout = self.layout
-        renamed = {}
+        layout = tables.layout
+        renamed = self.renamed
         for a in atoms:
             new, terms = layout[a]
             for const, stride in terms:
                 new += rank[const] * stride
             renamed[a] = new
             renamed[-a] = -new
-        return frozenset(map(frozenset, map(map, itertools.repeat(renamed.__getitem__), clauses)))
+        return frozenset(map(frozenset, map(map, repeat(renamed.__getitem__), clauses)))
 
-    def _decode(self, l: int) -> tuple:
+
+_KEY_TABLES_MAX = 8  # base layouts whose key tables are kept
+_key_tables_cache: dict[tuple, "_KeyTables"] = {}
+
+
+def _key_tables(base: HerbrandBase) -> "_KeyTables":
+    """The key tables of ``base``'s layout, shared by every counter over it.
+
+    A layout is the number of constants and (arity, first index) per
+    block; predicate names and weights do not change the tables. The
+    ``_KEY_TABLES_MAX`` layouts used last are kept.
+    """
+    layout = (len(base.constants), tuple((sig.arity, first) for sig, first in base.blocks))
+    tables = _key_tables_cache.pop(layout, None) or _KeyTables(base)
+    _key_tables_cache[layout] = tables
+    if len(_key_tables_cache) > _KEY_TABLES_MAX:
+        del _key_tables_cache[next(iter(_key_tables_cache))]
+    return tables
+
+
+class _KeyTables:
+    """What ``_DpllCounter._key`` reads about atoms, filled per atom on
+    first use (``decode``).
+
+    ``layout[a]`` is (a's number with every constant at position 0, one
+    (constant position, stride) per argument), and ``features[l]``, indexed
+    by signed literal as ``_DpllCounter.lit_w`` is, one (constant position,
+    feature) per argument of l's atom.
+    """
+
+    def __init__(self, base: HerbrandBase):
+        self.base = base
+        n = len(base)
+        self.layout: list[tuple | None] = [None] * (n + 1)
+        self.features: list[tuple | None] = [None] * (2 * n + 1)
+        # Per block: its first atom, argument strides, and per argument the
+        # feature of a positive and of a negative literal.
+        self.blocks = [(first + 1, base.strides(sig.arity),
+                        tuple(_mix(first, j, 1) for j in range(sig.arity)),
+                        tuple(_mix(first, j, -1) for j in range(sig.arity)))
+                       for sig, first in base.blocks]
+
+    def decode(self, l: int) -> tuple:
         """Fill ``layout`` and ``features`` for the atom of literal ``l``
-        and return ``features[l]``.
-
-        ``layout[a]`` is (a's number with every constant at position 0,
-        one (constant position, stride) per argument), and ``features[l]``
-        one (constant position, feature) per argument.
-        """
+        and return ``features[l]``."""
         a = abs(l)
         block, consts = self.base.locate(a - 1)
         first, strides, positive, negative = self.blocks[block]
@@ -745,14 +771,6 @@ class _DpllCounter:
 def _mix(*xs: int) -> int:
     """A fixed non-negative pseudo-random integer for a tuple of ints."""
     return hash(xs) & ((1 << 61) - 1)
-
-
-class _LengthMixes(dict):
-    """``_mix(length)`` per clause length, computed on first use."""
-
-    def __missing__(self, length: int) -> int:
-        m = self[length] = _mix(length)
-        return m
 
 
 def _units(clauses) -> set[int]:
@@ -801,11 +819,16 @@ def _components(clauses: frozenset, atoms: set[int]) -> list[tuple[frozenset, se
     return [(frozenset(g), members[root]) for root, g in groups.items()]
 
 
-def _branch_literal(clauses: frozenset) -> int:
-    """Atom with the most occurrences in the clauses, the lowest on ties."""
-    occurrences = Counter(map(abs, itertools.chain.from_iterable(clauses)))
-    most = max(occurrences.values())
-    return min(a for a, k in occurrences.items() if k == most)
+def _branch_atom(occurrences: Counter) -> int:
+    """Atom with the most occurrences, given per literal, the lowest on ties."""
+    best = most = 0
+    get = occurrences.get
+    for l, k in occurrences.items():
+        a = l if l > 0 else -l
+        k += get(-l, 0)
+        if k > most or k == most and a < best:
+            best, most = a, k
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +53,7 @@ from wfomc.logic import (
 from wfomc.propcheck import GenConfig, gen_theory
 from wfomc.transform import skolemize, to_cnf_distribute
 
-from perfbench.workloads import SMOKERS_WEIGHTS, smokers_count
+from perfbench.workloads import SMOKERS_WEIGHTS, mln_boss_probability, smokers_count
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -326,14 +328,22 @@ class TestDpll:
     @pytest.mark.parametrize("name,n,want,entries", [
         ("boss", 12, (2 ** 13 - 1) ** 12, 1),
         ("parents", 6, (2 ** 37 - 1) ** 6, 11),
-    ], ids=["boss", "parents"])
+        ("employment", 11, mln_boss_probability(11, 1.3), 2),
+    ], ids=["boss", "parents", "employment"])
     def test_skolemized_memo_entries(self, monkeypatch, name, n, want, entries):
         # Skolem and definition blocks weigh one pair each, so the key
         # renames their atoms with the rest: boss's n components share one
-        # entry.
+        # entry. The MLN query Pr(Boss(A)) over n - 1 constants and A runs
+        # on the encoder's skolemized theory.
         counters = _record_counters(monkeypatch)
-        t = skolemize(theory((ROOT / "samples" / f"{name}.fol").read_text()))
-        assert wfomc(t, Domain.of_size(n), engine="dpll") == want
+        if name == "employment":
+            e = encode_mln(parse_mln((ROOT / "samples" / "employment.mln").read_text()))
+            d = Domain.of_size(n - 1, extra=(Constant("A"),))
+            got = query_probability(e, d, formula("Boss(A)"), engine="dpll")
+            assert got == pytest.approx(want, rel=1e-12)
+        else:
+            t = skolemize(theory((ROOT / "samples" / f"{name}.fol").read_text()))
+            assert wfomc(t, Domain.of_size(n), engine="dpll") == want
         assert [len(c.memo) for c in counters] == [entries]
 
     def test_per_block_problem_matches_brute_force(self):
@@ -414,6 +424,97 @@ class TestSymmetricKey:
         t = theory(f"weight S 1 {st} {sf}\nweight F 2 {ft} {ff}\n"
                    "forall x forall y (S(x) & F(x,y) -> S(y))")
         assert wfomc(t, Domain.of_size(20), engine="dpll") == smokers_count(20, st, sf, ft, ff)
+
+
+class TestKeyTables:
+    """What the memo key reads about atoms is shared by every count over
+    one base layout; the memo, which holds weighted counts, is not."""
+
+    def test_second_count_over_a_layout_decodes_nothing(self, monkeypatch):
+        monkeypatch.setattr(counting, "_key_tables_cache", {}, raising=False)
+        calls = []
+        locate = grounding.HerbrandBase.locate
+
+        def counted(base, i):
+            calls.append(i)
+            return locate(base, i)
+
+        monkeypatch.setattr(grounding.HerbrandBase, "locate", counted)
+        t = theory((ROOT / "samples" / "smokers.fol").read_text())
+        assert wfomc(t, Domain.of_size(6), engine="dpll") == _smokers_closed_form(6)
+        assert calls
+        calls.clear()
+        # Other weights and other predicate names, in the same block order,
+        # give the same layout.
+        u = theory("weight T 1 2 -1\nforall x forall y (T(x) & G(x,y) -> T(y))")
+        assert wfomc(u, Domain.of_size(6), engine="dpll") == smokers_count(6, 2, -1, 1, 1)
+        assert calls == []
+
+    def test_other_layouts_count_right(self, monkeypatch):
+        monkeypatch.setattr(counting, "_key_tables_cache", {})
+        t = theory((ROOT / "samples" / "smokers.fol").read_text())
+        for n in (4, 5, 4):
+            assert wfomc(t, Domain.of_size(n), engine="dpll") == _smokers_closed_form(n)
+        # Clause form adds a Skolem block after R and S: a longer layout
+        # over the same constants.
+        u = theory("forall x (R(x) | S(x))\nexists y (R(y) & S(y))")
+        for n in (4, 5):
+            assert wfomc(u, Domain.of_size(n), engine="dpll") == 3 ** n - 2 ** n
+
+    def test_cache_keeps_at_most_its_bound(self, monkeypatch):
+        monkeypatch.setattr(counting, "_key_tables_cache", {})
+        t = theory("forall x forall y (R(x) | F(x,y))")
+        for n in range(1, counting._KEY_TABLES_MAX + 4):
+            assert wfomc(t, Domain.of_size(n), engine="dpll") == (2 ** n + 1) ** n
+            assert len(counting._key_tables_cache) <= counting._KEY_TABLES_MAX
+        assert len(counting._key_tables_cache) == counting._KEY_TABLES_MAX
+
+    def test_shared_layout_keeps_each_weighting(self):
+        # A-B-A over one layout: a memo carried from one weighting to the
+        # next would give B A's counts.
+        a = (Fraction(1, 2), Fraction(-1), Fraction(3), Fraction(1, 3))
+        b = (Fraction(2), Fraction(3, 10), Fraction(-1), Fraction(3, 2))
+        for n in (3, 8):
+            for st, sf, ft, ff in (a, b, a):
+                t = theory(f"weight S 1 {st} {sf}\nweight F 2 {ft} {ff}\n"
+                           "forall x forall y (S(x) & F(x,y) -> S(y))")
+                want = smokers_count(n, st, sf, ft, ff)
+                assert wfomc(t, Domain.of_size(n), engine="dpll") == want
+                if n == 3:
+                    assert wfomc(t, Domain.of_size(n)) == want
+
+    def test_shared_layout_keeps_each_mln_weight(self):
+        query = formula("Boss(A)")
+        for n in (1, 10):
+            d = Domain.of_size(n, extra=(Constant("A"),))
+            for w in (1.3, -0.7, 1.3):
+                e = encode_mln(parse_mln(f"{w} exists y (WorksFor(x,y) | Boss(x))\n"))
+                got = query_probability(e, d, query, engine="dpll")
+                assert got == pytest.approx(mln_boss_probability(n + 1, w), rel=1e-12)
+                if n == 1:
+                    assert got == query_probability(e, d, query)
+
+
+class TestBranchAtom:
+    def test_most_occurrences_lowest_on_ties(self):
+        # Atoms 2 and 9 occur three times each, in either sign; atom 4 once.
+        clauses = [frozenset({9, 2}), frozenset({-9, -2}), frozenset({4, 9, 2})]
+        assert counting._branch_atom(Counter(chain.from_iterable(clauses))) == 2
+        # One more occurrence of 9 breaks the tie.
+        clauses.append(frozenset({-9, 4}))
+        assert counting._branch_atom(Counter(chain.from_iterable(clauses))) == 9
+
+    def test_matches_counting_atoms(self):
+        # The rule on atom counts, for random clause sets.
+        rng = random.Random(3)
+        for _ in range(300):
+            clauses = [frozenset(rng.choice((1, -1)) * rng.randint(1, 12)
+                                 for _ in range(rng.randint(1, 4)))
+                       for _ in range(rng.randint(1, 8))]
+            atoms = Counter(map(abs, chain.from_iterable(clauses)))
+            most = max(atoms.values())
+            want = min(a for a, k in atoms.items() if k == most)
+            assert counting._branch_atom(Counter(chain.from_iterable(clauses))) == want
 
 
 class TestGroundTseitin:
