@@ -41,9 +41,11 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, repeat
 
 from .errors import CapExceededError, WfomcError
@@ -483,9 +485,10 @@ class _DpllCounter:
     The memo is keyed by each component's clauses up to a renaming of the
     domain constants (``_key``), so components that differ only by such a
     renaming share one count. What the key reads about atoms depends only
-    on the base layout, and counters over one layout share it
-    (``_key_tables``); the memo holds counts, which depend on the weights,
-    and stays with the counter.
+    on the base layout (``_KeyTables``), and counters over one layout of at
+    most ``_KEY_TABLES_MAX_ATOMS`` atoms share it through a cache of the
+    ``_KEY_TABLES_MAX`` layouts used last; the memo holds counts, which
+    depend on the weights, and stays with the counter.
     """
 
     def __init__(self, g: GroundProblem):
@@ -505,8 +508,8 @@ class _DpllCounter:
             self.lit_w[first + 1:first + 1 + k] = [wt] * k
             self.lit_w[2 * n + 1 - first - k:2 * n + 1 - first] = [wf] * k
             self.free[first + 1:first + 1 + k] = [wt + wf] * k
-        self.tables = _key_tables(base)
-        self.renamed = [0] * (2 * n + 1)  # _key's renaming, by signed literal
+        layout = len(base.constants), tuple((sig.arity, first) for sig, first in base.blocks)
+        self.tables = (_key_tables if n <= _KEY_TABLES_MAX_ATOMS else _KeyTables)(*layout)
         self.memo: dict[frozenset, int] = {}
 
     def value(self, total: int) -> Fraction:
@@ -696,7 +699,7 @@ class _DpllCounter:
         features = tables.features
         signature: defaultdict[int, int] = defaultdict(int)
         for l, k in occurrences.items():
-            terms = features[l]
+            terms = features.get(l)
             if terms is None:
                 terms = tables.decode(l)
             for const, f in terms:
@@ -705,7 +708,7 @@ class _DpllCounter:
         # signature, ties by position.
         rank = {const: i for i, (_, const) in enumerate(sorted(zip(signature.values(), signature)))}
         layout = tables.layout
-        renamed = self.renamed
+        renamed = {}
         for a in atoms:
             new, terms = layout[a]
             for const, stride in terms:
@@ -715,57 +718,45 @@ class _DpllCounter:
         return frozenset(map(frozenset, map(map, repeat(renamed.__getitem__), clauses)))
 
 
-_KEY_TABLES_MAX = 8  # base layouts whose key tables are kept
-_key_tables_cache: dict[tuple, "_KeyTables"] = {}
-
-
-def _key_tables(base: HerbrandBase) -> "_KeyTables":
-    """The key tables of ``base``'s layout, shared by every counter over it.
-
-    A layout is the number of constants and (arity, first index) per
-    block; predicate names and weights do not change the tables. The
-    ``_KEY_TABLES_MAX`` layouts used last are kept.
-    """
-    layout = (len(base.constants), tuple((sig.arity, first) for sig, first in base.blocks))
-    tables = _key_tables_cache.pop(layout, None) or _KeyTables(base)
-    _key_tables_cache[layout] = tables
-    if len(_key_tables_cache) > _KEY_TABLES_MAX:
-        del _key_tables_cache[next(iter(_key_tables_cache))]
-    return tables
-
-
 class _KeyTables:
-    """What ``_DpllCounter._key`` reads about atoms, filled per atom on
-    first use (``decode``).
+    """What ``_DpllCounter._key`` reads about the atoms of a base layout,
+    filled per atom on first use (``decode``).
 
+    A layout is the number of constants ``n`` and (arity, first index) per
+    block, so predicate names and weights do not change the tables.
     ``layout[a]`` is (a's number with every constant at position 0, one
-    (constant position, stride) per argument), and ``features[l]``, indexed
-    by signed literal as ``_DpllCounter.lit_w`` is, one (constant position,
-    feature) per argument of l's atom.
+    (constant position, stride) per argument), and ``features[l]`` one
+    (constant position, feature) per argument of the atom of literal l.
     """
 
-    def __init__(self, base: HerbrandBase):
-        self.base = base
-        n = len(base)
-        self.layout: list[tuple | None] = [None] * (n + 1)
-        self.features: list[tuple | None] = [None] * (2 * n + 1)
+    def __init__(self, n: int, blocks: tuple[tuple[int, int], ...]):
+        self.n = n
+        self.firsts = [first for _, first in blocks]
         # Per block: its first atom, argument strides, and per argument the
         # feature of a positive and of a negative literal.
-        self.blocks = [(first + 1, base.strides(sig.arity),
-                        tuple(_mix(first, j, 1) for j in range(sig.arity)),
-                        tuple(_mix(first, j, -1) for j in range(sig.arity)))
-                       for sig, first in base.blocks]
+        self.blocks = [(first + 1, tuple(n ** (arity - 1 - j) for j in range(arity)),
+                        tuple(_mix(first, j, 1) for j in range(arity)),
+                        tuple(_mix(first, j, -1) for j in range(arity)))
+                       for arity, first in blocks]
+        self.layout: dict[int, tuple] = {}
+        self.features: dict[int, tuple] = {}
 
     def decode(self, l: int) -> tuple:
         """Fill ``layout`` and ``features`` for the atom of literal ``l``
         and return ``features[l]``."""
         a = abs(l)
-        block, consts = self.base.locate(a - 1)
-        first, strides, positive, negative = self.blocks[block]
+        first, strides, positive, negative = self.blocks[bisect_right(self.firsts, a - 1) - 1]
+        n, offset = self.n, a - first
+        consts = [offset // stride % n for stride in strides]
         self.layout[a] = (first, tuple(zip(consts, strides)))
         self.features[a] = tuple(zip(consts, positive))
         self.features[-a] = tuple(zip(consts, negative))
         return self.features[l]
+
+
+_KEY_TABLES_MAX = 8  # base layouts whose key tables are kept
+_KEY_TABLES_MAX_ATOMS = 1 << 12  # the tables of a base with more atoms are not kept
+_key_tables = lru_cache(maxsize=_KEY_TABLES_MAX)(_KeyTables)
 
 
 def _mix(*xs: int) -> int:

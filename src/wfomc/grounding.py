@@ -94,20 +94,6 @@ class HerbrandBase:
             raise WfomcError(f"ground atom {atom} not in the Herbrand base")
         return i
 
-    def locate(self, i: int) -> tuple[int, tuple[int, ...]]:
-        """The block number of index ``i`` and its atom's constant positions."""
-        blocks = self.blocks
-        block = len(blocks) - 1
-        while blocks[block][1] > i:
-            block -= 1
-        sig, first = blocks[block]
-        n, offset, positions = len(self.constants), i - first, []
-        for _ in range(sig.arity):  # the last argument steps fastest
-            offset, p = divmod(offset, n)
-            positions.append(p)
-        positions.reverse()
-        return block, tuple(positions)
-
     @property
     def atoms(self) -> tuple[Atom, ...]:
         """Every ground atom in index order, built on each read."""

@@ -430,16 +430,29 @@ class TestKeyTables:
     """What the memo key reads about atoms is shared by every count over
     one base layout; the memo, which holds weighted counts, is not."""
 
+    def test_decode_reads_the_base_numbering(self):
+        # Nullary, unary and binary blocks, then a Skolem block after them:
+        # each atom's constant positions and layout give back its arguments
+        # and its number.
+        t = theory("Q\nforall x forall y (S(x) & F(x,y) -> S(y))")
+        base = grounding.herbrand_base(t, domain("A", "B", "C")).appended([PredicateSig("Sk0", 1)])
+        tables = counting._KeyTables(3, tuple((sig.arity, first) for sig, first in base.blocks))
+        for i, atom in enumerate(base.atoms, start=1):
+            assert [p for p, _ in tables.decode(i)] == [p for p, _ in tables.decode(-i)]
+            first, terms = tables.layout[i]
+            assert tuple(base.constants[p] for p, _ in terms) == atom.args
+            assert first + sum(p * stride for p, stride in terms) == i
+
     def test_second_count_over_a_layout_decodes_nothing(self, monkeypatch):
-        monkeypatch.setattr(counting, "_key_tables_cache", {}, raising=False)
+        counting._key_tables.cache_clear()
         calls = []
-        locate = grounding.HerbrandBase.locate
+        decode = counting._KeyTables.decode
 
-        def counted(base, i):
-            calls.append(i)
-            return locate(base, i)
+        def counted(tables, l):
+            calls.append(l)
+            return decode(tables, l)
 
-        monkeypatch.setattr(grounding.HerbrandBase, "locate", counted)
+        monkeypatch.setattr(counting._KeyTables, "decode", counted)
         t = theory((ROOT / "samples" / "smokers.fol").read_text())
         assert wfomc(t, Domain.of_size(6), engine="dpll") == _smokers_closed_form(6)
         assert calls
@@ -450,8 +463,8 @@ class TestKeyTables:
         assert wfomc(u, Domain.of_size(6), engine="dpll") == smokers_count(6, 2, -1, 1, 1)
         assert calls == []
 
-    def test_other_layouts_count_right(self, monkeypatch):
-        monkeypatch.setattr(counting, "_key_tables_cache", {})
+    def test_other_layouts_count_right(self):
+        counting._key_tables.cache_clear()
         t = theory((ROOT / "samples" / "smokers.fol").read_text())
         for n in (4, 5, 4):
             assert wfomc(t, Domain.of_size(n), engine="dpll") == _smokers_closed_form(n)
@@ -461,13 +474,27 @@ class TestKeyTables:
         for n in (4, 5):
             assert wfomc(u, Domain.of_size(n), engine="dpll") == 3 ** n - 2 ** n
 
-    def test_cache_keeps_at_most_its_bound(self, monkeypatch):
-        monkeypatch.setattr(counting, "_key_tables_cache", {})
+    def test_cache_keeps_at_most_its_bound(self):
+        counting._key_tables.cache_clear()
         t = theory("forall x forall y (R(x) | F(x,y))")
         for n in range(1, counting._KEY_TABLES_MAX + 4):
             assert wfomc(t, Domain.of_size(n), engine="dpll") == (2 ** n + 1) ** n
-            assert len(counting._key_tables_cache) <= counting._KEY_TABLES_MAX
-        assert len(counting._key_tables_cache) == counting._KEY_TABLES_MAX
+            assert counting._key_tables.cache_info().currsize <= counting._KEY_TABLES_MAX
+        assert counting._key_tables.cache_info().currsize == counting._KEY_TABLES_MAX
+
+    def test_large_base_keeps_no_tables(self):
+        # The fewest constants whose n + n^2 atoms exceed the bound: counted
+        # right, and not kept.
+        n = 1
+        while n + n * n <= counting._KEY_TABLES_MAX_ATOMS:
+            n += 1
+        counting._key_tables.cache_clear()
+        t = theory("forall x forall y (R(x) | F(x,y))")
+        assert wfomc(t, Domain.of_size(n), engine="dpll") == (2 ** n + 1) ** n
+        assert counting._key_tables.cache_info().currsize == 0
+        # One constant fewer fits, and is kept.
+        assert wfomc(t, Domain.of_size(n - 1), engine="dpll") == (2 ** (n - 1) + 1) ** (n - 1)
+        assert counting._key_tables.cache_info().currsize == 1
 
     def test_shared_layout_keeps_each_weighting(self):
         # A-B-A over one layout: a memo carried from one weighting to the

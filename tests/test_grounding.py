@@ -76,9 +76,6 @@ class TestHerbrandBase:
         assert len(atoms) == len(base) == len(set(atoms))
         for i, a in enumerate(atoms):
             assert base.atom_index(a) == i
-            block, positions = base.locate(i)
-            assert base.blocks[block][0] == a.pred
-            assert tuple(base.constants[p] for p in positions) == a.args
         assert atoms[-1] == Atom(PredicateSig("Sk0", 1), (Constant("C"),))
 
     @pytest.mark.parametrize("text", ["R(A)", "S(A,A)", "S(D)", "F(A,D)"])
