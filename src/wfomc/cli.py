@@ -120,6 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_theory(path: Path) -> tuple[WeightedTheory, Domain | None]:
+    """The theory of a .fol, .mln or .plp file and its declared domain (a
+    .fol file's, else None)."""
     text = path.read_text(encoding="utf-8")
     suffix = path.suffix.lower()
     if suffix == ".fol":
@@ -131,24 +133,16 @@ def _load_theory(path: Path) -> tuple[WeightedTheory, Domain | None]:
     raise WfomcError(f"unknown input format {suffix!r} (expected .fol, .mln or .plp)")
 
 
-def _load_encoding(path: Path, mode: str | None) -> WfomcEncoding:
-    text = path.read_text(encoding="utf-8")
-    suffix = path.suffix.lower()
-    if suffix == ".mln":
-        if mode == "exact":
-            raise WfomcError("MLN weights are e^w; only float mode is available")
-        return encode_mln(parse_mln(text))
-    if suffix == ".plp":
-        enc = encode_problog(parse_problog(text))
-    elif suffix == ".fol":
-        theory, _ = parse_theory(text)
-        enc = WfomcEncoding(theory)
-    else:
-        raise WfomcError(f"unknown input format {suffix!r} (expected .fol, .mln or .plp)")
+def _load_encoding(path: Path, mode: str | None) -> tuple[WfomcEncoding, Domain | None]:
+    """The input as a counting problem for ``prob``, in ``mode``, and its
+    declared domain (``_load_theory``)."""
+    theory, declared = _load_theory(path)
+    if mode == "exact" and path.suffix.lower() == ".mln":
+        raise WfomcError("MLN weights are e^w; only float mode is available")
     if mode == "float":
-        pairs = {sig: (float(wt), float(wf)) for sig, (wt, wf) in enc.theory.weights.pairs.items()}
-        enc = WfomcEncoding(enc.theory.replace(weights=WeightFn(pairs, FLOAT)), enc.query_ready)
-    return enc
+        pairs = {sig: (float(wt), float(wf)) for sig, (wt, wf) in theory.weights.pairs.items()}
+        theory = theory.replace(weights=WeightFn(pairs, FLOAT))
+    return WfomcEncoding(theory), declared
 
 
 def _resolve_domain(args, theory: WeightedTheory, declared: Domain | None) -> Domain:
@@ -218,12 +212,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_prob(args) -> int:
-    enc = _load_encoding(args.input, args.mode)
+    enc, declared = _load_encoding(args.input, args.mode)
     query = _parse_query(args.query)
-    theory, declared = enc.theory, None
-    if args.input.suffix.lower() == ".fol":
-        _, declared = parse_theory(args.input.read_text(encoding="utf-8"))
-    d = _resolve_domain(args, theory, declared)
+    d = _resolve_domain(args, enc.theory, declared)
     value = query_probability(enc, d, query, engine=args.engine)
     if args.json:
         print(json.dumps(probability_json(value)))

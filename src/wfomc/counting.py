@@ -19,7 +19,7 @@ DPLL counts clauses, and ``tseitin_ground`` makes them at the first-order
 level: a sentence that reads as one clause, disjunctive quantifiers
 included, is instantiated from the Herbrand base layout; the others are
 Skolemized (the source paper's count-preserving step) and clausified before
-they are instantiated. No ground formula is built, and every atom, Skolem
+they are instantiated (``transform.clause_form``). No ground formula is built, and every atom, Skolem
 and definition atoms included, lies in the base layout, so the symmetric
 cache can rename all of them.
 
@@ -61,23 +61,19 @@ from .logic import (
     And,
     Atom,
     Domain,
-    Exists,
     FalseF,
-    ForAll,
     Formula,
     Iff,
     Implies,
     Not,
     Or,
     TrueF,
-    WeightFn,
     WeightedTheory,
     constants,
     free_vars,
     predicates,
-    strip_foralls,
 )
-from .transform import FreshNamer, clausify, operands, skolemize
+from .transform import clause_form, clause_walk
 
 DEFAULT_MAX_ATOMS = 26
 _BLOCK_BITS = 18  # assignments are enumerated in blocks of 2**_BLOCK_BITS
@@ -121,6 +117,7 @@ def compile_program(formula: Formula, base: HerbrandBase) -> Program:
     bit_of: dict[Atom, int] = {}
     ops: list[int] = []
     args: list[int] = []
+    binary = {And: K.OP_AND, Or: K.OP_OR, Implies: K.OP_IMP, Iff: K.OP_IFF}
 
     def emit(f: Formula) -> int:  # returns stack need of the subtree
         if isinstance(f, Atom):
@@ -144,7 +141,7 @@ def compile_program(formula: Formula, base: HerbrandBase) -> Program:
             ops.append(K.OP_NOT)
             args.append(0)
             return need
-        op = {And: K.OP_AND, Or: K.OP_OR, Implies: K.OP_IMP, Iff: K.OP_IFF}.get(type(f))
+        op = binary.get(type(f))
         if op is None:
             raise WfomcError(f"quantifier in ground formula: {type(f).__name__}")
         left = emit(f.left)
@@ -305,39 +302,6 @@ def weighted_models(g: GroundProblem, cap: int = 20):
 # Clause form
 
 
-def _clause_walk(s: Formula):
-    """Sentence ``s`` read as one clause: (signed atoms (atom, positive),
-    inner variables), True when a constant makes it a tautology, or None.
-
-    Below the leading universal prefix, literals are collected through the
-    connectives of a disjunction under their polarity (``operands``), so
-    ``S(x) & F(x,y) -> S(y)`` is the clause ``~S(x) | ~F(x,y) | S(y)``; a
-    ``true`` literal makes it a tautology and a ``false`` one drops out. A
-    disjunctive quantifier (``exists`` under positive polarity, ``forall``
-    under negative) whose variable the prefix does not bind is walked
-    through too, and its variable is inner: the clause of a binding of the
-    prefix holds the literals of every binding of the inner variables
-    (``clause_instances``). Any other operand gives None.
-    """
-    prefix, f = strip_foralls(s)
-    lits = []
-    inner = []
-    stack = [(f, True)]
-    while stack:
-        for g, pos in operands(*stack.pop(), False):
-            if isinstance(g, Atom):
-                lits.append((g, pos))
-            elif isinstance(g, (TrueF, FalseF)):
-                if isinstance(g, TrueF) == pos:
-                    return True
-            elif isinstance(g, Exists if pos else ForAll) and g.var not in prefix:
-                inner.append(g.var)
-                stack.append((g.body, pos))
-            else:
-                return None
-    return lits, inner
-
-
 def _add_instances(lits, inner, base: HerbrandBase, clauses: dict):
     """Add the ground instances of a clause to ``clauses``, numbered from
     the base layout. Instances that are tautologies are dropped; a clause
@@ -354,19 +318,6 @@ def _add_instances(lits, inner, base: HerbrandBase, clauses: dict):
                 clauses[c] = None
     else:
         clauses.update(dict.fromkeys(map(frozenset, instances)))
-
-
-def _read_clauses(sentences, base: HerbrandBase, clauses: dict) -> list:
-    """Add the instances of each sentence that reads as one clause
-    (``_clause_walk``) to ``clauses``; return the other sentences."""
-    rest = []
-    for s in sentences:
-        walked = _clause_walk(s)
-        if walked is None:
-            rest.append(s)
-        elif walked is not True:
-            _add_instances(*walked, base, clauses)
-    return rest
 
 
 def _clause_tuple(clauses: dict) -> tuple[frozenset[int], ...]:
@@ -386,49 +337,35 @@ def clauses_of(g: GroundProblem) -> list[frozenset[int]] | None:
     if g.clauses is not None:
         return list(g.clauses)
     clauses: dict[frozenset[int], None] = {}
-    if _read_clauses(g.sentences, g.base, clauses):
-        return None
+    for s in g.sentences:
+        walked = clause_walk(s)
+        if walked is None:
+            return None
+        if walked is not True:
+            _add_instances(*walked, g.base, clauses)
     return list(_clause_tuple(clauses))
 
 
 def tseitin_ground(g: GroundProblem) -> GroundProblem:
     """Clause form of a ground problem, with the same weighted count.
 
-    A problem already in clause form is returned as it is. No ground
-    formula is built: each sentence that reads as one clause
-    (``_clause_walk``) has its instances numbered from the base layout. The
-    other sentences are Skolemized together (``skolemize``, which keeps the
-    count), and each matrix that is still not one clause is put in clause
-    form at the first-order level (``transform.clausify``). The predicates
-    these steps add, Skolem predicates weighted (1, -1) and definitions
-    (1, 1), get names fresh against every predicate of the base and blocks
-    laid out after its own, so a query encoded over a theory's clause form
-    gets its predicates numbered after the theory's.
+    A problem already in clause form is returned as it is. The sentences
+    are put in clause form at the first-order level
+    (``transform.clause_form``), and each clause's instances are numbered
+    from the base layout, without a ground formula. The predicates that
+    clause form adds (Skolem predicates and definitions) get names fresh
+    against every predicate of the base and blocks laid out after its own,
+    so a query encoded over a theory's clause form gets its predicates
+    numbered after the theory's.
     """
     if g.clauses is not None:
         return g
-    base, weights = g.base, g.weights
+    form, added = clause_form(g.sentences, [sig for sig, _ in g.base.blocks])
+    base = g.base.appended(sig for sig, _ in added)
     clauses: dict[frozenset[int], None] = {}
-    rest = _read_clauses(g.sentences, base, clauses)
-    if rest:
-        known = {sig: (1, 1) for sig, _ in base.blocks}
-        # A weight for every predicate of the base reserves its name, so
-        # the names skolemize picks are fresh against all of them.
-        sk = skolemize(WeightedTheory(tuple(rest), WeightFn(known)))
-        namer = FreshNamer.for_theory(sk)
-        new = [sig for sig in sk.predicates() if sig not in known]
-        pending = []  # (literals, inner variables) per clause
-        for s in sk.sentences:
-            walked = _clause_walk(s)
-            if walked is None:
-                pending += [([(l, True) if isinstance(l, Atom) else (l.body, False) for l in c], ())
-                            for c in clausify(strip_foralls(s)[1], namer, new)]
-            elif walked is not True:
-                pending.append(walked)
-        base = base.appended(new)
-        weights += tuple(map(sk.weights.exact, new))
-        for lits, inner in pending:
-            _add_instances(lits, inner, base, clauses)
+    for lits, inner in form:
+        _add_instances(lits, inner, base, clauses)
+    weights = g.weights + tuple(pair for _, pair in added)
     return GroundProblem(base, weights, g.scalar, clauses=_clause_tuple(clauses))
 
 

@@ -508,29 +508,34 @@ class Domain:
 
 def standardize_apart(t: WeightedTheory) -> WeightedTheory:
     """Rename quantified variables so no name is bound twice in the theory."""
-    used: set[str] = set()
-    for s in t.sentences:
-        used |= free_vars(s)
+    used: set[str] = set()  # sentences have no free variables
+    return t.replace(sentences=tuple(rename_bound(s, used) for s in t.sentences))
 
-    def walk(f: Formula, ren: dict[str, str]) -> Formula:
-        if isinstance(f, Atom):
+
+def rename_bound(f: Formula, used: set[str]) -> Formula:
+    """``f`` with every quantified variable whose name is in ``used`` renamed
+    to a fresh ``name_k``; each binder's name is added to ``used``, so no
+    two binders of ``f`` share one either. ``used`` must hold the free
+    variables of ``f``."""
+
+    def walk(g: Formula, ren: dict[str, str]) -> Formula:
+        if isinstance(g, Atom):
             args = tuple(
                 Variable(ren[t_.name]) if isinstance(t_, Variable) and t_.name in ren else t_
-                for t_ in f.args
+                for t_ in g.args
             )
-            return Atom(f.pred, args)
-        if isinstance(f, QUANT):
-            name = f.var
+            return Atom(g.pred, args)
+        if isinstance(g, QUANT):
+            name = g.var
             if name in used:
-                name = _fresh_var(f.var, used)
+                name = _fresh_var(g.var, used)
             used.add(name)
             inner = dict(ren)
-            inner[f.var] = name
-            return type(f)(name, walk(f.body, inner))
-        kids = tuple(walk(c, ren) for c in children(f))
-        return with_children(f, kids)
+            inner[g.var] = name
+            return type(g)(name, walk(g.body, inner))
+        return with_children(g, tuple(walk(c, ren) for c in children(g)))
 
-    return t.replace(sentences=tuple(walk(s, {}) for s in t.sentences))
+    return walk(f, {})
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .logic import (
     TrueF,
     Variable,
     Weight,
+    WeightFn,
     WeightedTheory,
     bound_vars,
     children,
@@ -42,10 +43,9 @@ from .logic import (
     first_occurrence_vars,
     fold_or,
     free_vars,
-    is_literal,
     is_quantifier_free,
     negate,
-    predicates,
+    rename_bound,
     standardize_apart,
     strip_foralls,
     subformulas,
@@ -235,34 +235,8 @@ def _expand_quantified_iff(f: Formula, taken: set[str]) -> Formula:
     f = with_children(f, kids)
     if isinstance(f, Iff) and not is_quantifier_free(f):
         expanded = And(Implies(f.left, f.right), Implies(f.right, f.left))
-        return _rename_apart(expanded, taken)
+        return rename_bound(expanded, taken)
     return f
-
-
-def _rename_apart(f: Formula, used: set[str]) -> Formula:
-    used |= free_vars(f)
-
-    def walk(g: Formula, ren: dict[str, str]) -> Formula:
-        if isinstance(g, Atom):
-            args = tuple(
-                Variable(ren[a.name]) if isinstance(a, Variable) and a.name in ren else a
-                for a in g.args
-            )
-            return Atom(g.pred, args)
-        if isinstance(g, QUANT):
-            name = g.var
-            if name in used:
-                k = 1
-                while f"{g.var}_{k}" in used:
-                    k += 1
-                name = f"{g.var}_{k}"
-            used.add(name)
-            inner = dict(ren)
-            inner[g.var] = name
-            return type(g)(name, walk(g.body, inner))
-        return with_children(g, tuple(walk(c, ren) for c in children(g)))
-
-    return walk(f, {})
 
 
 def _pull(f: Formula) -> tuple[list, Formula]:
@@ -432,16 +406,10 @@ def _require_skolem(t: WeightedTheory, op: str):
 def to_cnf_distribute(t: WeightedTheory) -> WeightedTheory:
     """Distribute disjunctions over conjunctions; one sentence per clause."""
     _require_skolem(t, "to_cnf_distribute")
-    sentences: list[Formula] = []
-    for s in t.sentences:
-        _, matrix = strip_foralls(s)
-        for clause in _distribute(to_nnf(matrix)):
-            sentences.append(close_universally(_clause_formula(clause)))
-    out = t.replace(sentences=tuple(sentences))
-    return _account_dropped(t, out)
+    return _written(t, [c for s in t.sentences for c in _distribute(to_nnf(strip_foralls(s)[1]))])
 
 
-def _distribute(f: Formula) -> list[list[Formula]]:
+def _distribute(f: Formula) -> list[list[tuple[Atom, bool]]]:
     if isinstance(f, And):
         return _distribute(f.left) + _distribute(f.right)
     if isinstance(f, Or):
@@ -452,42 +420,11 @@ def _distribute(f: Formula) -> list[list[Formula]]:
         return []
     if isinstance(f, FalseF):
         return [[]]
-    if is_literal(f):
-        return [[f]]
+    if isinstance(f, Atom):
+        return [[(f, True)]]
+    if isinstance(f, Not) and isinstance(f.body, Atom):
+        return [[(f.body, False)]]
     raise WfomcError(f"matrix not in negation normal form: {type(f).__name__}")
-
-
-def _clause_formula(lits: list[Formula]) -> Formula:
-    seen: list[Formula] = []
-    for l in lits:
-        if l not in seen:
-            seen.append(l)
-    return fold_or(seen)
-
-
-def _push_scale(scale: list[ScaleFactor], base: Weight, nvars: int):
-    if base != 1:  # base 1 is a no-op for every domain size
-        scale.append(ScaleFactor(base, nvars))
-
-
-def _account_dropped(before: WeightedTheory, after: WeightedTheory,
-                     accounted=frozenset()) -> WeightedTheory:
-    """If a simplification erased a predicate, its atoms became unconstrained;
-    track the (wt + wf) per-grounding factor so counts stay comparable.
-    Predicates in ``accounted`` already have their factor in ``after``."""
-    gone = set()
-    for s in before.sentences:
-        gone |= predicates(s)
-    for s in after.sentences:
-        gone -= predicates(s)
-    gone -= accounted
-    if not gone:
-        return after
-    scale = list(after.scale)
-    for sig in sorted(gone, key=lambda p: (p.name, p.arity)):
-        wt, wf = before.weights.get(sig)
-        _push_scale(scale, wt + wf, sig.arity)
-    return after.replace(scale=tuple(scale))
 
 
 def to_cnf_tseitin(t: WeightedTheory, namer: FreshNamer | None = None) -> WeightedTheory:
@@ -499,20 +436,16 @@ def to_cnf_tseitin(t: WeightedTheory, namer: FreshNamer | None = None) -> Weight
     uniquely, so counts agree."""
     _require_skolem(t, "to_cnf_tseitin")
     namer = namer or FreshNamer.for_theory(t)
-    sentences: list[Formula] = []
     defs: list[PredicateSig] = []
-    for s in t.sentences:
-        _, matrix = strip_foralls(s)
-        for clause in _definitional_clauses(_drop_constants(matrix), namer, defs):
-            sentences.append(close_universally(_clause_formula(clause)))
-    out = t.replace(sentences=tuple(sentences),
-                    weights=t.weights.extended(dict.fromkeys(defs, (1, 1))))
-    return _account_dropped(t, out)
+    clauses = [c for s in t.sentences
+               for c in _definitional_clauses(_drop_constants(strip_foralls(s)[1]), namer, defs)]
+    return _written(t, clauses, weights=t.weights.extended(dict.fromkeys(defs, (1, 1))))
 
 
-def clausify(matrix: Formula, namer: FreshNamer, defs: list[PredicateSig]) -> list[list[Formula]]:
-    """Clauses (lists of literals) of a quantifier-free matrix that count as
-    it does over the same universal prefix.
+def clausify(matrix: Formula, namer: FreshNamer,
+             defs: list[PredicateSig]) -> list[list[tuple[Atom, bool]]]:
+    """Clauses (lists of (atom, positive) literals) of a quantifier-free
+    matrix that count as it does over the same universal prefix.
 
     ``true`` and ``false`` are dropped first. The matrix is then distributed
     when that gives no more clauses than it has literals, and otherwise
@@ -581,7 +514,7 @@ def _sizes(f: Formula) -> tuple[int, int, int]:
 
 
 def _definitional_clauses(m: Formula, namer: FreshNamer,
-                          defs: list[PredicateSig]) -> list[list[Formula]]:
+                          defs: list[PredicateSig]) -> list[list[tuple[Atom, bool]]]:
     """Clauses of a matrix without constants (or a lone constant), linear in
     its size.
 
@@ -599,9 +532,9 @@ def _definitional_clauses(m: Formula, namer: FreshNamer,
         return []
     if isinstance(m, FalseF):
         return [[]]
-    definitions: list[list[Formula]] = []
+    definitions: list[list[tuple[Atom, bool]]] = []
 
-    def literal(f: Formula, pos: bool) -> Formula:
+    def literal(f: Formula, pos: bool) -> tuple[Atom, bool]:
         """A literal equivalent to f, or to ~f when not ``pos``."""
         while isinstance(f, Not):
             f, pos = f.body, not pos
@@ -611,30 +544,35 @@ def _definitional_clauses(m: Formula, namer: FreshNamer,
             defs.append(d.pred)
             if isinstance(f, Iff):
                 a, b = literal(f.left, True), literal(f.right, True)
-                definitions.extend([[Not(d), negate(a), b], [Not(d), a, negate(b)],
-                                    [d, a, b], [d, negate(a), negate(b)]])
+                definitions.extend([[(d, False), _neg(a), b], [(d, False), a, _neg(b)],
+                                    [(d, True), a, b], [(d, True), _neg(a), _neg(b)]])
             elif isinstance(f, And):
                 lits = [literal(g, p) for g, p in operands(f, True, True)]
-                definitions.extend([Not(d), l] for l in lits)
-                definitions.append([d] + [negate(l) for l in lits])
+                definitions.extend([(d, False), l] for l in lits)
+                definitions.append([(d, True)] + [_neg(l) for l in lits])
             else:  # Or, Implies
                 lits = [literal(g, p) for g, p in operands(f, True, False)]
-                definitions.append([Not(d)] + lits)
-                definitions.extend([d, negate(l)] for l in lits)
+                definitions.append([(d, False)] + lits)
+                definitions.extend([(d, True), _neg(l)] for l in lits)
             f = d
-        return f if pos else Not(f)
+        return f, pos
 
     clauses = []
     for g, pos in operands(m, True, True):
         if isinstance(g, Iff):
             a, b = literal(g.left, True), literal(g.right, True)
             if pos:
-                clauses += [[negate(a), b], [a, negate(b)]]
+                clauses += [[_neg(a), b], [a, _neg(b)]]
             else:
-                clauses += [[a, b], [negate(a), negate(b)]]
+                clauses += [[a, b], [_neg(a), _neg(b)]]
         else:
             clauses.append([literal(h, p) for h, p in operands(g, pos, False)])
     return clauses + definitions
+
+
+def _neg(lit: tuple[Atom, bool]) -> tuple[Atom, bool]:
+    atom, positive = lit
+    return atom, not positive
 
 
 def operands(f: Formula, pos: bool, conjunctive: bool) -> list[tuple[Formula, bool]]:
@@ -661,13 +599,115 @@ def operands(f: Formula, pos: bool, conjunctive: bool) -> list[tuple[Formula, bo
 
 
 # ---------------------------------------------------------------------------
+# First-order clause form
+#
+# A literal is a pair (atom, positive) and a clause a list of literals, read
+# under the universal closure of its variables. ``clause_walk`` reads a
+# sentence as one clause, ``clause_form`` puts sentences in clause form, and
+# ``_written`` writes clauses back as the sentences of a theory.
+
+
+def clause_walk(s: Formula):
+    """Sentence ``s`` read as one clause: (literals, inner variables), True
+    when a constant makes it a tautology, or None.
+
+    Below the leading universal prefix, literals are collected through the
+    connectives of a disjunction under their polarity (``operands``), so
+    ``S(x) & F(x,y) -> S(y)`` is the clause ``~S(x) | ~F(x,y) | S(y)``; a
+    ``true`` literal makes it a tautology and a ``false`` one drops out. A
+    disjunctive quantifier (``exists`` under positive polarity, ``forall``
+    under negative) whose variable the prefix does not bind is walked
+    through too, and its variable is inner: the clause of a binding of the
+    prefix holds the literals of every binding of the inner variables
+    (``grounding.clause_instances``). Any other operand gives None.
+    """
+    prefix, f = strip_foralls(s)
+    lits = []
+    inner = []
+    stack = [(f, True)]
+    while stack:
+        for g, pos in operands(*stack.pop(), False):
+            if isinstance(g, Atom):
+                lits.append((g, pos))
+            elif isinstance(g, (TrueF, FalseF)):
+                if isinstance(g, TrueF) == pos:
+                    return True
+            elif isinstance(g, Exists if pos else ForAll) and g.var not in prefix:
+                inner.append(g.var)
+                stack.append((g.body, pos))
+            else:
+                return None
+    return lits, inner
+
+
+def clause_form(sentences, reserved) -> tuple[list, list]:
+    """The clauses of ``sentences`` as (literals, inner variables) pairs,
+    with the same weighted count, and the predicates added for them as
+    (predicate, exact weight pair) pairs.
+
+    Each sentence that reads as one clause (``clause_walk``) is that
+    clause. The others are Skolemized together (``skolemize``, which keeps
+    the count), and each matrix that is still not one clause is clausified
+    (``clausify``), without inner variables. The added predicates, Skolem
+    predicates weighted (1, -1) and definitions (1, 1), get names that
+    avoid the predicates ``reserved``. The clause-shaped sentences' clauses
+    come first, in order, then the Skolemized sentences'.
+    """
+    clauses, rest = [], []
+    for s in sentences:
+        walked = clause_walk(s)
+        if walked is None:
+            rest.append(s)
+        elif walked is not True:
+            clauses.append(walked)
+    if not rest:
+        return clauses, []
+    # A weight for every reserved predicate reserves its name, so the names
+    # skolemize picks are fresh against all of them.
+    known = dict.fromkeys(reserved, (1, 1))
+    sk = skolemize(WeightedTheory(tuple(rest), WeightFn(known)))
+    namer = FreshNamer.for_theory(sk)
+    new = [sig for sig in sk.predicates() if sig not in known]
+    for s in sk.sentences:
+        walked = clause_walk(s)
+        if walked is None:
+            clauses += [(c, ()) for c in clausify(strip_foralls(s)[1], namer, new)]
+        elif walked is not True:
+            clauses.append(walked)
+    return clauses, [(sig, sk.weights.exact(sig)) for sig in new]
+
+
+def _written(t: WeightedTheory, clauses, weights: WeightFn | None = None,
+             scale: list[ScaleFactor] | None = None, accounted=frozenset()) -> WeightedTheory:
+    """``t`` with one sentence per clause, its universal closure with each
+    repeated literal written once, and ``weights`` and ``scale`` if given.
+
+    A predicate of ``t`` that no clause mentions has unconstrained atoms:
+    its (wt + wf) factor per grounding enters the scale, so counts stay
+    comparable, unless ``accounted`` names it (its factor is in ``scale``).
+    """
+    sentences, mentioned = [], set()
+    for c in clauses:
+        lits = dict.fromkeys(c)
+        mentioned.update(atom.pred for atom, _ in lits)
+        sentences.append(close_universally(fold_or([atom if positive else Not(atom)
+                                                    for atom, positive in lits])))
+    scale = list(t.scale if scale is None else scale)
+    for sig in t.predicates():  # sorted by (name, arity)
+        if sig not in mentioned and sig not in accounted:
+            wt, wf = t.weights.get(sig)
+            _push_scale(scale, wt + wf, sig.arity)
+    return t.replace(sentences=tuple(sentences), scale=tuple(scale),
+                     weights=t.weights if weights is None else weights)
+
+
+def _push_scale(scale: list[ScaleFactor], base: Weight, nvars: int):
+    if base != 1:  # base 1 is a no-op for every domain size
+        scale.append(ScaleFactor(base, nvars))
+
+
+# ---------------------------------------------------------------------------
 # First-order unit propagation
-
-
-@dataclass(frozen=True)
-class _Lit:
-    positive: bool
-    atom: Atom
 
 
 def _matches(pattern: Atom, occurrence: Atom) -> bool:
@@ -688,24 +728,6 @@ def _matches(pattern: Atom, occurrence: Atom) -> bool:
     return True
 
 
-def _clause_of(matrix: Formula) -> list[_Lit]:
-    """The literals of a clause, in document order."""
-    lits: list[_Lit] = []
-    stack = [matrix]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, Or):
-            stack.append(f.right)
-            stack.append(f.left)
-        elif isinstance(f, Atom):
-            lits.append(_Lit(True, f))
-        elif isinstance(f, Not) and isinstance(f.body, Atom):
-            lits.append(_Lit(False, f.body))
-        else:
-            raise WfomcError("unit propagation expects a clausal theory")
-    return lits
-
-
 def _all_distinct_vars(a: Atom) -> bool:
     names = [t.name for t in a.args if isinstance(t, Variable)]
     return len(names) == len(a.args) and len(set(names)) == len(names)
@@ -714,20 +736,23 @@ def _all_distinct_vars(a: Atom) -> bool:
 def unit_propagate(t: WeightedTheory) -> WeightedTheory:
     """Simplify a clausal theory with its unit clauses, to fixpoint.
 
-    A unit whose arguments are distinct variables forces its predicate
-    everywhere; the predicate disappears and its weight enters the theory's
-    deferred scale. Partial units (ground or with repeated arguments) are
-    kept but still simplify subsumed occurrences. Deriving the empty clause
-    yields the unsatisfiable theory (count 0).
+    Each sentence must read as one clause without inner variables
+    (``clause_walk``). A unit whose arguments are distinct variables forces
+    its predicate everywhere; the predicate disappears and its weight
+    enters the theory's deferred scale. Partial units (ground or with
+    repeated arguments) are kept but still simplify subsumed occurrences.
+    Deriving the empty clause yields the unsatisfiable theory (count 0).
     """
-    clauses: list[list[_Lit]] = []
+    clauses: list[list[tuple[Atom, bool]]] = []
     for s in t.sentences:
-        _, matrix = strip_foralls(s)
-        if isinstance(matrix, TrueF):
+        walked = clause_walk(s)
+        if walked is True:
             continue
-        if isinstance(matrix, FalseF):
+        if walked is None or walked[1]:
+            raise WfomcError("unit propagation expects a clausal theory")
+        if not walked[0]:
             return t.replace(sentences=(FALSE,))
-        clauses.append(_clause_of(matrix))
+        clauses.append(walked[0])
 
     scale = list(t.scale)
     forced: set[PredicateSig] = set()
@@ -738,37 +763,33 @@ def unit_propagate(t: WeightedTheory) -> WeightedTheory:
         for ui, unit in enumerate(clauses):
             if len(unit) != 1:
                 continue
-            lit = unit[0]
-            new_clauses: list[list[_Lit]] = []
+            atom, positive = unit[0]
+            forcing = _all_distinct_vars(atom)  # then the unit goes too
+            new_clauses: list[list[tuple[Atom, bool]]] = []
             for j, c in enumerate(clauses):
                 if j == ui:
-                    new_clauses.append(c)
+                    if not forcing:
+                        new_clauses.append(c)
                     continue
-                if any(l.positive == lit.positive and _matches(lit.atom, l.atom) for l in c):
+                if any(p == positive and _matches(atom, a) for a, p in c):
                     changed = True
                     continue  # satisfied by the unit
-                kept = [l for l in c
-                        if not (l.positive != lit.positive and _matches(lit.atom, l.atom))]
+                kept = [(a, p) for a, p in c if not (p != positive and _matches(atom, a))]
                 if len(kept) != len(c):
                     changed = True
                     if not kept:
                         return t.replace(sentences=(FALSE,), scale=tuple(scale))
                 new_clauses.append(kept)
             clauses = new_clauses
-            if _all_distinct_vars(lit.atom):
-                wt, wf = t.weights.get(lit.atom.pred)
-                _push_scale(scale, wt if lit.positive else wf, lit.atom.pred.arity)
-                forced.add(lit.atom.pred)
-                clauses = [c for k, c in enumerate(clauses) if k != ui]
+            if forcing:
+                wt, wf = t.weights.get(atom.pred)
+                _push_scale(scale, wt if positive else wf, atom.pred.arity)
+                forced.add(atom.pred)
                 changed = True
             if changed:
                 break  # restart with the updated clause list
 
-    sentences = tuple(
-        close_universally(fold_or([l.atom if l.positive else Not(l.atom) for l in c]))
-        for c in clauses
-    )
-    return _account_dropped(t, t.replace(sentences=sentences, scale=tuple(scale)), forced)
+    return _written(t, clauses, scale=scale, accounted=forced)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,17 @@ class TestProb:
         code, _, err = run(capsys, "prob", SAMPLES / "employment.mln",
                            "--query", "Boss(A)", "--domain", "A", "--mode", "exact")
         assert code == 2
+        assert err == "error: MLN weights are e^w; only float mode is available\n"
+
+    def test_fol_file_is_parsed_once_with_its_domain(self, capsys, monkeypatch, tmp_path):
+        f = tmp_path / "t.fol"
+        f.write_text("domain A, B\nforall x (P(x) | Q(x))\n")
+        calls = []
+        parse = cli.parse_theory
+        monkeypatch.setattr(cli, "parse_theory", lambda text: calls.append(text) or parse(text))
+        code, out, _ = run(capsys, "prob", f, "--query", "P(A)", "--mode", "exact")
+        assert code == 0 and out == "2/3\n"
+        assert len(calls) == 1
 
     def test_json_probability(self, capsys):
         code, out, _ = run(capsys, "prob", SAMPLES / "workshop.plp",
@@ -338,3 +350,34 @@ class TestExitCodes:
         code, _, err = run(capsys, "prob", f, "--query", "p", "--domain-size", "1")
         assert code == 2
         assert "cycle" in err
+
+
+def _readme_commands():
+    """The ``wfomc ...`` lines of README's "Command line" block, as
+    (argv, pinned output or None); ``check`` is left to test_acceptance."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    out = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        if argv[:1] != ["wfomc"] or argv[1] == "check":
+            continue
+        pinned = comment.strip()[3:].strip() if comment.strip().startswith("->") else None
+        out.append(pytest.param(argv[1:], pinned, id=" ".join(argv[1:])))
+    return out
+
+
+class TestReadme:
+    def test_the_block_is_read(self):
+        pinned = [p.values[1] for p in _readme_commands()]
+        assert len(pinned) == 7
+        assert [p for p in pinned if p] == ["48"]
+
+    @pytest.mark.parametrize("argv,pinned", _readme_commands())
+    def test_command_runs(self, capsys, monkeypatch, argv, pinned):
+        monkeypatch.chdir(ROOT)
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        if pinned is not None:
+            assert out.strip() == pinned

@@ -19,7 +19,6 @@ from wfomc.encoders import _eval_ground, encode_mln, encode_problog, query_proba
 from wfomc.errors import CapExceededError, WfomcError
 from wfomc.frontends import parse_mln, parse_problog
 from wfomc.counting import (
-    _clause_walk,
     clauses_of,
     compile_program,
     export_dimacs,
@@ -51,7 +50,7 @@ from wfomc.logic import (
     fold_or,
 )
 from wfomc.propcheck import GenConfig, gen_theory
-from wfomc.transform import skolemize, to_cnf_distribute
+from wfomc.transform import clause_walk, skolemize, to_cnf_distribute
 
 from perfbench.workloads import SMOKERS_WEIGHTS, mln_boss_probability, smokers_count
 
@@ -656,7 +655,7 @@ def _formula_clauses(g):
         if isinstance(f, And):
             stack += [f.left, f.right]
             continue
-        walked = _clause_walk(f)
+        walked = clause_walk(f)
         if walked is None:
             return None
         if walked is not True:

@@ -17,6 +17,7 @@ from wfomc.logic import (
     WeightedTheory,
     classify_normal_form,
     free_vars,
+    rename_bound,
     standardize_apart,
     subformulas,
     substitute,
@@ -153,6 +154,12 @@ class TestStandardizeApart:
         # the inner atom refers to the renamed variable
         q_atom = [g for g in subformulas(inner) if isinstance(g, Atom)][0]
         assert q_atom.args[0] == Variable(inner.var)
+
+    def test_rename_bound_avoids_used_names(self):
+        used = {"x", "y"}
+        out = rename_bound(formula("(forall x P(x)) & (exists x Q(x,y))"), used)
+        assert out == formula("(forall x_1 P(x_1)) & (exists x_2 Q(x_2,y))")
+        assert used == {"x", "y", "x_1", "x_2"}
 
     def test_preserves_counts_on_small_domains(self):
         from wfomc.counting import wfomc

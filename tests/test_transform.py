@@ -7,8 +7,10 @@ from wfomc.counting import wfomc, weighted_models
 from wfomc.errors import WfomcError
 from wfomc.grounding import ground
 from wfomc.logic import (
+    Atom,
     Domain,
     PredicateSig,
+    ScaleFactor,
     classify_normal_form,
     predicates,
     standardize_apart,
@@ -17,6 +19,7 @@ from wfomc.logic import (
 from wfomc.propcheck import GenConfig, gen_theory
 from wfomc.transform import (
     FreshNamer,
+    clause_form,
     eliminate_one,
     internal_quantifier_count,
     next_internal_site,
@@ -373,6 +376,90 @@ class TestUnitPropagate:
     def test_requires_clausal_theory(self):
         with pytest.raises(WfomcError, match="clausal"):
             unit_propagate(theory("P(A) <-> Q(A)"))
+
+    def test_inner_quantified_variable_is_not_clausal(self):
+        with pytest.raises(WfomcError, match="clausal"):
+            unit_propagate(theory("forall x exists y R(x,y)"))
+
+    @pytest.mark.parametrize("text", [
+        "weight S 1 2 3\nforall x S(x)\nforall x (S(x) -> Q(x))",
+        "weight P 1 1/2 2\nforall x P(x)\nforall x ~(P(x) & Q(x))",
+        "weight Q 1 3 -1\nforall x (P(x) | false | Q(x))\nforall x ~P(x)",
+        "weight R 1 2 5\nforall x (R(x) | true)\nforall x (P(x) | Q(x))",
+    ])
+    def test_reads_every_clause_shape(self, text):
+        # An implication, a negated conjunction and clauses with constants
+        # are clauses too; counts equal brute force on the input.
+        t = theory(text)
+        out = unit_propagate(t)
+        for n in (1, 2, 3):
+            d = Domain.of_size(n)
+            assert wfomc(out, d) == wfomc(t, d)
+
+    def test_tautology_predicate_drops_into_the_scale(self):
+        t = theory("weight R 1 2 5\nforall x (R(x) | true)\nforall x (P(x) | Q(x))")
+        out = unit_propagate(t)
+        assert PredicateSig("R", 1) not in out.predicates()
+        assert out.scale == (ScaleFactor(7, 1),)
+
+    @pytest.mark.parametrize("text", [
+        "weight P 1 2 1\nforall x (P(x) | Q(x))\nforall x P(x)",
+        "forall x (P(x) | Q(x))\nforall x P(x)\nforall x (R(x) | S(x))",
+    ])
+    def test_unit_after_a_clause_it_satisfies(self, text):
+        # The unit is forced once, and the clauses after it all stay.
+        t = theory(text)
+        out = unit_propagate(t)
+        for n in (1, 2, 3):
+            d = Domain.of_size(n)
+            assert wfomc(out, d) == wfomc(t, d)
+
+    def test_repeated_literal_is_written_once(self):
+        out = unit_propagate(theory("forall x (P(x) | P(x) | Q(x))"))
+        assert out.sentences == theory("forall x (P(x) | Q(x))").sentences
+
+
+class TestClauseForm:
+    TEXT = ("forall x (P(x) -> Q(x))\n"
+            "forall x exists y (R(x,y) & Q(y))\n"
+            "exists y P(y)\n"
+            "forall x (P(x) <-> (Q(x) <-> R(x,x)))")
+    RESERVED = (PredicateSig("Sk0", 0), PredicateSig("D0", 2))
+
+    def form(self):
+        t = theory(self.TEXT)
+        return clause_form(t.sentences, t.predicates() + self.RESERVED)
+
+    def test_literals_are_atom_sign_pairs(self):
+        clauses, _ = self.form()
+        for lits, _ in clauses:
+            assert lits and all(isinstance(a, Atom) and isinstance(p, bool) for a, p in lits)
+
+    def test_clause_shaped_sentences_come_first(self):
+        clauses, _ = self.form()
+        p, q = formula("P(x)"), formula("Q(x)")
+        assert clauses[0] == ([(p, False), (q, True)], [])
+        assert clauses[1] == ([(formula("P(y)"), True)], ["y"])
+        # Then the Skolemized sentences': the cancellation clause of the
+        # existential, and the definitional clauses of the biconditional.
+        assert [a.pred.name for a, _ in clauses[2][0]] == ["Sk1", "R", "Q"]
+        assert len(clauses) == 2 + 1 + 6
+        assert all(not inner for _, inner in clauses[2:])
+
+    def test_added_predicates_and_their_weights(self):
+        _, added = self.form()
+        assert [sig.name for sig, _ in added] == ["Sk1", "D1"]
+        weights = dict(added)
+        assert weights[PredicateSig("Sk1", 1)] == (1, -1)
+        assert weights[PredicateSig("D1", 1)] == (1, 1)
+        reserved = {sig.name for sig in theory(self.TEXT).predicates() + self.RESERVED}
+        assert reserved.isdisjoint(sig.name for sig, _ in added)
+
+    def test_clause_shaped_input_adds_nothing(self):
+        t = theory("forall x (P(x) | ~Q(x))\nexists y P(y)\nforall x (Q(x) | true)")
+        clauses, added = clause_form(t.sentences, t.predicates())
+        assert added == []
+        assert len(clauses) == 2
 
 
 class TestSizeBound:
