@@ -72,13 +72,13 @@ class HerbrandBase:
         and per variable, in order of first occurrence, the index step of
         binding it to the next one. Raises ``WfomcError`` for an atom whose
         predicate has no block or whose constant is not in the base."""
-        for sig, i in self.blocks:
-            if sig == atom.pred:
-                break
-        else:
+        if "_first" not in self.__dict__:  # per predicate, its block's first index
+            object.__setattr__(self, "_first", dict(self.blocks))
+        i = self._first.get(atom.pred)
+        if i is None:
             raise WfomcError(f"ground atom {atom} not in the Herbrand base")
         steps: dict[str, int] = {}
-        for arg, stride in zip(atom.args, self.strides(sig.arity)):
+        for arg, stride in zip(atom.args, self.strides(atom.pred.arity)):
             if isinstance(arg, Variable):
                 steps[arg.name] = steps.get(arg.name, 0) + stride
             elif arg in self.constants:

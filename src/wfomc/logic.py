@@ -194,14 +194,7 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset(t.name for t in f.args if isinstance(t, Variable))
-    if isinstance(f, QUANT):
-        return free_vars(f.body) - {f.var}
-    out: frozenset[str] = frozenset()
-    for c in children(f):
-        out |= free_vars(c)
-    return out
+    return frozenset(first_occurrence_vars(f))
 
 
 def bound_vars(f: Formula) -> set[str]:
@@ -266,21 +259,30 @@ def close_universally(f: Formula, order: tuple[str, ...] | None = None) -> Formu
 
 
 def first_occurrence_vars(f: Formula) -> tuple[str, ...]:
-    """Free variables of ``f`` in order of first (preorder) occurrence."""
-    seen: list[str] = []
+    """Free variables of ``f`` in order of first (preorder) occurrence.
 
-    def walk(g: Formula, bound: frozenset[str]):
-        if isinstance(g, Atom):
+    One walk over an explicit stack, so a long fold needs no recursion; a
+    quantifier pushes ``None`` under its body, which unbinds its variable
+    once the body is done.
+    """
+    seen: dict[str, None] = {}
+    bound: list[str] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g is None:
+            bound.pop()
+        elif isinstance(g, Atom):
             for t in g.args:
-                if isinstance(t, Variable) and t.name not in bound and t.name not in seen:
-                    seen.append(t.name)
+                if isinstance(t, Variable) and t.name not in bound:
+                    seen[t.name] = None
+        elif isinstance(g, BINARY):
+            stack += (g.right, g.left)
+        elif isinstance(g, Not):
+            stack.append(g.body)
         elif isinstance(g, QUANT):
-            walk(g.body, bound | {g.var})
-        else:
-            for c in children(g):
-                walk(c, bound)
-
-    walk(f, frozenset())
+            bound.append(g.var)
+            stack += (None, g.body)
     return tuple(seen)
 
 

@@ -46,6 +46,9 @@ from .transform import (
     replace_at,
     skolemize,
     staged_elimination,
+    to_cnf_distribute,
+    to_cnf_tseitin,
+    unit_propagate,
 )
 
 DEFAULT_WEIGHT_POOL = (
@@ -421,9 +424,19 @@ class SuiteResult:
     lines: list[str] = field(default_factory=list)
 
 
-def run_suite(seeds: int = 100, sizes=(1, 2), max_atoms: int | None = None,
-              modularity_samples: int = 1) -> SuiteResult:
-    """Soundness on every seed plus sampled modularity queries."""
+def _printed_cnf(t: WeightedTheory) -> WeightedTheory:
+    """What ``wfomc skolemize`` prints."""
+    return unit_propagate(to_cnf_distribute(skolemize(t)))
+
+
+def _printed_tseitin(t: WeightedTheory) -> WeightedTheory:
+    """What ``wfomc cnf --tseitin`` prints."""
+    return to_cnf_tseitin(skolemize(t))
+
+
+def run_suite(seeds: int = 100, sizes=(1, 2), max_atoms: int | None = None) -> SuiteResult:
+    """Per seed: soundness of the elimination, one sampled modularity query
+    where it is sound, and soundness of the clause forms the CLI prints."""
     lines = []
     checked = skipped = 0
     failures = 0
@@ -431,25 +444,26 @@ def run_suite(seeds: int = 100, sizes=(1, 2), max_atoms: int | None = None,
         cfg = GenConfig(seed=seed, domain_sizes=tuple(sizes))
         t = gen_theory(cfg)
         rep = check_soundness(t, sizes, max_atoms=max_atoms)
-        checked += rep.checked
-        skipped += rep.skipped
-        for c in rep.failures:
-            failures += 1
-            lines.append(f"FAIL soundness seed={seed} size={c.domain_size} "
-                         f"before={c.before} after={c.after}")
-            lines.append("  shrunk witness:")
-            for ln in serialize_theory(c.theory).strip().splitlines():
-                lines.append("    " + ln)
-        if modularity_samples and not rep.failures:
-            mrep = check_modularity(t, sizes, samples=modularity_samples,
-                                    rng=random.Random(seed), max_atoms=max_atoms)
-            checked += mrep.checked
-            skipped += mrep.skipped
-            for c in mrep.failures:
+        reports = [("soundness", rep)]
+        if rep.ok:
+            reports.append(("modularity", check_modularity(
+                t, sizes, samples=1, rng=random.Random(seed), max_atoms=max_atoms)))
+        for name, transform in (("cnf soundness", _printed_cnf),
+                                ("tseitin soundness", _printed_tseitin)):
+            reports.append((name, check_soundness(t, sizes, max_atoms=max_atoms,
+                                                  transform=transform)))
+        for name, report in reports:
+            checked += report.checked
+            skipped += report.skipped
+            for c in report.failures:
                 failures += 1
-                lines.append(f"FAIL modularity seed={seed} size={c.domain_size} "
-                             f"query={serialize_formula(c.query)} "
+                query = "" if c.query is None else f" query={serialize_formula(c.query)}"
+                lines.append(f"FAIL {name} seed={seed} size={c.domain_size}{query} "
                              f"before={c.before} after={c.after}")
+                if c.query is None:
+                    lines.append("  shrunk witness:")
+                    for ln in serialize_theory(c.theory).strip().splitlines():
+                        lines.append("    " + ln)
     lines.append(f"{checked} checks, {skipped} skipped (atom cap), {failures} failure(s)")
     if not checked:  # a run that checked nothing must not pass
         lines.append("nothing was checked: raise the atom cap or pick smaller sizes")

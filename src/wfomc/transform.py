@@ -125,37 +125,40 @@ class ElimSite:
     ys: tuple[str, ...]
 
 
-def _site_in(f: Formula, path: list[int], leading: bool) -> tuple[tuple[int, ...], Formula] | None:
+def _site_in(f: Formula, path: list[int],
+             leading: bool) -> tuple[tuple[int, ...], Formula, bool] | None:
     """First (preorder) quantifier below the leading prefix with a
-    quantifier-free body."""
-    if isinstance(f, QUANT):
-        if leading and isinstance(f, ForAll):
-            path.append(0)
-            found = _site_in(f.body, path, True)
-            path.pop()
-            return found
-        if is_quantifier_free(f.body):
-            return tuple(path), f
-        path.append(0)
-        found = _site_in(f.body, path, False)
-        path.pop()
-        return found
+    quantifier-free body, and whether only that prefix is above it."""
+    prefix = leading and isinstance(f, ForAll)
+    if isinstance(f, QUANT) and not prefix and is_quantifier_free(f.body):
+        return tuple(path), f, leading
     for i, c in enumerate(children(f)):
         path.append(i)
-        found = _site_in(c, path, False)
+        found = _site_in(c, path, prefix)
         path.pop()
         if found:
             return found
     return None
 
 
+def _next_site(sentences, i: int) -> tuple[ElimSite, bool] | None:
+    """The next site of ``sentences[i]``, and whether it is an existential
+    directly under the sentence's leading universals (the shortcut's
+    shape)."""
+    found = _site_in(sentences[i], [], True)
+    if found is None:
+        return None
+    path, node, leading = found
+    exists = isinstance(node, Exists)
+    site = ElimSite(i, path, "exists" if exists else "forall", node.var, first_occurrence_vars(node))
+    return site, leading and exists
+
+
 def next_internal_site(t: WeightedTheory) -> ElimSite | None:
-    for si, s in enumerate(t.sentences):
-        found = _site_in(s, [], True)
+    for i in range(len(t.sentences)):
+        found = _next_site(t.sentences, i)
         if found:
-            path, node = found
-            kind = "exists" if isinstance(node, Exists) else "forall"
-            return ElimSite(si, path, kind, node.var, first_occurrence_vars(node))
+            return found[0]
     return None
 
 
@@ -263,49 +266,48 @@ def _pull(f: Formula) -> tuple[list, Formula]:
 # The elimination step
 
 
-# The weights of a Skolem predicate are (1, -1). Weight pairs are written
-# exact here; ``WeightFn`` stores them in its own mode.
-_SKOLEM_WF = Fraction(-1)
+# The weight pairs of definition and Skolem predicates, exact; ``WeightFn``
+# stores them in its own mode.
+_DEFINITION = (Fraction(1), Fraction(1))
+_SKOLEM = (Fraction(1), Fraction(-1))
 
 
-def eliminate_one(t: WeightedTheory, site: ElimSite, namer: FreshNamer) -> WeightedTheory:
-    """One elimination: replace the quantified subexpression by a fresh atom
-    and append the three relaxation sentences with their weights.
+def _eliminate(sentences: list[Formula], weights: dict, site: ElimSite,
+               namer: FreshNamer, shortcut: bool):
+    """The elimination step, in place: the quantified subexpression at
+    ``site`` leaves ``sentences`` and the fresh predicates' weight pairs
+    enter ``weights``.
 
-    A universal site is first rewritten through double negation, so the
-    replacement atom appears negated and the appended disjuncts keep the
-    body's original polarity.
+    The subexpression is replaced by a fresh definition atom Z(ys),
+    weighted (1, 1), and three sentences are appended: Z | ~phi, S | Z and
+    S | ~phi, with S(ys) a cancellation predicate weighted (1, -1) and phi
+    the body. A universal site is first rewritten through double negation,
+    so Z appears negated and the appended disjuncts keep the body's
+    polarity. With ``shortcut``, for an existential directly under the
+    sentence's leading universals, the whole sentence is replaced by its
+    cancellation sentence S | ~phi and no Z is made.
     """
-    sentence = t.sentences[site.sentence_index]
-    node = formula_at(sentence, site.path)
+    i = site.sentence_index
+    node = formula_at(sentences[i], site.path)
     if not isinstance(node, QUANT) or node.var != site.var:
         raise WfomcError("stale elimination site: quantifier moved")
-
     ys = site.ys
     terms = tuple(Variable(v) for v in ys)
+    quantified = ys + (site.var,)
+    exists = isinstance(node, Exists)
+    disjunct = negate(node.body) if exists else node.body  # forall x, phi == ~exists x, ~phi
+    if shortcut:
+        s = Atom(namer.skolem(len(ys)), terms)
+        sentences[i] = _wrap(Or(s, disjunct), quantified)
+        weights[s.pred] = _SKOLEM
+        return
     z = Atom(namer.tseitin(len(ys)), terms)
     s = Atom(namer.skolem(len(ys)), terms)
-
-    if isinstance(node, Exists):
-        replacement: Formula = z
-        disjunct = negate(node.body)
-    else:
-        # forall x, phi  ==  ~exists x, ~phi
-        replacement = Not(z)
-        disjunct = node.body
-
-    replaced = replace_at(sentence, site.path, replacement)
-    quantified = ys + (site.var,)
-    appended = (
-        _wrap(Or(z, disjunct), quantified),
-        _wrap(Or(s, z), ys),
-        _wrap(Or(s, disjunct), quantified),
-    )
-    sentences = list(t.sentences)
-    sentences[site.sentence_index] = replaced
-    sentences.extend(appended)
-    weights = t.weights.extended({z.pred: (1, 1), s.pred: (1, _SKOLEM_WF)})
-    return t.replace(sentences=tuple(sentences), weights=weights)
+    sentences[i] = replace_at(sentences[i], site.path, z if exists else Not(z))
+    sentences += [_wrap(Or(z, disjunct), quantified), _wrap(Or(s, z), ys),
+                  _wrap(Or(s, disjunct), quantified)]
+    weights[z.pred] = _DEFINITION
+    weights[s.pred] = _SKOLEM
 
 
 def _wrap(body: Formula, vars_: tuple[str, ...]) -> Formula:
@@ -314,27 +316,26 @@ def _wrap(body: Formula, vars_: tuple[str, ...]) -> Formula:
     return body
 
 
-def _shortcut_step(t: WeightedTheory, site: ElimSite, namer: FreshNamer) -> WeightedTheory:
-    """Prefix-universal existential: skip the definition predicate entirely
-    and replace the whole sentence by the single cancellation sentence."""
-    sentence = t.sentences[site.sentence_index]
-    node = formula_at(sentence, site.path)
-    ys = site.ys
-    s = Atom(namer.skolem(len(ys)), tuple(Variable(v) for v in ys))
-    new_sentence = _wrap(Or(s, negate(node.body)), ys + (site.var,))
+def _eliminate_all(sentences: list[Formula], namer: FreshNamer, use_shortcut: bool) -> dict:
+    """Clear every internal quantifier of ``sentences`` in place, innermost
+    first, sentence by sentence; the sentences a step appends have none.
+    Returns the fresh predicates' weight pairs, in naming order."""
+    weights: dict = {}
+    for i in range(len(sentences)):
+        while (found := _next_site(sentences, i)) is not None:
+            site, prefix_exists = found
+            _eliminate(sentences, weights, site, namer, use_shortcut and prefix_exists)
+    return weights
+
+
+def eliminate_one(t: WeightedTheory, site: ElimSite, namer: FreshNamer) -> WeightedTheory:
+    """One elimination step (``_eliminate``, without the shortcut): the
+    quantified subexpression at ``site`` replaced by a fresh atom, and the
+    three relaxation sentences appended with their weights."""
     sentences = list(t.sentences)
-    sentences[site.sentence_index] = new_sentence
-    weights = t.weights.extended({s.pred: (1, _SKOLEM_WF)})
-    return t.replace(sentences=tuple(sentences), weights=weights)
-
-
-def _prefix_universal(t: WeightedTheory, site: ElimSite) -> bool:
-    f = t.sentences[site.sentence_index]
-    for _ in site.path:
-        if not isinstance(f, ForAll):
-            return False
-        f = f.body
-    return True
+    weights: dict = {}
+    _eliminate(sentences, weights, site, namer, shortcut=False)
+    return t.replace(sentences=tuple(sentences), weights=t.weights.extended(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +359,13 @@ def skolemize_full(t: WeightedTheory) -> WeightedTheory:
 
 
 def _skolemize(t: WeightedTheory, use_shortcut: bool) -> WeightedTheory:
-    t = standardize_apart(t)
-    namer = FreshNamer.for_theory(t)
-    while True:
-        site = next_internal_site(t)
-        if site is None:
-            return t
-        if use_shortcut and site.kind == "exists" and _prefix_universal(t, site):
-            t = _shortcut_step(t, site, namer)
-        else:
-            t = eliminate_one(t, site, namer)
+    """Bound variables renamed apart once, every sentence's sites cleared
+    in order by the elimination step (``_eliminate_all``), and one theory
+    and one weight function built from the result."""
+    used: set[str] = set()  # sentences have no free variables
+    sentences = [rename_bound(s, used) for s in t.sentences]
+    weights = _eliminate_all(sentences, FreshNamer.for_theory(t), use_shortcut)
+    return t.replace(sentences=tuple(sentences), weights=t.weights.extended(weights))
 
 
 def skolemize_prenex_shortcut(t: WeightedTheory) -> WeightedTheory:
@@ -377,7 +375,6 @@ def skolemize_prenex_shortcut(t: WeightedTheory) -> WeightedTheory:
     Requires every sentence to be in prenex form with all universals before
     the first existential; otherwise directs the caller to ``skolemize``.
     """
-    t = standardize_apart(t)
     for s in t.sentences:
         body = s
         seen_exists = False
@@ -427,7 +424,7 @@ def _distribute(f: Formula) -> list[list[tuple[Atom, bool]]]:
     raise WfomcError(f"matrix not in negation normal form: {type(f).__name__}")
 
 
-def to_cnf_tseitin(t: WeightedTheory, namer: FreshNamer | None = None) -> WeightedTheory:
+def to_cnf_tseitin(t: WeightedTheory) -> WeightedTheory:
     """Structure-preserving CNF: ``true`` and ``false`` are dropped from each
     matrix, then every conjunction or biconditional nested in a clause and
     every operand of a biconditional that is not a literal is named with a
@@ -435,7 +432,7 @@ def to_cnf_tseitin(t: WeightedTheory, namer: FreshNamer | None = None) -> Weight
     Output size is linear in the input; every model of the input extends
     uniquely, so counts agree."""
     _require_skolem(t, "to_cnf_tseitin")
-    namer = namer or FreshNamer.for_theory(t)
+    namer = FreshNamer.for_theory(t)
     defs: list[PredicateSig] = []
     clauses = [c for s in t.sentences
                for c in _definitional_clauses(_drop_constants(strip_foralls(s)[1]), namer, defs)]
@@ -646,12 +643,15 @@ def clause_form(sentences, reserved) -> tuple[list, list]:
     (predicate, exact weight pair) pairs.
 
     Each sentence that reads as one clause (``clause_walk``) is that
-    clause. The others are Skolemized together (``skolemize``, which keeps
-    the count), and each matrix that is still not one clause is clausified
-    (``clausify``), without inner variables. The added predicates, Skolem
-    predicates weighted (1, -1) and definitions (1, 1), get names that
-    avoid the predicates ``reserved``. The clause-shaped sentences' clauses
-    come first, in order, then the Skolemized sentences'.
+    clause. The others are Skolemized together by the step ``skolemize``
+    runs (``_eliminate_all``), without building a theory, and each matrix
+    that is still not one clause is clausified (``clausify``), without
+    inner variables. The added predicates, Skolem and definition
+    predicates of the elimination (sorted by name and arity) and then
+    clausify's definitions, get names that avoid the predicates
+    ``reserved``, which must include every predicate of ``sentences``. The
+    clause-shaped sentences' clauses come first, in order, then the
+    Skolemized sentences'.
     """
     clauses, rest = [], []
     for s in sentences:
@@ -662,19 +662,18 @@ def clause_form(sentences, reserved) -> tuple[list, list]:
             clauses.append(walked)
     if not rest:
         return clauses, []
-    # A weight for every reserved predicate reserves its name, so the names
-    # skolemize picks are fresh against all of them.
-    known = dict.fromkeys(reserved, (1, 1))
-    sk = skolemize(WeightedTheory(tuple(rest), WeightFn(known)))
-    namer = FreshNamer.for_theory(sk)
-    new = [sig for sig in sk.predicates() if sig not in known]
-    for s in sk.sentences:
+    namer = FreshNamer({sig.name for sig in reserved})
+    used: set[str] = set()
+    rest = [rename_bound(s, used) for s in rest]
+    weights = _eliminate_all(rest, namer, use_shortcut=True)
+    new = sorted(weights, key=lambda sig: (sig.name, sig.arity))
+    for s in rest:
         walked = clause_walk(s)
         if walked is None:
             clauses += [(c, ()) for c in clausify(strip_foralls(s)[1], namer, new)]
         elif walked is not True:
             clauses.append(walked)
-    return clauses, [(sig, sk.weights.exact(sig)) for sig in new]
+    return clauses, [(sig, weights.get(sig, _DEFINITION)) for sig in new]
 
 
 def _written(t: WeightedTheory, clauses, weights: WeightFn | None = None,
@@ -803,7 +802,8 @@ class StagedElimination:
     isolate:     subexpression named by Z, full equivalence kept.
     split:       equivalence split into its two implications.
     feature:     forward implication replaced by an S-equivalence, S weighted (1, 0).
-    implication: S-equivalence weakened to an implication, S weighted (1, -1).
+    implication: S-equivalence weakened to an implication, S weighted (1, -1):
+                 the output of the elimination step (``eliminate_one``).
     """
 
     isolate: WeightedTheory
@@ -817,46 +817,43 @@ class StagedElimination:
 
 
 def staged_elimination(t: WeightedTheory, site: ElimSite) -> StagedElimination:
+    """The four stages of eliminating the existential at ``site`` of
+    ``standardize_apart(t)``, each with the count of ``t``. The last,
+    ``implication``, is the step ``skolemize`` runs (``_eliminate``, as
+    ``eliminate_one``), so the ladder certifies that step; the others are
+    built around its predicates Z and S."""
     if site.kind != "exists":
         raise WfomcError("staged elimination is defined for existential sites")
     t = standardize_apart(t)
-    namer = FreshNamer.for_theory(t)
-    sentence = t.sentences[site.sentence_index]
-    node = formula_at(sentence, site.path)
+    node = formula_at(t.sentences[site.sentence_index], site.path)
     if not isinstance(node, Exists) or node.var != site.var:
         raise WfomcError("stale elimination site: quantifier moved")
+    sentences = list(t.sentences)
+    weights: dict = {}
+    _eliminate(sentences, weights, site, FreshNamer.for_theory(t), shortcut=False)
+    implication = t.replace(sentences=tuple(sentences), weights=t.weights.extended(weights))
 
+    z_sig, s_sig = weights
     ys = site.ys
     terms = tuple(Variable(v) for v in ys)
-    z = Atom(namer.tseitin(len(ys)), terms)
-    s = Atom(namer.skolem(len(ys)), terms)
-
-    replaced = list(t.sentences)
-    replaced[site.sentence_index] = replace_at(sentence, site.path, z)
+    z, s = Atom(z_sig, terms), Atom(s_sig, terms)
+    replaced = tuple(sentences[:len(t.sentences)])
+    backward = sentences[len(t.sentences)]  # forall ys, x: Z | ~phi
 
     equivalence = _wrap(Iff(z, Exists(node.var, node.body)), ys)
     isolate = t.replace(
-        sentences=tuple(replaced) + (equivalence,),
-        weights=t.weights.extended({z.pred: (1, 1)}),
+        sentences=replaced + (equivalence,),
+        weights=t.weights.extended({z_sig: _DEFINITION}),
     )
 
     forward = _wrap(Exists(node.var, Or(Not(z), node.body)), ys)
-    backward = _wrap(Or(z, negate(node.body)), ys + (site.var,))
-    split = isolate.replace(sentences=tuple(replaced) + (forward, backward))
+    split = isolate.replace(sentences=replaced + (forward, backward))
 
     sigma = Exists(node.var, Or(Not(z), node.body))
     named = _wrap(Iff(s, sigma), ys)
     feature = split.replace(
-        sentences=tuple(replaced) + (named, backward),
-        weights=split.weights.extended({s.pred: (1, 0)}),
+        sentences=replaced + (named, backward),
+        weights=split.weights.extended({s_sig: (1, 0)}),
     )
 
-    implication = feature.replace(
-        sentences=tuple(replaced) + (_wrap(Or(s, z), ys),
-                                     _wrap(Or(s, negate(node.body)), ys + (site.var,)),
-                                     backward),
-        weights=feature.weights.extended({s.pred: (1, _SKOLEM_WF)}),
-    )
-
-    return StagedElimination(isolate, split, feature, implication,
-                             z.pred, s.pred, ys, sigma)
+    return StagedElimination(isolate, split, feature, implication, z_sig, s_sig, ys, sigma)

@@ -8,6 +8,8 @@ import pytest
 
 from wfomc import cli
 from wfomc.cli import main
+from wfomc.frontends import parse_theory, serialize_theory
+from wfomc.transform import skolemize, skolemize_full
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "samples"
@@ -49,6 +51,19 @@ class TestCount:
         code, out, err = run(capsys, "count", f, "--domain-size", "1200", "--engine", "dpll")
         assert code == 0, err
         assert int(out) == 2 ** 1200 - 1
+
+    @pytest.mark.parametrize("text,n,want", [
+        (" | ".join(f"P{i}" for i in range(5000)), 1, 2 ** 5000 - 1),
+        ("forall x (" + " | ".join(f"P{i}(x)" for i in range(3000)) + ")", 2,
+         (2 ** 3000 - 1) ** 2),
+    ], ids=["nullary-5000", "unary-3000"])
+    def test_long_clause_parses_and_counts_with_dpll(self, capsys, tmp_path, text, n, want):
+        # Validating the parsed theory must not recurse once per literal.
+        f = tmp_path / "long.fol"
+        f.write_text(text + "\n")
+        code, out, err = run(capsys, "count", f, "--domain-size", n, "--engine", "dpll")
+        assert code == 0, err
+        assert int(decimal.Decimal(out)) == want
 
     def test_disjunctive_quantifiers_count_with_dpll(self, capsys):
         # parents.fol reads as one clause per x, over all n^2 pairs (y, z).
@@ -105,6 +120,22 @@ class TestSkolemize:
         code, out, _ = run(capsys, "skolemize", SAMPLES / sample)
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
+
+    def test_golden_full_elimination_printed(self, capsys):
+        # The inner existential takes the full step, with definition Z0.
+        code, out, _ = run(capsys, "skolemize", "--no-propagate", SAMPLES / "parents.fol")
+        assert code == 0
+        assert out == (GOLDEN / "parents_skolemize_no_propagate.txt").read_text()
+
+    @pytest.mark.parametrize("transform,source,golden", [
+        # An internal universal: the double-negation branch, ~Z0 in place.
+        (skolemize, "weight P 1 2 -1\n(forall x P(x)) | Q(A)\n", "internal_forall_skolemize.txt"),
+        # No shortcut: the prefix existential takes the full step too.
+        (skolemize_full, (SAMPLES / "boss.fol").read_text(), "boss_skolemize_full.txt"),
+    ])
+    def test_golden_transforms(self, transform, source, golden):
+        out = transform(parse_theory(source)[0])
+        assert serialize_theory(out) == (GOLDEN / golden).read_text()
 
     def test_shortcut_flag_on_prenex_input(self, capsys):
         code, out, _ = run(capsys, "skolemize", SAMPLES / "boss.fol", "--shortcut")

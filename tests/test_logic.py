@@ -16,6 +16,8 @@ from wfomc.logic import (
     WeightFn,
     WeightedTheory,
     classify_normal_form,
+    first_occurrence_vars,
+    fold_or,
     free_vars,
     rename_bound,
     standardize_apart,
@@ -84,6 +86,15 @@ class TestFreeVars:
 
     def test_partially_quantified(self):
         assert free_vars(formula("exists y (WorksFor(x,y) | Boss(x))")) == {"x"}
+
+    def test_shadowed_variable_is_free_outside_its_binder(self):
+        f = formula("(exists x P(x)) & Q(y, x) | forall y R(y)")
+        assert first_occurrence_vars(f) == ("y", "x")
+
+    def test_long_fold_needs_no_recursion(self):
+        f = fold_or([Atom(PredicateSig(f"P{i}", 1), (Variable("x"),)) for i in range(5000)])
+        assert free_vars(f) == {"x"}
+        assert free_vars(ForAll("x", f)) == set()
 
 
 class TestSubstitute:

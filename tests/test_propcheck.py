@@ -6,6 +6,7 @@ from conftest import domain, formula, theory
 from wfomc.counting import wfomc
 from wfomc.errors import WfomcError
 from wfomc.logic import Exists, QUANT, predicates, standardize_apart, subformulas
+from wfomc import propcheck
 from wfomc.propcheck import (
     GenConfig,
     check_modularity,
@@ -230,3 +231,20 @@ class TestSuite:
         res = run_suite(seeds=25, sizes=(1, 2))
         assert res.ok
         assert "0 failure(s)" in res.lines[-1]
+
+    def test_printed_clause_forms_are_certified(self, monkeypatch):
+        # A unit propagation whose scale factors count twice (a forced
+        # unit's factor pushed twice did that) is caught on what
+        # ``wfomc skolemize`` prints, with a shrunk witness.
+        real = propcheck.unit_propagate
+
+        def doubled(t):
+            out = real(t)
+            return out.replace(scale=out.scale + out.scale[len(t.scale):])
+
+        monkeypatch.setattr(propcheck, "unit_propagate", doubled)
+        res = run_suite(seeds=50, sizes=(1, 2))
+        assert not res.ok
+        fails = [ln for ln in res.lines if ln.startswith("FAIL")]
+        assert fails and all(ln.startswith("FAIL cnf soundness ") for ln in fails)
+        assert "  shrunk witness:" in res.lines

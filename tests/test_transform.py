@@ -1,7 +1,9 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import transform_sweep
 from conftest import domain, formula, theory
 from wfomc.counting import wfomc, weighted_models
 from wfomc.errors import WfomcError
@@ -11,6 +13,7 @@ from wfomc.logic import (
     Domain,
     PredicateSig,
     ScaleFactor,
+    WeightedTheory,
     classify_normal_form,
     predicates,
     standardize_apart,
@@ -36,6 +39,16 @@ from wfomc.transform import (
 
 F6 = "forall x exists y (WorksFor(x,y) | Boss(x))"
 PARENTS = "forall x exists y exists z (Parents(x,y,z) | First(x))"
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def theories_built(monkeypatch) -> list:
+    """Records one entry per ``WeightedTheory`` built from now on."""
+    built = []
+    post_init = WeightedTheory.__post_init__
+    monkeypatch.setattr(WeightedTheory, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    return built
 
 
 def sizes(t):
@@ -162,6 +175,12 @@ class TestEliminateOne:
 
 
 class TestSkolemize:
+    def test_builds_one_theory(self, monkeypatch):
+        t = theory((SAMPLES / "parents.fol").read_text())
+        built = theories_built(monkeypatch)
+        out = skolemize(t)
+        assert built == [out]
+
     def test_output_is_skolem_normal_form(self):
         for text in (F6, PARENTS, "forall x (P(x) & exists y Q(y))"):
             out = skolemize(theory(text))
@@ -455,6 +474,14 @@ class TestClauseForm:
         reserved = {sig.name for sig in theory(self.TEXT).predicates() + self.RESERVED}
         assert reserved.isdisjoint(sig.name for sig, _ in added)
 
+    def test_skolemizes_without_building_a_theory(self, monkeypatch):
+        t = theory("forall x exists y (F(x,y) & G(y))")
+        built = theories_built(monkeypatch)
+        clauses, added = clause_form(t.sentences, t.predicates())
+        assert built == []
+        assert added == [(PredicateSig("Sk0", 1), (1, -1))]
+        assert [[a.pred.name for a, _ in lits] for lits, _ in clauses] == [["Sk0", "F", "G"]]
+
     def test_clause_shaped_input_adds_nothing(self):
         t = theory("forall x (P(x) | ~Q(x))\nexists y P(y)\nforall x (Q(x) | true)")
         clauses, added = clause_form(t.sentences, t.predicates())
@@ -507,9 +534,32 @@ class TestStagedElimination:
             assert wfomc(stages.feature, d) == want
             assert wfomc(stages.implication, d) == want
 
+    @pytest.mark.parametrize("text", [F6, (SAMPLES / "parents.fol").read_text()],
+                             ids=["employment", "parents"])
+    def test_last_stage_is_the_elimination_step(self, text):
+        t = theory(text)
+        std = standardize_apart(t)
+        site = next_internal_site(std)
+        stages = staged_elimination(t, site)
+        assert stages.implication == eliminate_one(std, site, FreshNamer.for_theory(std))
+
     def test_feature_stage_weights(self):
         t = standardize_apart(theory(F6))
         stages = staged_elimination(t, next_internal_site(t))
         assert stages.feature.weights.get(stages.s) == (1, 0)
         assert stages.implication.weights.get(stages.s) == (1, -1)
         assert stages.isolate.weights.get(stages.z) == (1, 1)
+
+
+class TestSweep:
+    def test_digests_every_output_kind(self, capsys):
+        digests = transform_sweep.sweep(range(3))
+        samples = len(list(SAMPLES.glob("*.fol")))
+        for kind in ("skolemize", "skolemize_full", "skolemize_prenex_shortcut",
+                     "next_internal_site", "clause_form", "to_cnf_distribute",
+                     "to_cnf_tseitin", "unit_propagate"):
+            assert digests[kind][0] == 3 + samples, kind
+        assert {"eliminate_one", "staged.isolate", "staged.implication"} <= set(digests)
+        assert transform_sweep.sweep(range(3)) == digests
+        assert transform_sweep.main(["--seeds", "3"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(digests)

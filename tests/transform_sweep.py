@@ -1,0 +1,116 @@
+"""Digest of every transform output over a fixed corpus of theories.
+
+Two checkouts of the package give equal digests exactly when their
+transforms give the same outputs on the corpus, so a refactor of
+``wfomc.transform`` is compared with its parent by running this script
+against each::
+
+    PYTHONPATH=src python tests/transform_sweep.py [--seeds N]
+
+The corpus is the ``gen_theory`` theories of seeds 0..N-1 (default 3000)
+with ``max_connective_depth=4`` and ``max_sentences=3``, then every
+``samples/*.fol``. Each output is serialized, or written as ``error: ...``
+where a transform rejects its input; per output kind the script prints the
+number of outputs and a sha256 of their serializations. The file name keeps
+pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+from wfomc.errors import WfomcError
+from wfomc.frontends import parse_theory, serialize_formula, serialize_theory
+from wfomc.logic import standardize_apart
+from wfomc.propcheck import GenConfig, gen_theory
+from wfomc.transform import (
+    FreshNamer,
+    clause_form,
+    eliminate_one,
+    next_internal_site,
+    skolemize,
+    skolemize_full,
+    skolemize_prenex_shortcut,
+    staged_elimination,
+    to_cnf_distribute,
+    to_cnf_tseitin,
+    unit_propagate,
+)
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def corpus(seeds):
+    """(label, theory) pairs: the generated theories, then the samples."""
+    for seed in seeds:
+        yield f"seed {seed}", gen_theory(GenConfig(seed=seed, max_connective_depth=4,
+                                                   max_sentences=3))
+    for path in sorted(SAMPLES.glob("*.fol")):
+        yield path.name, parse_theory(path.read_text())[0]
+
+
+def _clauses(form) -> str:
+    clauses, added = form
+    lines = [" | ".join(("" if pos else "~") + serialize_formula(a) for a, pos in lits)
+             + f"  inner {list(inner)}" for lits, inner in clauses]
+    lines += [f"added {sig} {wt} {wf}" for sig, (wt, wf) in added]
+    return "\n".join(lines)
+
+
+def outputs(t):
+    """(kind, serialization) of each transform of ``t``."""
+    out = {}
+
+    def record(kind, thunk, show=serialize_theory):
+        try:
+            out[kind] = show(thunk())
+        except WfomcError as e:
+            out[kind] = f"error: {e}"
+
+    record("skolemize", lambda: skolemize(t))
+    record("skolemize_full", lambda: skolemize_full(t))
+    record("skolemize_prenex_shortcut", lambda: skolemize_prenex_shortcut(t))
+    std = standardize_apart(t)
+    site = next_internal_site(std)
+    out["next_internal_site"] = repr(site)
+    if site is not None:
+        record("eliminate_one", lambda: eliminate_one(std, site, FreshNamer.for_theory(std)))
+        if site.kind == "exists":
+            stages = staged_elimination(t, site)
+            for stage in ("isolate", "split", "feature", "implication"):
+                out[f"staged.{stage}"] = serialize_theory(getattr(stages, stage))
+            out["staged.names"] = (f"{stages.z} {stages.s} {stages.ys} "
+                                   f"{serialize_formula(stages.sigma)}")
+    record("clause_form", lambda: clause_form(t.sentences, t.predicates()), _clauses)
+    record("to_cnf_distribute", lambda: to_cnf_distribute(skolemize(t)))
+    record("to_cnf_tseitin", lambda: to_cnf_tseitin(skolemize(t)))
+    record("unit_propagate", lambda: unit_propagate(to_cnf_distribute(skolemize(t))))
+    return out
+
+
+def sweep(seeds) -> dict[str, tuple[int, str]]:
+    """Per output kind, (number of outputs, sha256 of their serializations)."""
+    digests: dict[str, tuple[int, object]] = {}
+    for label, t in corpus(seeds):
+        for kind, text in outputs(t).items():
+            n, h = digests.get(kind) or (0, hashlib.sha256())
+            h.update(f"{label}\n{text}\n\0".encode())
+            digests[kind] = (n + 1, h)
+    return {kind: (n, h.hexdigest()) for kind, (n, h) in sorted(digests.items())}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, default=3000,
+                    help="number of generator seeds, from 0 (default 3000)")
+    args = ap.parse_args(argv)
+    for kind, (n, digest) in sweep(range(args.seeds)).items():
+        print(f"{kind:28} {n:6} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
