@@ -69,6 +69,7 @@ from .logic import (
     Or,
     TrueF,
     WeightedTheory,
+    children,
     constants,
     free_vars,
     predicates,
@@ -144,11 +145,13 @@ def compile_program(formula: Formula, base: HerbrandBase) -> Program:
         op = binary.get(type(f))
         if op is None:
             raise WfomcError(f"quantifier in ground formula: {type(f).__name__}")
-        left = emit(f.left)
-        right = emit(f.right)
-        ops.append(op)
-        args.append(0)
-        return max(left, 1 + right)
+        first, *rest = children(f)
+        need = emit(first)
+        for g in rest:  # a chain of k operands is k-1 binary ops
+            need = max(need, 1 + emit(g))
+            ops.append(op)
+            args.append(0)
+        return need
 
     need = emit(formula)
     return Program(

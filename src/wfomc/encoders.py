@@ -36,6 +36,7 @@ from .logic import (
     Weight,
     WeightFn,
     WeightedTheory,
+    _fresh_var,
     first_occurrence_vars,
     fold_and,
     fold_or,
@@ -150,9 +151,9 @@ def _eval_ground(f: Formula, world: set) -> bool:
     if isinstance(f, Not):
         return not _eval_ground(f.body, world)
     if isinstance(f, And):
-        return _eval_ground(f.left, world) and _eval_ground(f.right, world)
+        return all(_eval_ground(p, world) for p in f.parts)
     if isinstance(f, Or):
-        return _eval_ground(f.left, world) or _eval_ground(f.right, world)
+        return any(_eval_ground(p, world) for p in f.parts)
     if isinstance(f, Implies):
         return (not _eval_ground(f.left, world)) or _eval_ground(f.right, world)
     if isinstance(f, Iff):
@@ -275,14 +276,10 @@ def _rule_disjunct(rule: Rule, canon: tuple[str, ...]) -> Formula:
                 body_vars.append(t.name)
     # Body-only variables that collide with canonical names get renamed.
     taken = set(canon) | set(own) | set(body_vars)
-    for v in list(body_vars):
+    for i, v in enumerate(body_vars):
         if v in canon:
-            k = 1
-            while f"{v}_{k}" in taken:
-                k += 1
-            ren[v] = f"{v}_{k}"
-            taken.add(f"{v}_{k}")
-            body_vars[body_vars.index(v)] = f"{v}_{k}"
+            fresh = ren[v] = body_vars[i] = _fresh_var(v, taken)
+            taken.add(fresh)
 
     parts: list[Formula] = []
     for lit in rule.body:

@@ -44,6 +44,9 @@ from .logic import (
     Weight,
     WeightFn,
     WeightedTheory,
+    children,
+    fold_and,
+    fold_or,
     free_vars,
 )
 
@@ -214,18 +217,18 @@ class _Parser:
         return f
 
     def or_expr(self) -> Formula:
-        f = self.and_expr()
+        parts = [self.and_expr()]
         while self.at("SYM", "|"):
             self.next()
-            f = Or(f, self.and_expr())
-        return f
+            parts.append(self.and_expr())
+        return fold_or(parts)
 
     def and_expr(self) -> Formula:
-        f = self.unary()
+        parts = [self.unary()]
         while self.at("SYM", "&"):
             self.next()
-            f = And(f, self.unary())
-        return f
+            parts.append(self.unary())
+        return fold_and(parts)
 
     def unary(self) -> Formula:
         if self.at("SYM", "~"):
@@ -252,7 +255,7 @@ class _Parser:
         return self.fail("expected a formula")
 
     def atom(self) -> Atom:
-        name = self.next()
+        name = self.expect("IDENT")
         if name.text in _KEYWORDS:
             raise ParseError(f"{name.text!r} is reserved", name.line, name.col)
         args: list[Term] = []
@@ -521,12 +524,11 @@ def _fmt(f: Formula, ctx: int) -> str:
     lvl = _PREC[type(f)]
     sym = {Iff: "<->", Implies: "->", Or: "|", And: "&"}[type(f)]
     if isinstance(f, Implies):  # right-associative
-        left = _fmt(f.left, lvl + 1)
-        right = _fmt(f.right, lvl)
-    else:
-        left = _fmt(f.left, lvl)
-        right = _fmt(f.right, lvl + 1)
-    s = f"{left} {sym} {right}"
+        parts = [_fmt(f.left, lvl + 1), _fmt(f.right, lvl)]
+    else:  # <-> associates left; a chain of & or | is one node
+        first, *rest = children(f)
+        parts = [_fmt(first, lvl)] + [_fmt(g, lvl + 1) for g in rest]
+    s = f" {sym} ".join(parts)
     return f"({s})" if lvl < ctx else s
 
 

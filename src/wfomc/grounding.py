@@ -10,7 +10,6 @@ from typing import Iterator, Mapping
 
 from .errors import WfomcError
 from .logic import (
-    BINARY,
     FALSE,
     QUANT,
     And,
@@ -26,6 +25,7 @@ from .logic import (
     TrueF,
     Variable,
     WeightedTheory,
+    children,
     fold_and,
     fold_or,
 )
@@ -239,8 +239,9 @@ class _Grounder:
     variable, a vacuous quantifier) are dropped after flattening by id,
     keeping first occurrences in order: conjunction and disjunction are
     associative and idempotent, and this matches hand-written groundings.
-    Comparing ids also means no subtree is hashed or compared as a whole,
-    which for a left-deep fold would recurse once per domain constant.
+    Nodes are keyed by their child ids rather than by the ground formulas
+    themselves because that is faster: no subtree is hashed or compared as
+    a whole.
     """
 
     def __init__(self, constants: tuple[Constant, ...]):
@@ -282,12 +283,7 @@ class _Grounder:
             else:
                 env[f.var] = outer
             return self.fold(cls, parts)
-        if isinstance(f, Not):
-            kids = (self.instantiate(f.body, env),)
-        elif isinstance(f, BINARY):
-            kids = (self.instantiate(f.left, env), self.instantiate(f.right, env))
-        else:
-            kids = ()  # true or false
+        kids = tuple(self.instantiate(c, env) for c in children(f))
         return self._node(type(f), kids)
 
     def flatten(self, cls, i: int, parts: dict[int, None]):
@@ -296,17 +292,13 @@ class _Grounder:
         while stack:
             j = stack.pop()
             if isinstance(self.nodes[j], cls):
-                left, right = self.kids[j]
-                stack.append(right)
-                stack.append(left)
+                stack += reversed(self.kids[j])
             else:
                 parts[j] = None  # a repeat keeps its first position
 
     def fold(self, cls, parts) -> int:
-        """Left-deep fold of the ids in ``parts``; ``true``/``false`` if empty."""
-        out = None
-        for p in parts:
-            out = p if out is None else self._node(cls, (out, p))
-        if out is None:
-            return self._node(TrueF if cls is And else FalseF, ())
-        return out
+        """One ``cls`` node over the ids in ``parts``: the id itself if there
+        is one, ``true``/``false`` if none."""
+        if len(parts) > 1:
+            return self._node(cls, tuple(parts))
+        return next(iter(parts)) if parts else self._node(TrueF if cls is And else FalseF, ())

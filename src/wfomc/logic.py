@@ -77,15 +77,6 @@ class Variable(Term):
 class Formula:
     __slots__ = ()
 
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
-
 
 @dataclass(frozen=True)
 class Atom(Formula):
@@ -104,16 +95,26 @@ class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+@dataclass(frozen=True, init=False)
+class Junction(Formula):
+    """An n-ary connective over ``parts``, two or more operands in order,
+    built as ``And(*parts)``. An operand of the same kind stays one
+    operand: the constructor does not splice nested nodes."""
+
+    parts: tuple[Formula, ...]
+
+    def __init__(self, *parts: Formula):
+        if len(parts) < 2:
+            raise WfomcError(f"{type(self).__name__} needs two or more operands")
+        object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(Junction):
+    """Conjunction of ``parts``."""
+
+
+class Or(Junction):
+    """Disjunction of ``parts``."""
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ class FalseF(Formula):
 TRUE = TrueF()
 FALSE = FalseF()
 
-BINARY = (And, Or, Implies, Iff)
+BINARY = (Implies, Iff)
 QUANT = (ForAll, Exists)
 
 
@@ -163,6 +164,8 @@ def atom(name: str, *args: Term) -> Atom:
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, Junction):
+        return f.parts
     if isinstance(f, BINARY):
         return (f.left, f.right)
     if isinstance(f, Not):
@@ -174,8 +177,8 @@ def children(f: Formula) -> tuple[Formula, ...]:
 
 def with_children(f: Formula, kids: tuple[Formula, ...]) -> Formula:
     """Rebuild ``f`` with the given child formulas."""
-    if isinstance(f, BINARY):
-        return type(f)(kids[0], kids[1])
+    if isinstance(f, (Junction, Implies, Iff)):
+        return type(f)(*kids)
     if isinstance(f, Not):
         return Not(kids[0])
     if isinstance(f, QUANT):
@@ -218,18 +221,11 @@ def is_literal(f: Formula) -> bool:
 
 
 def is_clause(f: Formula) -> bool:
-    """A clause is a disjunction of literals; the empty clause is ``false``."""
-    if isinstance(f, FalseF):
-        return True
+    """A clause is a disjunction of literals, nested or not; the empty
+    clause is ``false``."""
     if isinstance(f, Or):
-        return is_clause_nonempty(f)
-    return is_literal(f)
-
-
-def is_clause_nonempty(f: Formula) -> bool:
-    if isinstance(f, Or):
-        return is_clause_nonempty(f.left) and is_clause_nonempty(f.right)
-    return is_literal(f)
+        return all(is_clause(p) if isinstance(p, Or) else is_literal(p) for p in f.parts)
+    return isinstance(f, FalseF) or is_literal(f)
 
 
 def is_quantifier_free(f: Formula) -> bool:
@@ -261,9 +257,8 @@ def close_universally(f: Formula, order: tuple[str, ...] | None = None) -> Formu
 def first_occurrence_vars(f: Formula) -> tuple[str, ...]:
     """Free variables of ``f`` in order of first (preorder) occurrence.
 
-    One walk over an explicit stack, so a long fold needs no recursion; a
-    quantifier pushes ``None`` under its body, which unbinds its variable
-    once the body is done.
+    One walk over an explicit stack; a quantifier pushes ``None`` under its
+    body, which unbinds its variable once the body is done.
     """
     seen: dict[str, None] = {}
     bound: list[str] = []
@@ -276,32 +271,28 @@ def first_occurrence_vars(f: Formula) -> tuple[str, ...]:
             for t in g.args:
                 if isinstance(t, Variable) and t.name not in bound:
                     seen[t.name] = None
-        elif isinstance(g, BINARY):
-            stack += (g.right, g.left)
-        elif isinstance(g, Not):
-            stack.append(g.body)
         elif isinstance(g, QUANT):
             bound.append(g.var)
             stack += (None, g.body)
+        else:
+            stack += reversed(children(g))
     return tuple(seen)
 
 
 def fold_and(parts: list[Formula]) -> Formula:
-    if not parts:
-        return TRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    """One ``And`` of ``parts``: the part itself if there is one, ``true``
+    if none."""
+    if len(parts) > 1:
+        return And(*parts)
+    return parts[0] if parts else TRUE
 
 
 def fold_or(parts: list[Formula]) -> Formula:
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    """One ``Or`` of ``parts``: the part itself if there is one, ``false``
+    if none."""
+    if len(parts) > 1:
+        return Or(*parts)
+    return parts[0] if parts else FALSE
 
 
 def negate(f: Formula) -> Formula:

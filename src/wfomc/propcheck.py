@@ -24,6 +24,7 @@ from .logic import (
     Formula,
     Iff,
     Implies,
+    Junction,
     Not,
     Or,
     PredicateSig,
@@ -114,7 +115,10 @@ def gen_theory(cfg: GenConfig) -> WeightedTheory:
             if kind == 0:
                 return Not(gen(budget, dc - 1, scope))
             cls = (And, Or, Implies, Iff)[kind - 1]
-            return cls(gen(budget, dc - 1, scope), gen(budget, dc - 1, scope))
+            left, right = gen(budget, dc - 1, scope), gen(budget, dc - 1, scope)
+            if isinstance(left, cls) and cls in (And, Or):  # one node per chain, as parsed
+                return cls(*left.parts, right)
+            return cls(left, right)
         if must_quantify:  # out of quantifier budget and no usable predicate
             sig = min(sigs, key=lambda s: s.arity)
             v = fresh_var()
@@ -390,8 +394,9 @@ def _shrink_candidates(t: WeightedTheory):
 
 
 def _shrink_formula(f: Formula):
-    """Yield formulas with one node replaced by one of its children (or a
-    vacuous quantifier dropped)."""
+    """Yield formulas with one node replaced by one of its children, a
+    chain of three or more operands less one, or a vacuous quantifier
+    dropped."""
     for path, node in _paths(f):
         for smaller in _node_shrinks(node):
             yield replace_at(f, path, smaller)
@@ -404,14 +409,14 @@ def _paths(f: Formula, prefix: tuple[int, ...] = ()):
 
 
 def _node_shrinks(f: Formula):
-    if isinstance(f, (And, Or, Implies, Iff)):
-        yield f.left
-        yield f.right
-    elif isinstance(f, Not):
-        yield f.body
-    elif isinstance(f, QUANT):
+    if isinstance(f, QUANT):
         if f.var not in free_vars(f.body):
             yield f.body
+        return
+    if isinstance(f, Junction) and len(f.parts) > 2:
+        for i in reversed(range(len(f.parts))):
+            yield type(f)(*f.parts[:i], *f.parts[i + 1:])
+    yield from children(f)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ removes every non-leading quantifier in polynomially many steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import WfomcError
 from .logic import (
-    BINARY,
     FALSE,
+    NF_FO_CNF,
+    NF_SKOLEM,
     TRUE,
     And,
     Atom,
@@ -26,6 +28,7 @@ from .logic import (
     Formula,
     Iff,
     Implies,
+    Junction,
     Not,
     Or,
     PredicateSig,
@@ -41,6 +44,7 @@ from .logic import (
     classify_normal_form,
     close_universally,
     first_occurrence_vars,
+    fold_and,
     fold_or,
     free_vars,
     is_quantifier_free,
@@ -52,7 +56,7 @@ from .logic import (
     with_children,
 )
 
-NF_OK_FOR_CNF = ("skolem", "fo-cnf")
+NF_OK_FOR_CNF = (NF_SKOLEM, NF_FO_CNF)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +193,11 @@ def _nnf(f: Formula, pos: bool) -> Formula:
         return FALSE if pos else TRUE
     if isinstance(f, Not):
         return _nnf(f.body, not pos)
-    if isinstance(f, And):
-        cls = And if pos else Or
-        return cls(_nnf(f.left, pos), _nnf(f.right, pos))
-    if isinstance(f, Or):
-        cls = Or if pos else And
-        return cls(_nnf(f.left, pos), _nnf(f.right, pos))
+    if isinstance(f, Junction):
+        cls = type(f) if pos else (Or if isinstance(f, And) else And)
+        return cls(*[_nnf(p, pos) for p in f.parts])
     if isinstance(f, Implies):
-        if pos:
-            return Or(_nnf(f.left, False), _nnf(f.right, True))
-        return And(_nnf(f.left, True), _nnf(f.right, False))
+        return _nnf(Or(Not(f.left), f.right), pos)
     if isinstance(f, Iff):
         if pos:
             return And(
@@ -250,10 +249,9 @@ def _pull(f: Formula) -> tuple[list, Formula]:
         prefix, matrix = _pull(f.body)
         flipped = [(Exists if cls is ForAll else ForAll, v) for cls, v in prefix]
         return flipped, Not(matrix)
-    if isinstance(f, (And, Or)):
-        pl, ml = _pull(f.left)
-        pr, mr = _pull(f.right)
-        return pl + pr, type(f)(ml, mr)
+    if isinstance(f, Junction):
+        pulled = [_pull(p) for p in f.parts]
+        return [q for prefix, _ in pulled for q in prefix], type(f)(*[m for _, m in pulled])
     if isinstance(f, Implies):
         pl, ml = _pull(f.left)
         pr, mr = _pull(f.right)
@@ -408,11 +406,12 @@ def to_cnf_distribute(t: WeightedTheory) -> WeightedTheory:
 
 def _distribute(f: Formula) -> list[list[tuple[Atom, bool]]]:
     if isinstance(f, And):
-        return _distribute(f.left) + _distribute(f.right)
+        return [c for p in f.parts for c in _distribute(p)]
     if isinstance(f, Or):
-        left = _distribute(f.left)
-        right = _distribute(f.right)
-        return [l + r for l in left for r in right]
+        out = [[]]
+        for p in f.parts:
+            out = [l + r for l in out for r in _distribute(p)]
+        return out
     if isinstance(f, TrueF):
         return []
     if isinstance(f, FalseF):
@@ -457,26 +456,30 @@ def clausify(matrix: Formula, namer: FreshNamer,
 
 
 def _drop_constants(f: Formula) -> Formula:
-    """``f`` with every ``true`` and ``false`` simplified away: ``TRUE``,
-    ``FALSE`` or a formula without constants."""
+    """``f`` with every ``true`` and ``false`` simplified away and each
+    ``l -> r`` read as ``~l | r``: ``TRUE``, ``FALSE`` or a formula of
+    ``~``, ``&``, ``|`` and ``<->`` without constants."""
     if isinstance(f, Not):
         return _const_not(_drop_constants(f.body))
-    if not isinstance(f, BINARY):
-        return f
-    left, right = _drop_constants(f.left), _drop_constants(f.right)
     const = (TrueF, FalseF)
-    if not isinstance(left, const) and not isinstance(right, const):
-        return type(f)(left, right)
-    cls = type(f)
-    if cls is Implies:  # l -> r is ~l | r
-        cls, left = Or, _const_not(left)
-    if isinstance(right, const):  # &, | and <-> are symmetric
-        left, right = right, left
-    if cls is And:
-        return right if isinstance(left, TrueF) else FALSE
-    if cls is Or:
-        return TRUE if isinstance(left, TrueF) else right
-    return right if isinstance(left, TrueF) else _const_not(right)  # Iff
+    if isinstance(f, Iff):
+        left, right = _drop_constants(f.left), _drop_constants(f.right)
+        if isinstance(right, const):  # <-> is symmetric
+            left, right = right, left
+        if not isinstance(left, const):
+            return Iff(left, right)
+        return right if isinstance(left, TrueF) else _const_not(right)
+    if isinstance(f, Implies):
+        f = Or(Not(f.left), f.right)
+    if not isinstance(f, Junction):
+        return f
+    kept = []
+    for p in map(_drop_constants, f.parts):
+        if not isinstance(p, const):
+            kept.append(p)
+        elif isinstance(p, FalseF) == isinstance(f, And):
+            return p  # false in a conjunction, true in a disjunction
+    return fold_and(kept) if isinstance(f, And) else fold_or(kept)
 
 
 def _const_not(f: Formula) -> Formula:
@@ -489,7 +492,8 @@ def _const_not(f: Formula) -> Formula:
 
 def _sizes(f: Formula) -> tuple[int, int, int]:
     """(clauses of ``f`` distributed, clauses of ``~f`` distributed, literals
-    of ``f``), with both polarities counted in one pass."""
+    of ``f``) for ``f`` without ``->`` (``_drop_constants``), with both
+    polarities counted in one pass."""
     if isinstance(f, Atom):
         return 1, 1, 1
     if isinstance(f, TrueF):
@@ -499,15 +503,14 @@ def _sizes(f: Formula) -> tuple[int, int, int]:
     if isinstance(f, Not):
         pos, neg, k = _sizes(f.body)
         return neg, pos, k
-    lp, ln, lk = _sizes(f.left)
-    rp, rn, rk = _sizes(f.right)
+    if isinstance(f, Iff):
+        lp, ln, lk = _sizes(f.left)
+        rp, rn, rk = _sizes(f.right)
+        return ln * rp + lp * rn, lp * rp + ln * rn, lk + rk
+    pos, neg, k = zip(*map(_sizes, f.parts))
     if isinstance(f, And):
-        return lp + rp, ln * rn, lk + rk
-    if isinstance(f, Or):
-        return lp * rp, ln + rn, lk + rk
-    if isinstance(f, Implies):
-        return ln * rp, lp + rn, lk + rk
-    return ln * rp + lp * rn, lp * rp + ln * rn, lk + rk  # Iff
+        return sum(pos), math.prod(neg), sum(k)
+    return math.prod(pos), sum(neg), sum(k)  # Or
 
 
 def _definitional_clauses(m: Formula, namer: FreshNamer,
@@ -547,7 +550,7 @@ def _definitional_clauses(m: Formula, namer: FreshNamer,
                 lits = [literal(g, p) for g, p in operands(f, True, True)]
                 definitions.extend([(d, False), l] for l in lits)
                 definitions.append([(d, True)] + [_neg(l) for l in lits])
-            else:  # Or, Implies
+            else:  # Or
                 lits = [literal(g, p) for g, p in operands(f, True, False)]
                 definitions.append([(d, False)] + lits)
                 definitions.extend([(d, True), _neg(l)] for l in lits)
@@ -576,8 +579,8 @@ def operands(f: Formula, pos: bool, conjunctive: bool) -> list[tuple[Formula, bo
     """The operands (subformula, polarity) of ``f`` under polarity ``pos``
     read as one n-ary conjunction (or disjunction), left to right, through
     ``~``, ``&``, ``|`` and ``->`` as ``to_nnf`` would push negations; an
-    operand is never a negation. An explicit stack, so a long fold needs no
-    recursion."""
+    operand is never a negation. An explicit stack, so nested connectives
+    need no recursion."""
     out = []
     stack = [(f, pos)]
     while stack:
@@ -585,8 +588,7 @@ def operands(f: Formula, pos: bool, conjunctive: bool) -> list[tuple[Formula, bo
         if isinstance(f, Not):
             stack.append((f.body, not pos))
         elif isinstance(f, And if pos == conjunctive else Or):
-            stack.append((f.right, pos))
-            stack.append((f.left, pos))
+            stack += [(p, pos) for p in reversed(f.parts)]
         elif isinstance(f, Implies) and pos != conjunctive:
             stack.append((f.right, pos))
             stack.append((f.left, not pos))

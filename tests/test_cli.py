@@ -1,6 +1,7 @@
 import decimal
 import json
 import math
+import random
 import shlex
 from pathlib import Path
 
@@ -64,6 +65,25 @@ class TestCount:
         code, out, err = run(capsys, "count", f, "--domain-size", n, "--engine", "dpll")
         assert code == 0, err
         assert int(decimal.Decimal(out)) == want
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--engine", "dpll", "--domain-size", "2"),
+        ("skolemize",), ("skolemize", "--no-propagate"), ("cnf",), ("cnf", "--tseitin"),
+    ], ids=" ".join)
+    @pytest.mark.parametrize("text,count", [
+        (" & ".join(f"P{i}" for i in range(3000)), 1),
+        ("forall x (" + " & ".join(f"P{i}(x)" for i in range(3000)) + ")", 1),
+        ("forall x (Q(x) | (" + " & ".join(f"P{i}(x)" for i in range(2000)) + "))",
+         (2 ** 2000 + 1) ** 2),
+    ], ids=["nullary-and-3000", "unary-and-3000", "or-of-and-2000"])
+    def test_long_chains_do_not_run_out_of_recursion(self, capsys, tmp_path, argv, text, count):
+        # A chain of & or | is one node, so no stage recurses once per operand.
+        f = tmp_path / "chain.fol"
+        f.write_text(text + "\n")
+        code, out, err = run(capsys, *argv, f)
+        assert code == 0, err
+        if argv[0] == "count":
+            assert int(decimal.Decimal(out)) == count
 
     def test_disjunctive_quantifiers_count_with_dpll(self, capsys):
         # parents.fol reads as one clause per x, over all n^2 pairs (y, z).
@@ -375,12 +395,85 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: the probability is out of float range\n"
 
+    def test_random_inputs_exit_with_a_contract_code(self, capsys, tmp_path):
+        # Well-formed and malformed snippets through every subcommand: each
+        # run ends in exit code 0-3, never in an escaping exception.
+        rng = random.Random(1312)
+        cases = [_fuzz_text(rng) for _ in range(300)]
+        cases.append((".fol", " & ".join(f"P{i}" for i in range(1000))))
+        seen = set()
+        for suffix, text in cases:
+            f = tmp_path / f"input{suffix}"
+            f.write_text(text + "\n")
+            try:
+                code = main(_fuzz_argv(rng, str(f)))
+            except SystemExit as e:  # argparse's usage errors
+                code = e.code
+            capsys.readouterr()
+            assert code in (0, 1, 2, 3), (suffix, text)
+            seen.add(code)
+        assert {0, 1, 2} <= seen
+
+    @pytest.mark.parametrize("text", ["0.1 ::", "S :-", "S :- A(x),"])
+    def test_truncated_problog_statement_is_two(self, capsys, tmp_path, text):
+        f = tmp_path / "cut.plp"
+        f.write_text(text + "\n")
+        code, out, err = run(capsys, "cnf", f)
+        assert code == 2 and out == ""
+        assert "expected 'IDENT'" in err
+
     def test_non_tight_program_is_two(self, capsys, tmp_path):
         f = tmp_path / "cyc.plp"
         f.write_text("p :- q.\nq :- p.\n")
         code, _, err = run(capsys, "prob", f, "--query", "p", "--domain-size", "1")
         assert code == 2
         assert "cycle" in err
+
+
+_FUZZ_SNIPPETS = {
+    ".fol": ["forall x P(x)", "exists y (R(y) & S(y))", "N | ~M", "weight P 1 1 2",
+             "weight N 0 1 -1", "domain A, B", "forall x exists y F(x,y)", "P(A) -> R(A)",
+             "M <-> N & K", "true", "false", "forall x (P(x) -> exists y F(x,y))"],
+    ".mln": ["1.3 exists y (W(x,y) | B(x))", "-0.5 P(x) & Q(x)", "P(x) -> Q(x).",
+             "inf P(A)", "2 ~Q(x)", "800 B(x)"],
+    ".plp": ["0.1 :: A(x).", "0.3 :: T(x).", "S :- A(x), T(x).", "p :- q.", "q :- \\+ p.",
+             "R(x) :- A(x), \\+ T(x)."],
+}
+_FUZZ_NOISE = ["(", ")", "&", "|", "->", "<->", "~", ",", ".", ":-", "::", "#", "x", "A",
+               "'q'", "P(", "forall", "exists y", "1e999", "-", "\n", "weight", "domain", "\\+"]
+
+
+def _fuzz_text(rng):
+    """(suffix, text): a few snippets of one format, half the time with a
+    random token spliced over a random span."""
+    suffix = rng.choice([".fol", ".fol", ".mln", ".plp"])
+    text = "\n".join(rng.sample(_FUZZ_SNIPPETS[suffix], rng.randint(1, 3)))
+    if rng.random() < 0.5:
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice(_FUZZ_NOISE) + text[i + rng.randint(0, 3):]
+    return suffix, text
+
+
+def _fuzz_argv(rng, path):
+    """A random command line over ``path``, for any subcommand."""
+    domain = rng.choice([["--domain-size", "1"], ["--domain-size", "2"],
+                         ["--domain-size", "0"], ["--domain", rng.choice(["A,B", ""])], []])
+    engine = ["--engine", rng.choice(["brute", "dpll"])]
+    flags = {"skolemize": ["--shortcut", "--no-propagate", "--json"],
+             "cnf": ["--tseitin", "--json"], "count": ["--json"],
+             "prob": ["--json", "--mode=exact", "--mode=float"], "check": []}
+    command = rng.choice(sorted(flags))
+    argv = [command] + rng.sample(flags[command], rng.randint(0, len(flags[command]) // 2))
+    if command == "check":
+        return argv + ["--seeds", rng.choice(["1", "0", "x"]),
+                       "--sizes", rng.choice(["1", "4", ""])]
+    if command in ("count", "prob"):
+        argv += domain + engine
+    if command == "prob":
+        queries = {".fol": ["forall x P(x)", "N"], ".mln": ["exists x B(x)", "Q(C1)"],
+                   ".plp": ["S", "p"]}[Path(path).suffix]
+        argv += ["--query", rng.choice(queries + ["Q &", "A(x)"])]
+    return argv + [path]
 
 
 def _readme_commands():

@@ -653,7 +653,7 @@ def _formula_clauses(g):
     while stack:
         f = stack.pop()
         if isinstance(f, And):
-            stack += [f.left, f.right]
+            stack += f.parts
             continue
         walked = clause_walk(f)
         if walked is None:

@@ -157,8 +157,8 @@ def _reference_unique(cls, parts):
 
     def add(p):
         if isinstance(p, cls):
-            add(p.left)
-            add(p.right)
+            for q in p.parts:
+                add(q)
         elif p not in seen:
             seen.append(p)
 
@@ -214,14 +214,11 @@ class TestDepth:
         assert len(clauses_of(ground(to_cnf_distribute(t), d))) == 5000
 
     def test_long_disjunction_as_a_conjunct(self):
-        # The existential's 5000-way fold is an element of the top-level
-        # conjunction: deduplicating it must not walk its left spine.
+        # The existential's 5000-way disjunction is an element of the
+        # top-level conjunction, kept as one node with its atoms in order.
         g = ground(theory("exists y R(y)"), Domain.of_size(5000))
-        f, k = g.formula, 1
-        while isinstance(f, Or):
-            assert f.right == Atom(PredicateSig("R", 1), (Constant(f"C{5001 - k}"),))
-            f, k = f.left, k + 1
-        assert k == 5000 and f == Atom(PredicateSig("R", 1), (Constant("C1"),))
+        r = PredicateSig("R", 1)
+        assert g.formula == Or(*(Atom(r, (Constant(f"C{k}"),)) for k in range(1, 5001)))
 
 
 class TestBruteCap:

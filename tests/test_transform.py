@@ -557,7 +557,7 @@ class TestSweep:
         samples = len(list(SAMPLES.glob("*.fol")))
         for kind in ("skolemize", "skolemize_full", "skolemize_prenex_shortcut",
                      "next_internal_site", "clause_form", "to_cnf_distribute",
-                     "to_cnf_tseitin", "unit_propagate"):
+                     "to_cnf_tseitin", "unit_propagate", "to_nnf", "to_prenex", "ground"):
             assert digests[kind][0] == 3 + samples, kind
         assert {"eliminate_one", "staged.isolate", "staged.implication"} <= set(digests)
         assert transform_sweep.sweep(range(3)) == digests

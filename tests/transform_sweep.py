@@ -11,8 +11,11 @@ The corpus is the ``gen_theory`` theories of seeds 0..N-1 (default 3000)
 with ``max_connective_depth=4`` and ``max_sentences=3``, then every
 ``samples/*.fol``. Each output is serialized, or written as ``error: ...``
 where a transform rejects its input; per output kind the script prints the
-number of outputs and a sha256 of their serializations. The file name keeps
-pytest from collecting it.
+number of outputs and a sha256 of their serializations. Besides the
+transforms proper, the outputs include ``to_nnf`` and ``to_prenex`` of each
+sentence and the ground formula over two constants; an elimination site is
+recorded by the subformula it names, not by its tree path. The file name
+keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -24,12 +27,14 @@ from pathlib import Path
 
 from wfomc.errors import WfomcError
 from wfomc.frontends import parse_theory, serialize_formula, serialize_theory
-from wfomc.logic import standardize_apart
+from wfomc.grounding import ground
+from wfomc.logic import Domain, standardize_apart
 from wfomc.propcheck import GenConfig, gen_theory
 from wfomc.transform import (
     FreshNamer,
     clause_form,
     eliminate_one,
+    formula_at,
     next_internal_site,
     skolemize,
     skolemize_full,
@@ -37,6 +42,8 @@ from wfomc.transform import (
     staged_elimination,
     to_cnf_distribute,
     to_cnf_tseitin,
+    to_nnf,
+    to_prenex,
     unit_propagate,
 )
 
@@ -60,6 +67,18 @@ def _clauses(form) -> str:
     return "\n".join(lines)
 
 
+def _sentences(fs) -> str:
+    return "\n".join(serialize_formula(f) for f in fs)
+
+
+def _site(std, site) -> str:
+    """An elimination site by what it names, not by its tree path."""
+    if site is None:
+        return "None"
+    at = formula_at(std.sentences[site.sentence_index], site.path)
+    return f"{site.sentence_index} {site.kind} {site.var} {site.ys} {serialize_formula(at)}"
+
+
 def outputs(t):
     """(kind, serialization) of each transform of ``t``."""
     out = {}
@@ -73,9 +92,13 @@ def outputs(t):
     record("skolemize", lambda: skolemize(t))
     record("skolemize_full", lambda: skolemize_full(t))
     record("skolemize_prenex_shortcut", lambda: skolemize_prenex_shortcut(t))
+    record("to_nnf", lambda: [to_nnf(s) for s in t.sentences], _sentences)
     std = standardize_apart(t)
+    record("to_prenex", lambda: [to_prenex(s) for s in std.sentences], _sentences)
+    record("ground", lambda: ground(t, Domain.of_size(2, t.constants())).formula,
+           serialize_formula)
     site = next_internal_site(std)
-    out["next_internal_site"] = repr(site)
+    out["next_internal_site"] = _site(std, site)
     if site is not None:
         record("eliminate_one", lambda: eliminate_one(std, site, FreshNamer.for_theory(std)))
         if site.kind == "exists":
