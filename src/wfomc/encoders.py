@@ -180,28 +180,25 @@ def tightness_check(p: LogicProgram) -> TightnessReport:
             if lit.positive:
                 out.add(lit.atom.pred.name)
 
+    # Depth-first, with an iterator over the successors of each node on the path.
     state: dict[str, int] = {}
-    stack: list[str] = []
-
-    def visit(node: str) -> tuple[str, ...] | None:
-        state[node] = 1
-        stack.append(node)
-        for succ in sorted(edges.get(node, ())):
-            if state.get(succ, 0) == 1:
-                return tuple(stack[stack.index(succ):])
-            if state.get(succ, 0) == 0:
-                cyc = visit(succ)
-                if cyc:
-                    return cyc
-        stack.pop()
-        state[node] = 2
-        return None
-
-    for node in sorted(edges):
-        if state.get(node, 0) == 0:
-            cyc = visit(node)
-            if cyc:
-                return TightnessReport(False, cyc)
+    for root in sorted(edges):
+        if root in state:
+            continue
+        state[root] = 1
+        path, succs = [root], [iter(sorted(edges[root]))]
+        while path:
+            for succ in succs[-1]:
+                if state.get(succ) == 1:
+                    return TightnessReport(False, tuple(path[path.index(succ):]))
+                if succ not in state:
+                    state[succ] = 1
+                    path.append(succ)
+                    succs.append(iter(sorted(edges.get(succ, ()))))
+                    break
+            else:
+                state[path.pop()] = 2
+                succs.pop()
     return TightnessReport(True)
 
 
@@ -220,20 +217,14 @@ def clarks_completion(p: LogicProgram) -> WeightedTheory:
                 f"predicate {r.head.pred.name} has both a probabilistic fact and rules"
             )
 
-    by_head: dict[PredicateSig, list[Rule]] = {}
-    head_order: list[PredicateSig] = []
-    body_preds: list[PredicateSig] = []
+    by_head: dict[PredicateSig, list[Rule]] = {}  # in order of first rule
+    body_preds: dict[PredicateSig, None] = {}  # an ordered set
     for r in p.rules:
-        if r.head.pred not in by_head:
-            head_order.append(r.head.pred)
         by_head.setdefault(r.head.pred, []).append(r)
-        for lit in r.body:
-            if lit.atom.pred not in body_preds:
-                body_preds.append(lit.atom.pred)
+        body_preds.update(dict.fromkeys(lit.atom.pred for lit in r.body))
 
     sentences: list[Formula] = []
-    for pred in head_order:
-        rules = by_head[pred]
+    for pred, rules in by_head.items():
         canon = _head_vars(rules[0])
         disjuncts: list[Formula] = []
         for r in rules:

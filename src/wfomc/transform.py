@@ -4,14 +4,19 @@ The elimination step swaps a quantified subexpression for a fresh relaxation
 predicate pair: a definition predicate Z weighted (1, 1) and a cancellation
 predicate S weighted (1, -1) whose negative branch exactly cancels the models
 the relaxation admits beyond the original theory. Driving it innermost-first
-removes every non-leading quantifier in polynomially many steps.
+removes every non-leading quantifier in polynomially many steps: one walk per
+sentence lists its sites in post-order, and a step leaves every other site's
+path, variable and free variables as they were. Unit propagation is one pass
+too, each unit clause applied once, lowest position first.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import WfomcError
 from .logic import (
@@ -52,7 +57,6 @@ from .logic import (
     rename_bound,
     standardize_apart,
     strip_foralls,
-    subformulas,
     with_children,
 )
 
@@ -129,50 +133,43 @@ class ElimSite:
     ys: tuple[str, ...]
 
 
-def _site_in(f: Formula, path: list[int],
-             leading: bool) -> tuple[tuple[int, ...], Formula, bool] | None:
-    """First (preorder) quantifier below the leading prefix with a
-    quantifier-free body, and whether only that prefix is above it."""
-    prefix = leading and isinstance(f, ForAll)
-    if isinstance(f, QUANT) and not prefix and is_quantifier_free(f.body):
-        return tuple(path), f, leading
-    for i, c in enumerate(children(f)):
-        path.append(i)
-        found = _site_in(c, path, prefix)
-        path.pop()
-        if found:
-            return found
-    return None
+def _sites(f: Formula) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Every quantifier of sentence ``f`` below its leading universal
+    prefix, innermost first (post-order), as (path, whether only the prefix
+    is above it). One walk over an explicit stack, where a quantifier is
+    pushed again, marked done, under its children."""
+    prefix, f = strip_foralls(f)
+    stack = [(f, (0,) * len(prefix), True, False)]
+    while stack:
+        g, path, leading, done = stack.pop()
+        if done:
+            yield path, leading
+            continue
+        if isinstance(g, QUANT):
+            stack.append((g, path, leading, True))
+        kids = children(g)
+        stack += [(kids[k], path + (k,), False, False) for k in reversed(range(len(kids)))]
 
 
-def _next_site(sentences, i: int) -> tuple[ElimSite, bool] | None:
-    """The next site of ``sentences[i]``, and whether it is an existential
-    directly under the sentence's leading universals (the shortcut's
-    shape)."""
-    found = _site_in(sentences[i], [], True)
-    if found is None:
-        return None
-    path, node, leading = found
-    exists = isinstance(node, Exists)
-    site = ElimSite(i, path, "exists" if exists else "forall", node.var, first_occurrence_vars(node))
-    return site, leading and exists
+def _site(sentences, i: int, path: tuple[int, ...]) -> ElimSite:
+    """The site at ``path`` of ``sentences[i]``, as the sentence is now."""
+    node = formula_at(sentences[i], path)
+    kind = "exists" if isinstance(node, Exists) else "forall"
+    return ElimSite(i, path, kind, node.var, first_occurrence_vars(node))
 
 
 def next_internal_site(t: WeightedTheory) -> ElimSite | None:
-    for i in range(len(t.sentences)):
-        found = _next_site(t.sentences, i)
-        if found:
-            return found[0]
+    """The first site of the first sentence that has one: the site the
+    elimination (``_eliminate_all``) clears first."""
+    for i, s in enumerate(t.sentences):
+        for path, _ in _sites(s):
+            return _site(t.sentences, i, path)
     return None
 
 
 def internal_quantifier_count(t: WeightedTheory) -> int:
     """Quantifiers not in a sentence's leading universal prefix."""
-    total = 0
-    for s in t.sentences:
-        _, body = strip_foralls(s)
-        total += sum(1 for g in subformulas(body) if isinstance(g, QUANT))
-    return total
+    return sum(1 for s in t.sentences for _ in _sites(s))
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +312,22 @@ def _wrap(body: Formula, vars_: tuple[str, ...]) -> Formula:
 
 
 def _eliminate_all(sentences: list[Formula], namer: FreshNamer, use_shortcut: bool) -> dict:
-    """Clear every internal quantifier of ``sentences`` in place, innermost
-    first, sentence by sentence; the sentences a step appends have none.
-    Returns the fresh predicates' weight pairs, in naming order."""
+    """Clear every internal quantifier of ``sentences`` in place, sentence
+    by sentence, in the order of one walk (``_sites``); the sentences a
+    step appends have none. Returns the fresh predicates' weight pairs, in
+    naming order.
+
+    A step replaces its subformula by an atom over the subformula's free
+    variables in first-occurrence order, so every other site keeps its
+    path, variable and ``ys``, and its body is quantifier-free when its turn
+    comes. The shortcut site, an existential directly under the leading
+    universals, is above every other site of its sentence, so it is last.
+    """
     weights: dict = {}
     for i in range(len(sentences)):
-        while (found := _next_site(sentences, i)) is not None:
-            site, prefix_exists = found
-            _eliminate(sentences, weights, site, namer, use_shortcut and prefix_exists)
+        for path, leading in _sites(sentences[i]):
+            _eliminate(sentences, weights, _site(sentences, i, path), namer,
+                       use_shortcut and leading)
     return weights
 
 
@@ -743,8 +748,15 @@ def unit_propagate(t: WeightedTheory) -> WeightedTheory:
     enters the theory's deferred scale. Partial units (ground or with
     repeated arguments) are kept but still simplify subsumed occurrences.
     Deriving the empty clause yields the unsatisfiable theory (count 0).
+
+    One pass: each unit is applied once, lowest position first (a heap),
+    to the clauses that mention its predicate. Clauses only shrink, so a
+    clause becomes a unit at most once, when it is pushed, and a unit never
+    changes a clause twice. So units apply in the order of a scan restarted
+    from the first clause after each change: the same scale factors and the
+    same surviving clauses, in the same order.
     """
-    clauses: list[list[tuple[Atom, bool]]] = []
+    clauses: list[list[tuple[Atom, bool]] | None] = []
     for s in t.sentences:
         walked = clause_walk(s)
         if walked is True:
@@ -755,42 +767,38 @@ def unit_propagate(t: WeightedTheory) -> WeightedTheory:
             return t.replace(sentences=(FALSE,))
         clauses.append(walked[0])
 
+    occurs: dict[PredicateSig, list[int]] = {}
+    for j, c in enumerate(clauses):
+        for pred in dict.fromkeys(atom.pred for atom, _ in c):
+            occurs.setdefault(pred, []).append(j)
+    units = [j for j, c in enumerate(clauses) if len(c) == 1]  # sorted, so a heap
     scale = list(t.scale)
     forced: set[PredicateSig] = set()
-
-    changed = True
-    while changed:
-        changed = False
-        for ui, unit in enumerate(clauses):
-            if len(unit) != 1:
+    while units:
+        ui = heapq.heappop(units)
+        if clauses[ui] is None:
+            continue  # satisfied by an earlier unit
+        [(atom, positive)] = clauses[ui]
+        for j in occurs[atom.pred]:
+            c = clauses[j]
+            if j == ui or c is None:
                 continue
-            atom, positive = unit[0]
-            forcing = _all_distinct_vars(atom)  # then the unit goes too
-            new_clauses: list[list[tuple[Atom, bool]]] = []
-            for j, c in enumerate(clauses):
-                if j == ui:
-                    if not forcing:
-                        new_clauses.append(c)
-                    continue
-                if any(p == positive and _matches(atom, a) for a, p in c):
-                    changed = True
-                    continue  # satisfied by the unit
-                kept = [(a, p) for a, p in c if not (p != positive and _matches(atom, a))]
-                if len(kept) != len(c):
-                    changed = True
-                    if not kept:
-                        return t.replace(sentences=(FALSE,), scale=tuple(scale))
-                new_clauses.append(kept)
-            clauses = new_clauses
-            if forcing:
-                wt, wf = t.weights.get(atom.pred)
-                _push_scale(scale, wt if positive else wf, atom.pred.arity)
-                forced.add(atom.pred)
-                changed = True
-            if changed:
-                break  # restart with the updated clause list
+            if any(p == positive and _matches(atom, a) for a, p in c):
+                clauses[j] = None  # satisfied by the unit
+                continue
+            kept = [(a, p) for a, p in c if not (p != positive and _matches(atom, a))]
+            if not kept:
+                return t.replace(sentences=(FALSE,), scale=tuple(scale))
+            if len(kept) == 1 and len(c) > 1:
+                heapq.heappush(units, j)
+            clauses[j] = kept
+        if _all_distinct_vars(atom):  # the unit forces its predicate and goes
+            clauses[ui] = None
+            wt, wf = t.weights.get(atom.pred)
+            _push_scale(scale, wt if positive else wf, atom.pred.arity)
+            forced.add(atom.pred)
 
-    return _written(t, clauses, scale=scale, accounted=forced)
+    return _written(t, [c for c in clauses if c is not None], scale=scale, accounted=forced)
 
 
 # ---------------------------------------------------------------------------

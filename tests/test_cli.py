@@ -75,7 +75,10 @@ class TestCount:
         ("forall x (" + " & ".join(f"P{i}(x)" for i in range(3000)) + ")", 1),
         ("forall x (Q(x) | (" + " & ".join(f"P{i}(x)" for i in range(2000)) + "))",
          (2 ** 2000 + 1) ** 2),
-    ], ids=["nullary-and-3000", "unary-and-3000", "or-of-and-2000"])
+        # Each P_i and constant: 3 of the 4 assignments of its 2 atoms.
+        ("forall x (" + " & ".join(f"(exists y P{i}(x,y))" for i in range(1000)) + ")",
+         9 ** 1000),
+    ], ids=["nullary-and-3000", "unary-and-3000", "or-of-and-2000", "exists-sites-1000"])
     def test_long_chains_do_not_run_out_of_recursion(self, capsys, tmp_path, argv, text, count):
         # A chain of & or | is one node, so no stage recurses once per operand.
         f = tmp_path / "chain.fol"
@@ -269,6 +272,16 @@ class TestProb:
                            "--query", "Series", "--domain-size", "1", "--json")
         assert code == 0
         assert json.loads(out) == {"probability": {"num": "3", "den": "100"}}
+
+    def test_long_rule_chain_does_not_run_out_of_recursion(self, capsys, tmp_path):
+        # The tightness check searches the 2000-rule dependency chain
+        # without nesting a Python call per rule.
+        f = tmp_path / "chain.plp"
+        f.write_text("0.5 :: P2000.\n" + "".join(f"P{i} :- P{i + 1}.\n" for i in range(2000)))
+        code, out, err = run(capsys, "prob", f, "--query", "P0", "--domain-size", "1",
+                             "--engine", "dpll")
+        assert code == 0, err
+        assert out == "1/2\n"
 
 
 class TestCheck:

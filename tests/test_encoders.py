@@ -113,6 +113,15 @@ class TestTightness:
         rep = tightness_check(parse_problog("p :- \\+q.\nq :- \\+p.\n"))
         assert rep.ok
 
+    def test_long_positive_cycle_is_reported_whole(self):
+        # One search over an explicit stack, so the cycle's length is not
+        # bounded by Python's recursion limit.
+        n = 2000
+        rep = tightness_check(parse_problog("".join(f"P{i} :- P{(i + 1) % n}.\n"
+                                                    for i in range(n))))
+        assert not rep.ok
+        assert rep.cycle == tuple(f"P{i}" for i in range(n))  # from the least root
+
     def test_completion_refuses_cycles(self):
         with pytest.raises(NonTightProgramError, match="p"):
             clarks_completion(parse_problog("p :- q.\nq :- p.\n"))

@@ -5,11 +5,12 @@ import pytest
 
 import transform_sweep
 from conftest import domain, formula, theory
-from wfomc.counting import wfomc, weighted_models
+from wfomc.counting import max_atoms_cap, wfomc, weighted_models
 from wfomc.errors import WfomcError
 from wfomc.grounding import ground
 from wfomc.logic import (
     Atom,
+    Constant,
     Domain,
     PredicateSig,
     ScaleFactor,
@@ -220,6 +221,25 @@ class TestSkolemize:
                 want = wfomc(t, d)
                 assert wfomc(out, d) == want
                 assert wfomc(full, d) == want
+
+    def test_sites_are_cleared_innermost_first(self):
+        # Post-order: b inside a's body, then a, then c.
+        out = skolemize(theory("forall x ((exists a (P(a) & exists b Q(x,b))) & exists c R(x,c))"))
+        want = theory("""
+            forall x (Z1(x) & Z2(x))
+            forall x forall b (Z0(x) | ~Q(x,b))
+            forall x (Sk0(x) | Z0(x))
+            forall x forall b (Sk0(x) | ~Q(x,b))
+            forall x forall a (Z1(x) | ~(P(a) & Z0(x)))
+            forall x (Sk1(x) | Z1(x))
+            forall x forall a (Sk1(x) | ~(P(a) & Z0(x)))
+            forall x forall c (Z2(x) | ~R(x,c))
+            forall x (Sk2(x) | Z2(x))
+            forall x forall c (Sk2(x) | ~R(x,c))
+        """)
+        assert out.sentences == want.sentences
+        assert [(sig.name, out.weights.get(sig)) for sig in out.weights.pairs] == [
+            (f"{p}{k}", (1, w)) for k in range(3) for p, w in (("Z", 1), ("Sk", -1))]
 
 
 class TestPrenexShortcut:
@@ -433,6 +453,31 @@ class TestUnitPropagate:
             d = Domain.of_size(n)
             assert wfomc(out, d) == wfomc(t, d)
 
+    def test_units_apply_lowest_position_first(self):
+        # P turns the first clause into the unit Q(x), which applies before
+        # the unit S, as a scan restarted after each change would take them;
+        # first in, first out would scale by 17 before 5.
+        t = theory("weight P 0 2 3\nweight Q 1 5 7\nweight R 0 11 13\nweight S 0 17 19\n"
+                   "forall x (~P | Q(x))\nR\nP\nS\nforall x (Q(x) | T(x))")
+        out = unit_propagate(t)
+        assert out.sentences == ()
+        assert out.scale == tuple(ScaleFactor(base, nvars) for base, nvars in
+                                  [(11, 0), (2, 0), (5, 1), (17, 0), (2, 1)])
+
+    def test_counts_preserved_under_interacting_units(self):
+        # Seeded unit-heavy clause sets: ground, repeated-variable and
+        # distinct-variable units meet far more often than in generated
+        # theories. Counted by brute force, or by dpll on the 6 sets whose
+        # base at 3 constants is past the brute-force cap.
+        a = Constant("A")
+        for seed in range(300):
+            t = transform_sweep.unit_clauses(seed, max_preds=3, max_clauses=6, constants=("A",))
+            out = unit_propagate(t)
+            for m in (1, 2):
+                d = Domain.of_size(m, extra=(a,))
+                engine = "brute" if base_atoms(t, len(d)) <= max_atoms_cap() else "dpll"
+                assert wfomc(out, d, engine) == wfomc(t, d, engine), f"seed {seed}, m={m}"
+
     def test_repeated_literal_is_written_once(self):
         out = unit_propagate(theory("forall x (P(x) | P(x) | Q(x))"))
         assert out.sentences == theory("forall x (P(x) | Q(x))").sentences
@@ -559,6 +604,7 @@ class TestSweep:
                      "next_internal_site", "clause_form", "to_cnf_distribute",
                      "to_cnf_tseitin", "unit_propagate", "to_nnf", "to_prenex", "ground"):
             assert digests[kind][0] == 3 + samples, kind
+        assert digests["unit_propagate.clauses"][0] == 3
         assert {"eliminate_one", "staged.isolate", "staged.implication"} <= set(digests)
         assert transform_sweep.sweep(range(3)) == digests
         assert transform_sweep.main(["--seeds", "3"]) == 0

@@ -14,21 +14,36 @@ where a transform rejects its input; per output kind the script prints the
 number of outputs and a sha256 of their serializations. Besides the
 transforms proper, the outputs include ``to_nnf`` and ``to_prenex`` of each
 sentence and the ground formula over two constants; an elimination site is
-recorded by the subformula it names, not by its tree path. The file name
-keeps pytest from collecting it.
+recorded by the subformula it names, not by its tree path. One more kind,
+``unit_propagate.clauses``, propagates the seeded unit-heavy clause sets of
+``unit_clauses``, one per seed, whose units interact far more often than
+those of the corpus. The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import random
 import sys
 from pathlib import Path
 
 from wfomc.errors import WfomcError
 from wfomc.frontends import parse_theory, serialize_formula, serialize_theory
 from wfomc.grounding import ground
-from wfomc.logic import Domain, standardize_apart
+from wfomc.logic import (
+    Atom,
+    Constant,
+    Domain,
+    Not,
+    PredicateSig,
+    Variable,
+    WeightFn,
+    WeightedTheory,
+    close_universally,
+    fold_or,
+    standardize_apart,
+)
 from wfomc.propcheck import GenConfig, gen_theory
 from wfomc.transform import (
     FreshNamer,
@@ -57,6 +72,28 @@ def corpus(seeds):
                                                    max_sentences=3))
     for path in sorted(SAMPLES.glob("*.fol")):
         yield path.name, parse_theory(path.read_text())[0]
+
+
+def unit_clauses(seed: int, max_preds: int = 4, max_clauses: int = 8,
+                 constants: tuple[str, ...] = ("A", "B")) -> WeightedTheory:
+    """A seeded clause set in which units interact: 1 to ``max_preds``
+    predicates of arity 0 to 2, weighted from {1,2,3} x {1,-1,5}, and 1 to
+    ``max_clauses`` clauses, 45% of them units, over the terms x, y and
+    ``constants``, so ground, repeated-variable and distinct-variable units
+    all occur."""
+    rng = random.Random(seed)
+    sigs = [PredicateSig(f"P{i}", rng.randint(0, 2)) for i in range(rng.randint(1, max_preds))]
+    terms = [Variable("x"), Variable("y")] + [Constant(c) for c in constants]
+    sentences = []
+    for _ in range(rng.randint(1, max_clauses)):
+        lits = []
+        for _ in range(1 if rng.random() < 0.45 else rng.randint(2, 3)):
+            sig = rng.choice(sigs)
+            a = Atom(sig, tuple(rng.choice(terms) for _ in range(sig.arity)))
+            lits.append(a if rng.random() < 0.5 else Not(a))
+        sentences.append(close_universally(fold_or(lits)))
+    pairs = {sig: (rng.choice((1, 2, 3)), rng.choice((1, -1, 5))) for sig in sigs}
+    return WeightedTheory(tuple(sentences), WeightFn(pairs))
 
 
 def _clauses(form) -> str:
@@ -117,11 +154,18 @@ def outputs(t):
 def sweep(seeds) -> dict[str, tuple[int, str]]:
     """Per output kind, (number of outputs, sha256 of their serializations)."""
     digests: dict[str, tuple[int, object]] = {}
+
+    def add(kind, label, text):
+        n, h = digests.get(kind) or (0, hashlib.sha256())
+        h.update(f"{label}\n{text}\n\0".encode())
+        digests[kind] = (n + 1, h)
+
     for label, t in corpus(seeds):
         for kind, text in outputs(t).items():
-            n, h = digests.get(kind) or (0, hashlib.sha256())
-            h.update(f"{label}\n{text}\n\0".encode())
-            digests[kind] = (n + 1, h)
+            add(kind, label, text)
+    for seed in seeds:
+        add("unit_propagate.clauses", f"units {seed}",
+            serialize_theory(unit_propagate(unit_clauses(seed))))
     return {kind: (n, h.hexdigest()) for kind, (n, h) in sorted(digests.items())}
 
 
