@@ -25,7 +25,7 @@ from .frontends import (
     _Parser,
 )
 from .encoders import WfomcEncoding, encode_mln, encode_problog, query_probability
-from .counting import wfomc
+from .counting import DEFAULT_ENGINE, ENGINES, wfomc
 from .logic import FLOAT, Constant, Domain, WeightFn, WeightedTheory, free_vars
 from .propcheck import run_suite
 from .transform import (
@@ -74,11 +74,24 @@ def _int_at_least(least: int, what: str):
     return parse
 
 
+def _count_arguments(cmd: argparse.ArgumentParser) -> None:
+    """The arguments ``count`` and ``prob`` share: the input, its domain,
+    the engine and ``--json``."""
+    cmd.add_argument("input", type=Path)
+    dom = cmd.add_mutually_exclusive_group()
+    dom.add_argument("--domain-size", type=int, metavar="N",
+                     help="use constants C1..CN plus any named in the input")
+    dom.add_argument("--domain", type=str, metavar="A,B,...")
+    cmd.add_argument("--engine", choices=tuple(ENGINES), default=DEFAULT_ENGINE)
+    cmd.add_argument("--json", action="store_true")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = _ArgumentParser(prog="wfomc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sk = sub.add_parser("skolemize", help="eliminate quantifiers, emit the clausal theory")
+    sk.set_defaults(run=_cmd_skolemize)
     sk.add_argument("input", type=Path)
     sk.add_argument("--shortcut", action="store_true",
                     help="require the prefix-universal shortcut (errors when not applicable)")
@@ -87,31 +100,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sk.add_argument("--json", action="store_true")
 
     cnf = sub.add_parser("cnf", help="convert to first-order CNF")
+    cnf.set_defaults(run=_cmd_cnf)
     cnf.add_argument("input", type=Path)
     cnf.add_argument("--tseitin", action="store_true",
                      help="structure-preserving conversion instead of distribution")
     cnf.add_argument("--json", action="store_true")
 
     cnt = sub.add_parser("count", help="weighted first-order model count")
-    cnt.add_argument("input", type=Path)
-    dom = cnt.add_mutually_exclusive_group()
-    dom.add_argument("--domain-size", type=int, metavar="N",
-                     help="use constants C1..CN plus any named in the input")
-    dom.add_argument("--domain", type=str, metavar="A,B,...")
-    cnt.add_argument("--engine", choices=("brute", "dpll"), default="brute")
-    cnt.add_argument("--json", action="store_true")
+    cnt.set_defaults(run=_cmd_count)
+    _count_arguments(cnt)
 
     prob = sub.add_parser("prob", help="query probability via the count ratio")
-    prob.add_argument("input", type=Path)
+    prob.set_defaults(run=_cmd_prob)
+    _count_arguments(prob)
     prob.add_argument("--query", required=True, metavar="FORMULA")
-    dom2 = prob.add_mutually_exclusive_group()
-    dom2.add_argument("--domain-size", type=int, metavar="N")
-    dom2.add_argument("--domain", type=str, metavar="A,B,...")
     prob.add_argument("--mode", choices=("exact", "float"), default=None)
-    prob.add_argument("--engine", choices=("brute", "dpll"), default="brute")
-    prob.add_argument("--json", action="store_true")
 
     chk = sub.add_parser("check", help="randomized soundness/modularity certification")
+    chk.set_defaults(run=_cmd_check)
     chk.add_argument("--seeds", type=_int_at_least(1, "a positive integer"), default=100)
     chk.add_argument("--sizes", type=_sizes, default="1,2", metavar="N,N,...")
     chk.add_argument("--max-atoms", type=_int_at_least(0, "a non-negative integer"), default=None)
@@ -233,17 +239,7 @@ def _cmd_check(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "skolemize":
-            return _cmd_skolemize(args)
-        if args.command == "cnf":
-            return _cmd_cnf(args)
-        if args.command == "count":
-            return _cmd_count(args)
-        if args.command == "prob":
-            return _cmd_prob(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        return USAGE_ERROR
+        return args.run(args)
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return CAP_ERROR

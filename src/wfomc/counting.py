@@ -1,6 +1,8 @@
 """Exact weighted model counting of ground problems.
 
-Two engines:
+``ENGINES`` maps each engine's name to the function that runs it, and
+``wfomc`` looks the name up there; the CLI's ``--engine`` reads the same
+table. It holds two engines, ``brute`` and ``dpll``, over two counters:
 
   * ``wmc_bruteforce`` enumerates truth assignments with the block kernels
     from ``_kernels`` and sums exact per-assignment weight products. This is
@@ -194,7 +196,7 @@ def _check_brute_cap(n: int, cap: int | None):
     if n > limit:
         raise CapExceededError(
             f"Herbrand base has {n} atoms, above the brute-force cap {limit}; "
-            "use wmc_dpll (or raise WFOMC_MAX_ATOMS)"
+            "use the dpll engine (--engine dpll) or raise WFOMC_MAX_ATOMS"
         )
 
 
@@ -766,35 +768,54 @@ def _branch_atom(occurrences: Counter) -> int:
 # Top-level counting
 
 
-def wfomc(t: WeightedTheory, d: Domain, engine: str = "brute",
+def _brute(t: WeightedTheory, d: Domain, cap: int | None, query: Formula | None):
+    """Ground t once and count by enumeration, the query joining t's
+    sentences for the first of the two counts."""
+    # The Herbrand base's layout gives its size before any atom; refuse early.
+    _check_brute_cap(len(herbrand_base(t, d)), cap)
+    g = ground(t, d)
+    if query is None:
+        return wmc_bruteforce(g, cap=cap)
+    with_query = replace(g, sentences=g.sentences + (query,))
+    return wmc_bruteforce(with_query, cap=cap), wmc_bruteforce(g, cap=cap)
+
+
+def _dpll(t: WeightedTheory, d: Domain, cap: int | None, query: Formula | None):
+    """Put t's sentences in clause form and then the query's over it, and
+    answer both counts from one search. ``cap`` bounds brute force only."""
+    theory = tseitin_ground(ground(t, d))
+    if query is None:
+        return wmc_dpll(theory)
+    # The query's own predicates are laid out after the theory's.
+    encoded = tseitin_ground(replace(theory, clauses=None, sentences=(query,)))
+    return wmc_dpll(theory, encoded)
+
+
+# Every engine, by name: ``engine(t, d, cap, query)`` returns the count of t,
+# or with a query the pair (count of t ∧ query, count of t). An engine calls
+# ``ground`` and the counters through this module's globals, never through
+# references it holds, so that a wrapper set on those globals sees each call.
+ENGINES = {"brute": _brute, "dpll": _dpll}
+DEFAULT_ENGINE = "brute"
+
+
+def wfomc(t: WeightedTheory, d: Domain, engine: str = DEFAULT_ENGINE,
           cap: int | None = None, query: Formula | None = None):
-    """Weighted first-order model count of the theory over the domain.
+    """Weighted first-order model count of the theory over the domain, by
+    the engine of that name in ``ENGINES``.
 
     Given a query sentence over the theory's predicates and the domain's
     constants, returns the pair (count of t ∧ query, count of t). Brute
-    force grounds t once and makes the two counts independently, the query
-    joining t's sentences for the first. DPLL puts t's sentences in
-    clause form and then the query's over it (``tseitin_ground``), and
-    answers both counts from one search (``wmc_dpll``).
+    force makes the two counts independently; DPLL answers both from one
+    search.
     """
     if query is not None:
         _check_query(t, d, query)
-    if engine == "brute":
-        # The Herbrand base's layout gives its size before any atom; refuse early.
-        _check_brute_cap(len(herbrand_base(t, d)), cap)
-        g = ground(t, d)
-        if query is None:
-            return wmc_bruteforce(g, cap=cap)
-        with_query = replace(g, sentences=g.sentences + (query,))
-        return wmc_bruteforce(with_query, cap=cap), wmc_bruteforce(g, cap=cap)
-    if engine == "dpll":
-        theory = tseitin_ground(ground(t, d))
-        if query is None:
-            return wmc_dpll(theory)
-        # The query's own predicates are laid out after the theory's.
-        encoded = tseitin_ground(replace(theory, clauses=None, sentences=(query,)))
-        return wmc_dpll(theory, encoded)
-    raise WfomcError(f"unknown engine {engine!r} (expected 'brute' or 'dpll')")
+    count = ENGINES.get(engine)
+    if count is None:
+        names = ", ".join(map(repr, ENGINES))
+        raise WfomcError(f"unknown engine {engine!r} (expected one of {names})")
+    return count(t, d, cap, query)
 
 
 def _check_query(t: WeightedTheory, d: Domain, query: Formula):

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import wfomc
+from .counting import DEFAULT_ENGINE, wfomc
 from .errors import CapExceededError, NonTightProgramError, WfomcError
 from .frontends import BodyLiteral, LogicProgram, MlnModel, ProbFact, Rule
 from .grounding import expand
@@ -452,7 +452,7 @@ def _minimal_model(facts: set, ground_rules, strata: dict[str, int]) -> set:
 
 
 def query_probability(e: WfomcEncoding, d: Domain, query: Formula,
-                      engine: str = "brute") -> Weight:
+                      engine: str = DEFAULT_ENGINE) -> Weight:
     """Pr(query) = count(theory + query) / count(theory).
 
     Both counts come from one ``wfomc`` call. With the dpll engine that is

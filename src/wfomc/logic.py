@@ -345,10 +345,30 @@ def _subst(f: Formula, binding: dict[str, Term]) -> Formula:
     return with_children(f, kids)
 
 
-def _fresh_var(base: str, taken: set[str]) -> str:
-    k = 1
+class NameSet(set):
+    """Variable names in use, which callers only add to, with the
+    ``_fresh_var`` counters (``last``) that stay valid for as long as the
+    set lives."""
+
+    __slots__ = ("last",)
+
+    def __init__(self, names=()):
+        super().__init__(names)
+        self.last: dict[str, int] = {}
+
+
+def _fresh_var(base: str, taken: set[str], last: dict[str, int] | None = None) -> str:
+    """The least ``base_k`` (k >= 1) not in ``taken``. ``last`` maps a base
+    name to the ``k`` an earlier search over the same ``taken`` returned; if
+    names were only added to ``taken`` since, no smaller ``k`` is free, so
+    the search starts there, and m searches for one base cost O(m) lookups
+    rather than O(m^2)."""
+    if last is None:
+        last = {}
+    k = last.get(base, 1)
     while f"{base}_{k}" in taken:
         k += 1
+    last[base] = k
     return f"{base}_{k}"
 
 
@@ -501,7 +521,7 @@ class Domain:
 
 def standardize_apart(t: WeightedTheory) -> WeightedTheory:
     """Rename quantified variables so no name is bound twice in the theory."""
-    used: set[str] = set()  # sentences have no free variables
+    used = NameSet()  # sentences have no free variables
     return t.replace(sentences=tuple(rename_bound(s, used) for s in t.sentences))
 
 
@@ -509,7 +529,10 @@ def rename_bound(f: Formula, used: set[str]) -> Formula:
     """``f`` with every quantified variable whose name is in ``used`` renamed
     to a fresh ``name_k``; each binder's name is added to ``used``, so no
     two binders of ``f`` share one either. ``used`` must hold the free
-    variables of ``f``."""
+    variables of ``f``. Fresh names are searched in time linear in the
+    binders renamed, within a call and, when ``used`` is a ``NameSet``,
+    across calls."""
+    last = used.last if isinstance(used, NameSet) else {}
 
     def walk(g: Formula, ren: dict[str, str]) -> Formula:
         if isinstance(g, Atom):
@@ -521,7 +544,7 @@ def rename_bound(f: Formula, used: set[str]) -> Formula:
         if isinstance(g, QUANT):
             name = g.var
             if name in used:
-                name = _fresh_var(g.var, used)
+                name = _fresh_var(g.var, used, last)
             used.add(name)
             inner = dict(ren)
             inner[g.var] = name

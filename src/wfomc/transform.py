@@ -34,6 +34,7 @@ from .logic import (
     Iff,
     Implies,
     Junction,
+    NameSet,
     Not,
     Or,
     PredicateSig,
@@ -216,7 +217,7 @@ def _nnf(f: Formula, pos: bool) -> Formula:
 
 def to_prenex(f: Formula) -> Formula:
     """Pull all quantifiers to the front. Input must be standardized apart."""
-    taken = set(bound_vars(f)) | set(free_vars(f))
+    taken = NameSet(bound_vars(f) | free_vars(f))
     f = _expand_quantified_iff(f, taken)
     prefix, matrix = _pull(f)
     for cls, var in reversed(prefix):
@@ -365,7 +366,7 @@ def _skolemize(t: WeightedTheory, use_shortcut: bool) -> WeightedTheory:
     """Bound variables renamed apart once, every sentence's sites cleared
     in order by the elimination step (``_eliminate_all``), and one theory
     and one weight function built from the result."""
-    used: set[str] = set()  # sentences have no free variables
+    used = NameSet()  # sentences have no free variables
     sentences = [rename_bound(s, used) for s in t.sentences]
     weights = _eliminate_all(sentences, FreshNamer.for_theory(t), use_shortcut)
     return t.replace(sentences=tuple(sentences), weights=t.weights.extended(weights))
@@ -670,7 +671,7 @@ def clause_form(sentences, reserved) -> tuple[list, list]:
     if not rest:
         return clauses, []
     namer = FreshNamer({sig.name for sig in reserved})
-    used: set[str] = set()
+    used = NameSet()
     rest = [rename_bound(s, used) for s in rest]
     weights = _eliminate_all(rest, namer, use_shortcut=True)
     new = sorted(weights, key=lambda sig: (sig.name, sig.arity))

@@ -1,3 +1,4 @@
+import argparse
 import decimal
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 
 from wfomc import cli
 from wfomc.cli import main
+from wfomc.counting import DEFAULT_ENGINE, ENGINES
 from wfomc.frontends import parse_theory, serialize_theory
 from wfomc.transform import skolemize, skolemize_full
 
@@ -36,13 +38,13 @@ class TestCount:
 
     def test_engines_agree_on_every_shipped_example(self, capsys):
         for sample in sorted(SAMPLES.glob("*.fol")):
-            results = []
-            for engine in ("brute", "dpll"):
+            results = set()
+            for engine in ENGINES:
                 code, out, _ = run(capsys, "count", sample,
                                    "--domain-size", "2", "--engine", engine)
                 assert code == 0, sample.name
-                results.append(out.strip())
-            assert results[0] == results[1], sample.name
+                results.add(out.strip())
+            assert len(results) == 1, sample.name
 
     def test_long_ground_clause_counts_with_dpll(self, capsys, tmp_path):
         # One ground clause with a literal per constant: clause extraction
@@ -337,6 +339,23 @@ class TestExitCodes:
             main(["count"])  # missing input
         assert e.value.code == 1
 
+    def test_unknown_engine_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["count", str(SAMPLES / "smokers.fol"), "--domain-size", "2",
+                  "--engine", "nope"])
+        assert e.value.code == 1
+        err = capsys.readouterr().err
+        [line] = [line for line in err.splitlines() if line.startswith("error:")]
+        assert line.startswith("error: argument --engine: invalid choice: 'nope'")
+
+    @pytest.mark.parametrize("command", ["count", "prob"])
+    def test_engine_choices_are_the_engine_table(self, command):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        engine = next(a for a in sub.choices[command]._actions if a.dest == "engine")
+        assert tuple(engine.choices) == tuple(ENGINES)
+        assert engine.default == DEFAULT_ENGINE
+
     def test_parse_error_is_two(self, capsys, tmp_path):
         f = tmp_path / "bad.fol"
         f.write_text("forall x (P(x) &)\n")
@@ -350,9 +369,10 @@ class TestExitCodes:
 
     def test_cap_exceeded_is_three(self, capsys, monkeypatch):
         monkeypatch.setenv("WFOMC_MAX_ATOMS", "4")
-        code, _, err = run(capsys, "count", SAMPLES / "smokers.fol", "--domain-size", "2")
-        assert code == 3
-        assert "cap" in err
+        code, out, err = run(capsys, "count", SAMPLES / "smokers.fol", "--domain-size", "2")
+        assert code == 3 and out == ""
+        assert err == ("error: Herbrand base has 6 atoms, above the brute-force cap 4; "
+                       "use the dpll engine (--engine dpll) or raise WFOMC_MAX_ATOMS\n")
 
     @pytest.mark.parametrize("value", ["abc", "-5", "2.5"])
     def test_bad_cap_env_is_an_input_error(self, capsys, monkeypatch, value):
@@ -376,7 +396,7 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    @pytest.mark.parametrize("engine", list(ENGINES))
     @pytest.mark.parametrize("sample,query", [
         ("workshop.plp", "Q(C1)"),
         ("employment.mln", "Boss(C1) & Q"),
@@ -394,7 +414,7 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: soft weight 800.0: e^800.0 is out of float range\n"
 
-    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_float_probability_past_float_range_is_two(self, capsys, tmp_path, engine):
         # Q's weights cancel to 2^-52 per atom, so Pr(forall x Q(x)) = 2^1040.
         f = tmp_path / "t.fol"
@@ -471,7 +491,7 @@ def _fuzz_argv(rng, path):
     """A random command line over ``path``, for any subcommand."""
     domain = rng.choice([["--domain-size", "1"], ["--domain-size", "2"],
                          ["--domain-size", "0"], ["--domain", rng.choice(["A,B", ""])], []])
-    engine = ["--engine", rng.choice(["brute", "dpll"])]
+    engine = ["--engine", rng.choice(list(ENGINES))]
     flags = {"skolemize": ["--shortcut", "--no-propagate", "--json"],
              "cnf": ["--tseitin", "--json"], "count": ["--json"],
              "prob": ["--json", "--mode=exact", "--mode=float"], "check": []}

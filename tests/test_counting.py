@@ -19,6 +19,7 @@ from wfomc.encoders import _eval_ground, encode_mln, encode_problog, query_proba
 from wfomc.errors import CapExceededError, WfomcError
 from wfomc.frontends import parse_mln, parse_problog
 from wfomc.counting import (
+    ENGINES,
     clauses_of,
     compile_program,
     export_dimacs,
@@ -243,6 +244,12 @@ class TestDpll:
         g = ground(theory("P(A) <-> Q(A)"), domain("A"))
         with pytest.raises(WfomcError, match="CNF"):
             wmc_dpll(g)
+
+    def test_unknown_engine_names_every_engine(self):
+        with pytest.raises(WfomcError) as e:
+            wfomc(theory("P"), domain("A"), engine="nope")
+        assert str(e.value).startswith("unknown engine 'nope'")
+        assert all(repr(name) in str(e.value) for name in ENGINES)
 
     def test_engine_dispatch_with_ground_tseitin(self):
         t = theory("P(A) <-> Q(A)")
@@ -639,7 +646,7 @@ class TestGroundTseitin:
     def test_exists_conjunction_counts(self):
         t = theory("exists y (R(y) & S(y))")
         for n in range(1, 5):
-            for engine in ("brute", "dpll"):
+            for engine in ENGINES:
                 assert wfomc(t, Domain.of_size(n), engine=engine) == 4 ** n - 3 ** n
 
 
@@ -957,23 +964,23 @@ class TestQueryCount:
             assert den == wfomc(t, d, engine="dpll")
             assert num == want
 
-    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_query_constant_outside_the_domain(self, engine):
         with pytest.raises(WfomcError, match=r"constant\(s\) \['Z'\] of the query missing"):
             wfomc(theory("forall x P(x)"), domain("A"), engine, query=formula("P(A) | P(Z)"))
 
-    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_query_with_a_free_variable(self, engine):
         # Unchecked, dpll would ground x as if it were universally quantified.
         with pytest.raises(WfomcError, match=r"query has free variable\(s\) \['x'\]"):
             wfomc(theory("forall x P(x)"), domain("A"), engine, query=formula("P(x)"))
 
-    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_query_predicate_with_another_arity(self, engine):
         with pytest.raises(WfomcError, match="predicate P used with arities 1 and 2"):
             wfomc(theory("forall x P(x)"), domain("A"), engine, query=formula("P(A,A)"))
 
-    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_query_predicate_outside_the_theory(self, engine):
         with pytest.raises(WfomcError, match=r"query predicate\(s\) \['Q'\] not in the theory"):
             wfomc(theory("forall x P(x)"), domain("A"), engine, query=formula("P(A) & Q"))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import domain, formula, theory
-from wfomc.counting import wfomc
+from wfomc.counting import ENGINES, wfomc
 from wfomc.errors import NonTightProgramError, WfomcError
 from wfomc.frontends import parse_mln, parse_problog, serialize_formula
 from wfomc.encoders import (
@@ -252,7 +252,7 @@ class TestQueryProbability:
         ]
         for text, query in cases:
             enc = WfomcEncoding(theory(text))
-            for engine in ("brute", "dpll"):
+            for engine in ENGINES:
                 with pytest.raises(WfomcError, match="partition"):
                     query_probability(enc, domain("A"), formula(query), engine=engine)
 
@@ -267,24 +267,24 @@ class TestQueryProbability:
             d = Domain.of_size(n)
             for kind, text in enumerate(WORKSHOP_KINDS):
                 q = formula(text.format(c=f"C{n}"))
-                got = query_probability(enc, d, q, engine="dpll")
-                assert got == query_probability(enc, d, q, engine="brute"), (n, text)
-                assert got == workshop_probability(kind, n), (n, text)
+                for engine in ENGINES:
+                    got = query_probability(enc, d, q, engine=engine)
+                    assert got == workshop_probability(kind, n), (n, text, engine)
 
-    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_constant_queries(self, engine):
         enc = encode_problog(parse_problog(WORKSHOP))
         d = Domain.of_size(2)
         assert query_probability(enc, d, TRUE, engine=engine) == 1
         assert query_probability(enc, d, FALSE, engine=engine) == 0
 
-    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_query_predicate_outside_the_model_is_an_error(self, engine):
         enc = encode_problog(parse_problog(WORKSHOP))
         with pytest.raises(WfomcError, match=r"query predicate\(s\) \['Q', 'R'\] not in the model"):
             query_probability(enc, domain("A"), formula("Series & R(A) | Q"), engine=engine)
 
-    @pytest.mark.parametrize("engine", ["brute", "dpll"])
+    @pytest.mark.parametrize("engine", list(ENGINES))
     def test_fact_that_no_rule_uses(self, engine):
         # A weighted predicate that no sentence mentions is still the model's.
         enc = encode_problog(parse_problog("0.5 :: a.\n0.1 :: Rain(x).\nWet :- Rain(x)."))

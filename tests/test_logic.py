@@ -11,6 +11,7 @@ from wfomc.logic import (
     Domain,
     Exists,
     ForAll,
+    NameSet,
     PredicateSig,
     Variable,
     WeightFn,
@@ -171,6 +172,26 @@ class TestStandardizeApart:
         out = rename_bound(formula("(forall x P(x)) & (exists x Q(x,y))"), used)
         assert out == formula("(forall x_1 P(x_1)) & (exists x_2 Q(x_2,y))")
         assert used == {"x", "y", "x_1", "x_2"}
+
+    def test_fresh_names_take_linear_lookups(self):
+        # Binders that share a name cost a bounded number of lookups each:
+        # within one call, and across calls over one NameSet.
+        lookups = []
+
+        class Counted(NameSet):
+            def __contains__(self, name):
+                lookups.append(name)
+                return super().__contains__(name)
+
+        m = 300
+        used = Counted()
+        rename_bound(formula(" & ".join(f"(exists y P{i}(y))" for i in range(m))), used)
+        assert len(lookups) <= 3 * m
+        lookups.clear()
+        for i in range(m):
+            rename_bound(formula(f"exists y Q{i}(y)"), used)
+        assert len(lookups) <= 3 * m
+        assert used == {"y"} | {f"y_{k}" for k in range(1, 2 * m)}
 
     def test_preserves_counts_on_small_domains(self):
         from wfomc.counting import wfomc

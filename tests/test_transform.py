@@ -602,7 +602,8 @@ class TestSweep:
         samples = len(list(SAMPLES.glob("*.fol")))
         for kind in ("skolemize", "skolemize_full", "skolemize_prenex_shortcut",
                      "next_internal_site", "clause_form", "to_cnf_distribute",
-                     "to_cnf_tseitin", "unit_propagate", "to_nnf", "to_prenex", "ground"):
+                     "to_cnf_tseitin", "unit_propagate", "to_nnf", "to_prenex", "ground",
+                     "count.brute", "count.dpll"):
             assert digests[kind][0] == 3 + samples, kind
         assert digests["unit_propagate.clauses"][0] == 3
         assert {"eliminate_one", "staged.isolate", "staged.implication"} <= set(digests)

@@ -17,7 +17,10 @@ sentence and the ground formula over two constants; an elimination site is
 recorded by the subformula it names, not by its tree path. One more kind,
 ``unit_propagate.clauses``, propagates the seeded unit-heavy clause sets of
 ``unit_clauses``, one per seed, whose units interact far more often than
-those of the corpus. The file name keeps pytest from collecting it.
+those of the corpus. The kinds ``count.brute`` and ``count.dpll`` hold
+``wfomc`` of each corpus theory on that engine at one and two constants
+(plus the theory's own), so the script also compares the counting engines
+of two checkouts. The file name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import random
 import sys
 from pathlib import Path
 
+from wfomc.counting import wfomc
 from wfomc.errors import WfomcError
 from wfomc.frontends import parse_theory, serialize_formula, serialize_theory
 from wfomc.grounding import ground
@@ -148,6 +152,14 @@ def outputs(t):
     record("to_cnf_distribute", lambda: to_cnf_distribute(skolemize(t)))
     record("to_cnf_tseitin", lambda: to_cnf_tseitin(skolemize(t)))
     record("unit_propagate", lambda: unit_propagate(to_cnf_distribute(skolemize(t))))
+    for engine in ("brute", "dpll"):
+        lines = []
+        for n in (1, 2):
+            try:
+                lines.append(f"{n} {wfomc(t, Domain.of_size(n, t.constants()), engine=engine)}")
+            except WfomcError as e:
+                lines.append(f"{n} error: {e}")
+        out[f"count.{engine}"] = "\n".join(lines)
     return out
 
 
