@@ -15,6 +15,7 @@ from .logic import (
     Exists,
     ForAll,
     Formula,
+    FreshNamer,
     PredicateSig,
     Variable,
     WeightFn,
@@ -36,7 +37,6 @@ from .frontends import (
 from .grounding import GroundProblem, HerbrandBase, ground, herbrand_base
 from .counting import export_dimacs, wfomc, wmc_bruteforce, wmc_dpll
 from .transform import (
-    FreshNamer,
     eliminate_one,
     skolemize,
     skolemize_full,

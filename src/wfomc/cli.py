@@ -18,15 +18,15 @@ from .frontends import (
     count_json,
     parse_mln,
     parse_problog,
+    parse_query,
     parse_theory,
     probability_json,
     serialize_theory,
     weight_str,
-    _Parser,
 )
 from .encoders import WfomcEncoding, encode_mln, encode_problog, query_probability
 from .counting import DEFAULT_ENGINE, ENGINES, wfomc
-from .logic import FLOAT, Constant, Domain, WeightFn, WeightedTheory, free_vars
+from .logic import FLOAT, Constant, Domain, WeightFn, WeightedTheory
 from .propcheck import run_suite
 from .transform import (
     skolemize,
@@ -165,16 +165,6 @@ def _resolve_domain(args, theory: WeightedTheory, declared: Domain | None) -> Do
     raise WfomcError("no domain: pass --domain-size or --domain (or declare one in the file)")
 
 
-def _parse_query(text: str):
-    p = _Parser(text)
-    f = p.formula()
-    if not p.at("EOF"):
-        p.fail("trailing input after query")
-    if free_vars(f):
-        raise WfomcError("query must be a sentence (no free variables)")
-    return f
-
-
 def _cmd_skolemize(args) -> int:
     theory, _ = _load_theory(args.input)
     if args.shortcut:
@@ -219,7 +209,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_prob(args) -> int:
     enc, declared = _load_encoding(args.input, args.mode)
-    query = _parse_query(args.query)
+    query = parse_query(args.query)
     d = _resolve_domain(args, enc.theory, declared)
     value = query_probability(enc, d, query, engine=args.engine)
     if args.json:

@@ -19,13 +19,13 @@ from .frontends import BodyLiteral, LogicProgram, MlnModel, ProbFact, Rule
 from .grounding import expand
 from .logic import (
     FLOAT,
-    TRUE,
     And,
     Atom,
     Domain,
     Exists,
     FalseF,
     Formula,
+    FreshNamer,
     Iff,
     Implies,
     Not,
@@ -36,7 +36,7 @@ from .logic import (
     Weight,
     WeightFn,
     WeightedTheory,
-    _fresh_var,
+    close_universally,
     first_occurrence_vars,
     fold_and,
     fold_or,
@@ -44,7 +44,7 @@ from .logic import (
     predicates,
     subformulas,
 )
-from .transform import FreshNamer, _wrap, skolemize, to_cnf_distribute
+from .transform import skolemize, to_cnf_distribute
 
 
 @dataclass(frozen=True)
@@ -75,20 +75,16 @@ def encode_mln(m: MlnModel) -> WfomcEncoding:
     by an equivalence and weighted (e^w, 1). Hard formulas become plain
     constraints. The weights are floats (e^w is irrational); counting takes
     each as its exact binary value."""
-    reserved = set()
-    for r in m.rules:
-        reserved |= {sig.name for sig in predicates(r.formula)}
-    namer = FreshNamer(reserved)
-
+    names = FreshNamer({sig.name for r in m.rules for sig in predicates(r.formula)})
     sentences: list[Formula] = []
     pairs: dict[PredicateSig, tuple[Weight, Weight]] = {}
     for r in m.rules:
         xbar = first_occurrence_vars(r.formula)
         if r.hard:
-            sentences.append(_wrap(r.formula, xbar))
+            sentences.append(close_universally(r.formula, xbar))
         else:
-            p = Atom(namer.fresh("P", len(xbar)), tuple(Variable(v) for v in xbar))
-            sentences.append(_wrap(Iff(p, r.formula), xbar))
+            p = names.atom("P", xbar)
+            sentences.append(close_universally(Iff(p, r.formula), xbar))
             try:
                 pairs[p.pred] = (math.exp(r.weight), 1.0)
             except OverflowError:
@@ -225,40 +221,36 @@ def clarks_completion(p: LogicProgram) -> WeightedTheory:
 
     sentences: list[Formula] = []
     for pred, rules in by_head.items():
-        canon = _head_vars(rules[0])
-        disjuncts: list[Formula] = []
-        for r in rules:
-            disjuncts.append(_rule_disjunct(r, canon))
+        canon = _distinct_vars(rules[0].head, "rule head", ", got a constant")
+        disjuncts = [_rule_disjunct(r, canon) for r in rules]
         head = Atom(pred, tuple(Variable(v) for v in canon))
-        sentences.append(_wrap(Iff(head, fold_or(disjuncts)), canon))
+        sentences.append(close_universally(Iff(head, fold_or(disjuncts)), canon))
 
     for pred in body_preds:
         if pred in by_head or pred in fact_preds:
             continue
-        vars_ = tuple(f"x{i + 1}" for i in range(pred.arity))
-        atom = Atom(pred, tuple(Variable(v) for v in vars_))
-        sentences.append(_wrap(Not(atom), vars_))
+        atom = Atom(pred, tuple(Variable(f"x{i + 1}") for i in range(pred.arity)))
+        sentences.append(close_universally(Not(atom)))
 
     return WeightedTheory(tuple(sentences))
 
 
-def _head_vars(rule: Rule) -> tuple[str, ...]:
-    names = []
-    for t in rule.head.args:
-        if not isinstance(t, Variable):
-            raise WfomcError(
-                f"rule head {rule.head.pred.name} must use distinct variables, got a constant"
-            )
-        names.append(t.name)
+def _distinct_vars(a: Atom, what: str, constant: str) -> tuple[str, ...]:
+    """The names of ``a``'s arguments, which must be distinct variables.
+    ``what`` names ``a`` in the errors, and ``constant`` ends the one for a
+    constant argument."""
+    names = tuple(t.name for t in a.args if isinstance(t, Variable))
+    if len(names) != len(a.args):
+        raise WfomcError(f"{what} {a.pred.name} must use distinct variables{constant}")
     if len(set(names)) != len(names):
-        raise WfomcError(f"rule head {rule.head.pred.name} repeats a variable")
-    return tuple(names)
+        raise WfomcError(f"{what} {a.pred.name} repeats a variable")
+    return names
 
 
 def _rule_disjunct(rule: Rule, canon: tuple[str, ...]) -> Formula:
     """Body of one rule with its head variables renamed to the canonical ones
     and the remaining variables existentially quantified."""
-    own = _head_vars(rule)
+    own = _distinct_vars(rule.head, "rule head", ", got a constant")
     ren = dict(zip(own, canon))
     body_vars: list[str] = []
     for lit in rule.body:
@@ -266,11 +258,10 @@ def _rule_disjunct(rule: Rule, canon: tuple[str, ...]) -> Formula:
             if isinstance(t, Variable) and t.name not in own and t.name not in body_vars:
                 body_vars.append(t.name)
     # Body-only variables that collide with canonical names get renamed.
-    taken = set(canon) | set(own) | set(body_vars)
+    names = FreshNamer({*canon, *own, *body_vars})
     for i, v in enumerate(body_vars):
         if v in canon:
-            fresh = ren[v] = body_vars[i] = _fresh_var(v, taken)
-            taken.add(fresh)
+            ren[v] = body_vars[i] = names.variable(v)
 
     parts: list[Formula] = []
     for lit in rule.body:
@@ -280,7 +271,7 @@ def _rule_disjunct(rule: Rule, canon: tuple[str, ...]) -> Formula:
         )
         a = Atom(lit.atom.pred, args)
         parts.append(a if lit.positive else Not(a))
-    body = fold_and(parts) if parts else TRUE
+    body = fold_and(parts)
     for v in reversed(body_vars):
         body = Exists(v, body)
     return body
@@ -296,26 +287,13 @@ def encode_problog(p: LogicProgram) -> WfomcEncoding:
     auxiliary predicates first."""
     p = _expand_multifacts(p)
     for f in p.facts:
-        _fact_vars(f)
+        _distinct_vars(f.head, "probabilistic fact", "")
     theory = clarks_completion(p)
     pairs = {
         f.head.pred: (f.prob, 1 - f.prob)
         for f in p.facts
     }
     return WfomcEncoding(theory.replace(weights=WeightFn(pairs)))
-
-
-def _fact_vars(f: ProbFact) -> tuple[str, ...]:
-    names = []
-    for t in f.head.args:
-        if not isinstance(t, Variable):
-            raise WfomcError(
-                f"probabilistic fact {f.head.pred.name} must use distinct variables"
-            )
-        names.append(t.name)
-    if len(set(names)) != len(names):
-        raise WfomcError(f"probabilistic fact {f.head.pred.name} repeats a variable")
-    return tuple(names)
 
 
 def _expand_multifacts(p: LogicProgram) -> LogicProgram:
@@ -326,21 +304,16 @@ def _expand_multifacts(p: LogicProgram) -> LogicProgram:
     if not multi:
         return p
 
-    taken = {sig.name for sig in counts}
-    for r in p.rules:
-        taken.add(r.head.pred.name)
-        taken |= {lit.atom.pred.name for lit in r.body}
-    namer = FreshNamer(taken)
-
+    names = FreshNamer({sig.name for sig in counts} | {
+        a.pred.name for r in p.rules for a in (r.head, *(lit.atom for lit in r.body))})
     facts: list[ProbFact] = []
     rules = list(p.rules)
     for f in p.facts:
         if f.head.pred not in multi:
             facts.append(f)
             continue
-        aux = namer.fresh(f.head.pred.name + "_", f.head.pred.arity)
-        vars_ = _fact_vars(f)
-        aux_atom = Atom(aux, f.head.args)
+        aux_atom = names.atom(f.head.pred.name + "_",
+                              _distinct_vars(f.head, "probabilistic fact", ""))
         facts.append(ProbFact(f.prob, aux_atom))
         rules.append(Rule(f.head, (BodyLiteral(True, aux_atom),)))
     return LogicProgram(tuple(facts), tuple(rules))
@@ -359,7 +332,7 @@ def problog_oracle(p: LogicProgram, d: Domain, query: Formula,
 
     coins: list[tuple[Fraction, Atom]] = []
     for f in p.facts:
-        vars_ = _fact_vars(f)
+        vars_ = _distinct_vars(f.head, "probabilistic fact", "")
         for combo in itertools.product(d.constants, repeat=len(vars_)):
             coins.append((f.prob, Atom(f.head.pred, combo)))
     if len(coins) > cap:
@@ -493,6 +466,5 @@ def query_probability(e: WfomcEncoding, d: Domain, query: Formula,
 
 def _tautology(sig: PredicateSig) -> Formula:
     """forall x1..xk (p(x1..xk) | ~p(x1..xk)): it puts p's atoms in the base."""
-    vars_ = tuple(f"x{i + 1}" for i in range(sig.arity))
-    atom = Atom(sig, tuple(Variable(v) for v in vars_))
-    return _wrap(Or(atom, Not(atom)), vars_)
+    atom = Atom(sig, tuple(Variable(f"x{i + 1}") for i in range(sig.arity)))
+    return close_universally(Or(atom, Not(atom)))

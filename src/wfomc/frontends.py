@@ -399,6 +399,17 @@ def parse_theory(text: str) -> tuple[WeightedTheory, Domain | None]:
     return theory, domain
 
 
+def parse_query(text: str) -> Formula:
+    """Parse a query: one sentence, the whole of ``text``."""
+    p = _Parser(text)
+    f = p.formula()
+    if not p.at("EOF"):
+        p.fail("trailing input after query")
+    if free_vars(f):
+        raise WfomcError("query must be a sentence (no free variables)")
+    return f
+
+
 def _domain_constant(p: _Parser) -> Constant:
     if p.at("QUOTED"):
         return Constant(_unquote(p.next().text))

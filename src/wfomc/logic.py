@@ -242,14 +242,14 @@ def strip_foralls(f: Formula) -> tuple[tuple[str, ...], Formula]:
 
 
 def close_universally(f: Formula, order: tuple[str, ...] | None = None) -> Formula:
-    """Quantify the free variables of ``f`` universally.
+    """``f`` under one ``forall`` per variable of ``order``, the first
+    outermost, whether or not it occurs free in ``f``.
 
-    ``order`` defaults to first-occurrence order in the formula.
+    ``order`` defaults to the free variables in first-occurrence order.
     """
     if order is None:
         order = first_occurrence_vars(f)
-    fv = free_vars(f)
-    for v in reversed([v for v in order if v in fv]):
+    for v in reversed(order):
         f = ForAll(v, f)
     return f
 
@@ -337,39 +337,12 @@ def _subst(f: Formula, binding: dict[str, Term]) -> Formula:
         if captured:
             taken = bound_vars(f) | free_vars(f) | set(inner)
             taken |= {t.name for t in inner.values() if isinstance(t, Variable)}
-            fresh = _fresh_var(f.var, taken)
+            fresh = FreshNamer(taken).variable(f.var)
             body = _subst(f.body, {f.var: Variable(fresh)})
             return type(f)(fresh, _subst(body, inner))
         return type(f)(f.var, _subst(f.body, inner))
     kids = tuple(_subst(c, binding) for c in children(f))
     return with_children(f, kids)
-
-
-class NameSet(set):
-    """Variable names in use, which callers only add to, with the
-    ``_fresh_var`` counters (``last``) that stay valid for as long as the
-    set lives."""
-
-    __slots__ = ("last",)
-
-    def __init__(self, names=()):
-        super().__init__(names)
-        self.last: dict[str, int] = {}
-
-
-def _fresh_var(base: str, taken: set[str], last: dict[str, int] | None = None) -> str:
-    """The least ``base_k`` (k >= 1) not in ``taken``. ``last`` maps a base
-    name to the ``k`` an earlier search over the same ``taken`` returned; if
-    names were only added to ``taken`` since, no smaller ``k`` is free, so
-    the search starts there, and m searches for one base cost O(m) lookups
-    rather than O(m^2)."""
-    if last is None:
-        last = {}
-    k = last.get(base, 1)
-    while f"{base}_{k}" in taken:
-        k += 1
-    last[base] = k
-    return f"{base}_{k}"
 
 
 # ---------------------------------------------------------------------------
@@ -516,23 +489,64 @@ class Domain:
 
 
 # ---------------------------------------------------------------------------
-# Alpha-renaming
+# Fresh names and alpha-renaming
+
+
+class FreshNamer:
+    """The names in use, and the one maker of new names.
+
+    ``fresh(stem, start)`` is the least ``stem + str(k)``, k >= ``start``,
+    not in ``used``, and it joins ``used``. Names are only ever added, so no
+    smaller k is free later, and the next search for the stem starts one
+    past the last: m names from one stem cost O(m) set lookups in all.
+    ``used`` is the caller's set, not a copy. Predicates are numbered from
+    0 (``Z0``, ``Sk0``, ``Attends_0``), variables from 1 (``y_1``).
+    """
+
+    __slots__ = ("used", "_next")
+
+    def __init__(self, used: set[str] | None = None):
+        self.used = set() if used is None else used
+        self._next: dict[str, int] = {}
+
+    @classmethod
+    def for_theory(cls, t: WeightedTheory) -> "FreshNamer":
+        """Names fresh against ``t``'s predicates, weighted ones included."""
+        return cls({sig.name for sig in t.predicates()} | {sig.name for sig in t.weights.pairs})
+
+    def fresh(self, stem: str, start: int) -> str:
+        k = self._next.get(stem, start)
+        while f"{stem}{k}" in self.used:
+            k += 1
+        name = f"{stem}{k}"
+        self.used.add(name)
+        self._next[stem] = k + 1
+        return name
+
+    def atom(self, stem: str, vars_: tuple[str, ...]) -> Atom:
+        """A fresh predicate ``stem + k`` applied to the variables ``vars_``."""
+        return Atom(PredicateSig(self.fresh(stem, 0), len(vars_)), tuple(map(Variable, vars_)))
+
+    def variable(self, base: str) -> str:
+        """A fresh variable ``base_k``."""
+        return self.fresh(base + "_", 1)
 
 
 def standardize_apart(t: WeightedTheory) -> WeightedTheory:
     """Rename quantified variables so no name is bound twice in the theory."""
-    used = NameSet()  # sentences have no free variables
-    return t.replace(sentences=tuple(rename_bound(s, used) for s in t.sentences))
+    names = FreshNamer()  # sentences have no free variables
+    return t.replace(sentences=tuple(rename_bound(s, names) for s in t.sentences))
 
 
-def rename_bound(f: Formula, used: set[str]) -> Formula:
-    """``f`` with every quantified variable whose name is in ``used`` renamed
-    to a fresh ``name_k``; each binder's name is added to ``used``, so no
-    two binders of ``f`` share one either. ``used`` must hold the free
-    variables of ``f``. Fresh names are searched in time linear in the
-    binders renamed, within a call and, when ``used`` is a ``NameSet``,
-    across calls."""
-    last = used.last if isinstance(used, NameSet) else {}
+def rename_bound(f: Formula, used: set[str] | FreshNamer) -> Formula:
+    """``f`` with every quantified variable whose name is in use renamed to
+    a fresh ``name_k`` (``FreshNamer.variable``); each binder's name joins
+    the names in use, so no two binders of ``f`` share one either. ``used``,
+    a set of names or a ``FreshNamer``, must hold the free variables of
+    ``f``; a set gains the new names. A search for a fresh name resumes
+    where the last one for its name stopped: within a call, and across
+    calls over one ``FreshNamer``."""
+    names = used if isinstance(used, FreshNamer) else FreshNamer(used)
 
     def walk(g: Formula, ren: dict[str, str]) -> Formula:
         if isinstance(g, Atom):
@@ -543,9 +557,10 @@ def rename_bound(f: Formula, used: set[str]) -> Formula:
             return Atom(g.pred, args)
         if isinstance(g, QUANT):
             name = g.var
-            if name in used:
-                name = _fresh_var(g.var, used, last)
-            used.add(name)
+            if name in names.used:
+                name = names.variable(name)
+            else:
+                names.used.add(name)
             inner = dict(ren)
             inner[g.var] = name
             return type(g)(name, walk(g.body, inner))

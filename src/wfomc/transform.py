@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -31,10 +31,10 @@ from .logic import (
     FalseF,
     ForAll,
     Formula,
+    FreshNamer,
     Iff,
     Implies,
     Junction,
-    NameSet,
     Not,
     Or,
     PredicateSig,
@@ -62,39 +62,6 @@ from .logic import (
 )
 
 NF_OK_FOR_CNF = (NF_SKOLEM, NF_FO_CNF)
-
-
-# ---------------------------------------------------------------------------
-# Fresh predicate names
-
-
-@dataclass
-class FreshNamer:
-    """Hands out Z0,Z1,.../Sk0,Sk1,... names that never collide."""
-
-    reserved: set[str] = field(default_factory=set)
-    counters: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def for_theory(cls, t: WeightedTheory) -> "FreshNamer":
-        names = {sig.name for sig in t.predicates()}
-        names |= {sig.name for sig in t.weights.pairs}
-        return cls(names)
-
-    def fresh(self, prefix: str, arity: int) -> PredicateSig:
-        k = self.counters.get(prefix, 0)
-        while f"{prefix}{k}" in self.reserved:
-            k += 1
-        name = f"{prefix}{k}"
-        self.reserved.add(name)
-        self.counters[prefix] = k + 1
-        return PredicateSig(name, arity)
-
-    def tseitin(self, arity: int) -> PredicateSig:
-        return self.fresh("Z", arity)
-
-    def skolem(self, arity: int) -> PredicateSig:
-        return self.fresh("Sk", arity)
 
 
 # ---------------------------------------------------------------------------
@@ -217,25 +184,24 @@ def _nnf(f: Formula, pos: bool) -> Formula:
 
 def to_prenex(f: Formula) -> Formula:
     """Pull all quantifiers to the front. Input must be standardized apart."""
-    taken = NameSet(bound_vars(f) | free_vars(f))
-    f = _expand_quantified_iff(f, taken)
+    f = _expand_quantified_iff(f, FreshNamer(bound_vars(f) | free_vars(f)))
     prefix, matrix = _pull(f)
     for cls, var in reversed(prefix):
         matrix = cls(var, matrix)
     return matrix
 
 
-def _expand_quantified_iff(f: Formula, taken: set[str]) -> Formula:
+def _expand_quantified_iff(f: Formula, names: FreshNamer) -> Formula:
     """Quantifiers cannot move through <->; rewrite such nodes first.
 
-    ``taken`` holds every variable name of the whole formula, so the renames
+    ``names`` holds every variable name of the whole formula, so the renames
     forced by the duplication cannot collide with binders elsewhere.
     """
-    kids = tuple(_expand_quantified_iff(c, taken) for c in children(f))
+    kids = tuple(_expand_quantified_iff(c, names) for c in children(f))
     f = with_children(f, kids)
     if isinstance(f, Iff) and not is_quantifier_free(f):
         expanded = And(Implies(f.left, f.right), Implies(f.right, f.left))
-        return rename_bound(expanded, taken)
+        return rename_bound(expanded, names)
     return f
 
 
@@ -288,28 +254,21 @@ def _eliminate(sentences: list[Formula], weights: dict, site: ElimSite,
     if not isinstance(node, QUANT) or node.var != site.var:
         raise WfomcError("stale elimination site: quantifier moved")
     ys = site.ys
-    terms = tuple(Variable(v) for v in ys)
     quantified = ys + (site.var,)
     exists = isinstance(node, Exists)
     disjunct = negate(node.body) if exists else node.body  # forall x, phi == ~exists x, ~phi
     if shortcut:
-        s = Atom(namer.skolem(len(ys)), terms)
-        sentences[i] = _wrap(Or(s, disjunct), quantified)
+        s = namer.atom("Sk", ys)
+        sentences[i] = close_universally(Or(s, disjunct), quantified)
         weights[s.pred] = _SKOLEM
         return
-    z = Atom(namer.tseitin(len(ys)), terms)
-    s = Atom(namer.skolem(len(ys)), terms)
+    z = namer.atom("Z", ys)
+    s = namer.atom("Sk", ys)
     sentences[i] = replace_at(sentences[i], site.path, z if exists else Not(z))
-    sentences += [_wrap(Or(z, disjunct), quantified), _wrap(Or(s, z), ys),
-                  _wrap(Or(s, disjunct), quantified)]
+    sentences += [close_universally(Or(z, disjunct), quantified),
+                  close_universally(Or(s, z), ys), close_universally(Or(s, disjunct), quantified)]
     weights[z.pred] = _DEFINITION
     weights[s.pred] = _SKOLEM
-
-
-def _wrap(body: Formula, vars_: tuple[str, ...]) -> Formula:
-    for v in reversed(vars_):
-        body = ForAll(v, body)
-    return body
 
 
 def _eliminate_all(sentences: list[Formula], namer: FreshNamer, use_shortcut: bool) -> dict:
@@ -366,8 +325,8 @@ def _skolemize(t: WeightedTheory, use_shortcut: bool) -> WeightedTheory:
     """Bound variables renamed apart once, every sentence's sites cleared
     in order by the elimination step (``_eliminate_all``), and one theory
     and one weight function built from the result."""
-    used = NameSet()  # sentences have no free variables
-    sentences = [rename_bound(s, used) for s in t.sentences]
+    names = FreshNamer()  # sentences have no free variables
+    sentences = [rename_bound(s, names) for s in t.sentences]
     weights = _eliminate_all(sentences, FreshNamer.for_theory(t), use_shortcut)
     return t.replace(sentences=tuple(sentences), weights=t.weights.extended(weights))
 
@@ -545,8 +504,7 @@ def _definitional_clauses(m: Formula, namer: FreshNamer,
         while isinstance(f, Not):
             f, pos = f.body, not pos
         if not isinstance(f, Atom):
-            fv = first_occurrence_vars(f)
-            d = Atom(namer.fresh("D", len(fv)), tuple(Variable(v) for v in fv))
+            d = namer.atom("D", first_occurrence_vars(f))
             defs.append(d.pred)
             if isinstance(f, Iff):
                 a, b = literal(f.left, True), literal(f.right, True)
@@ -671,8 +629,8 @@ def clause_form(sentences, reserved) -> tuple[list, list]:
     if not rest:
         return clauses, []
     namer = FreshNamer({sig.name for sig in reserved})
-    used = NameSet()
-    rest = [rename_bound(s, used) for s in rest]
+    names = FreshNamer()
+    rest = [rename_bound(s, names) for s in rest]
     weights = _eliminate_all(rest, namer, use_shortcut=True)
     new = sorted(weights, key=lambda sig: (sig.name, sig.arity))
     for s in rest:
@@ -830,38 +788,35 @@ class StagedElimination:
 def staged_elimination(t: WeightedTheory, site: ElimSite) -> StagedElimination:
     """The four stages of eliminating the existential at ``site`` of
     ``standardize_apart(t)``, each with the count of ``t``. The last,
-    ``implication``, is the step ``skolemize`` runs (``_eliminate``, as
-    ``eliminate_one``), so the ladder certifies that step; the others are
-    built around its predicates Z and S."""
+    ``implication``, is ``eliminate_one``'s output, the step ``skolemize``
+    runs, so the ladder certifies that step; the others are built around
+    its predicates Z and S, the two it adds to the weights."""
     if site.kind != "exists":
         raise WfomcError("staged elimination is defined for existential sites")
     t = standardize_apart(t)
     node = formula_at(t.sentences[site.sentence_index], site.path)
     if not isinstance(node, Exists) or node.var != site.var:
         raise WfomcError("stale elimination site: quantifier moved")
-    sentences = list(t.sentences)
-    weights: dict = {}
-    _eliminate(sentences, weights, site, FreshNamer.for_theory(t), shortcut=False)
-    implication = t.replace(sentences=tuple(sentences), weights=t.weights.extended(weights))
+    implication = eliminate_one(t, site, FreshNamer.for_theory(t))
 
-    z_sig, s_sig = weights
+    z_sig, s_sig = list(implication.weights.pairs)[len(t.weights.pairs):]
     ys = site.ys
     terms = tuple(Variable(v) for v in ys)
     z, s = Atom(z_sig, terms), Atom(s_sig, terms)
-    replaced = tuple(sentences[:len(t.sentences)])
-    backward = sentences[len(t.sentences)]  # forall ys, x: Z | ~phi
+    replaced = implication.sentences[:len(t.sentences)]
+    backward = implication.sentences[len(t.sentences)]  # forall ys, x: Z | ~phi
 
-    equivalence = _wrap(Iff(z, Exists(node.var, node.body)), ys)
+    equivalence = close_universally(Iff(z, Exists(node.var, node.body)), ys)
     isolate = t.replace(
         sentences=replaced + (equivalence,),
         weights=t.weights.extended({z_sig: _DEFINITION}),
     )
 
-    forward = _wrap(Exists(node.var, Or(Not(z), node.body)), ys)
+    forward = close_universally(Exists(node.var, Or(Not(z), node.body)), ys)
     split = isolate.replace(sentences=replaced + (forward, backward))
 
     sigma = Exists(node.var, Or(Not(z), node.body))
-    named = _wrap(Iff(s, sigma), ys)
+    named = close_universally(Iff(s, sigma), ys)
     feature = split.replace(
         sentences=replaced + (named, backward),
         weights=split.weights.extended({s_sig: (1, 0)}),

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from test_encoders import NOT_DISTINCT
 from wfomc import cli
 from wfomc.cli import main
 from wfomc.counting import DEFAULT_ENGINE, ENGINES
@@ -274,6 +275,13 @@ class TestProb:
                            "--query", "Series", "--domain-size", "1", "--json")
         assert code == 0
         assert json.loads(out) == {"probability": {"num": "3", "den": "100"}}
+
+    @pytest.mark.parametrize("text, message", NOT_DISTINCT)
+    def test_head_arguments_must_be_distinct_variables(self, capsys, tmp_path, text, message):
+        f = tmp_path / "p.plp"
+        f.write_text(text + "\n")
+        code, out, err = run(capsys, "prob", f, "--query", "true", "--domain-size", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_long_rule_chain_does_not_run_out_of_recursion(self, capsys, tmp_path):
         # The tightness check searches the 2000-rule dependency chain

@@ -158,7 +158,25 @@ class TestClarksCompletion:
             clarks_completion(parse_problog("p(A) :- q."))
 
 
+# Programs with a fact or rule head whose arguments are not distinct
+# variables, each with its error message; the second fact goes through the
+# multi-fact expansion.
+NOT_DISTINCT = [
+    ("0.5 :: P(x,A).\nQ(x) :- P(x,x).", "probabilistic fact P must use distinct variables"),
+    ("0.5 :: P(x,x).", "probabilistic fact P repeats a variable"),
+    ("0.5 :: P(x,x).\n0.5 :: P(x,y).", "probabilistic fact P repeats a variable"),
+    ("0.5 :: P(x).\nQ(A) :- P(A).", "rule head Q must use distinct variables, got a constant"),
+    ("0.5 :: P(x).\nQ(x,y) :- P(x).\nQ(x,x) :- P(x).", "rule head Q repeats a variable"),
+]
+
+
 class TestEncodeProblog:
+    @pytest.mark.parametrize("text, message", NOT_DISTINCT)
+    def test_head_arguments_must_be_distinct_variables(self, text, message):
+        with pytest.raises(WfomcError) as e:
+            encode_problog(parse_problog(text))
+        assert str(e.value) == message
+
     def test_workshop_weights(self):
         enc = encode_problog(parse_problog(WORKSHOP))
         w = enc.theory.weights

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import formula
-from wfomc.errors import ParseError
+from wfomc.errors import ParseError, WfomcError
 from wfomc.frontends import (
     _int_str,
     count_json,
     parse_mln,
     parse_problog,
+    parse_query,
     parse_theory,
     probability_json,
     serialize_formula,
@@ -180,6 +181,20 @@ class TestRoundTrip:
     def test_problog_round_trip(self):
         p = parse_problog(TestProblogParsing.WORKSHOP + "q :- \\+Series.")
         assert parse_problog(serialize_problog(p)) == p
+
+
+class TestQueryParsing:
+    def test_one_sentence(self):
+        assert parse_query("exists x (P(x) & Q)") == formula("exists x (P(x) & Q)")
+
+    def test_trailing_input_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="trailing input after query") as e:
+            parse_query("P(A) Q")
+        assert (e.value.line, e.value.column) == (1, 6)
+
+    def test_free_variable_is_rejected(self):
+        with pytest.raises(WfomcError, match=r"^query must be a sentence \(no free variables\)$"):
+            parse_query("P(x)")
 
 
 class TestErrorDiscipline:

@@ -11,7 +11,7 @@ from wfomc.logic import (
     Domain,
     Exists,
     ForAll,
-    NameSet,
+    FreshNamer,
     PredicateSig,
     Variable,
     WeightFn,
@@ -173,25 +173,39 @@ class TestStandardizeApart:
         assert out == formula("(forall x_1 P(x_1)) & (exists x_2 Q(x_2,y))")
         assert used == {"x", "y", "x_1", "x_2"}
 
-    def test_fresh_names_take_linear_lookups(self):
-        # Binders that share a name cost a bounded number of lookups each:
-        # within one call, and across calls over one NameSet.
+    def test_fresh_names_take_linear_lookups(self, monkeypatch):
+        # Fresh names cost a bounded number of set lookups each: bound
+        # variables within one call and across calls over one FreshNamer,
+        # and the Z and Sk predicates of the sites of one Skolemization.
         lookups = []
 
-        class Counted(NameSet):
+        class Counted(set):
             def __contains__(self, name):
                 lookups.append(name)
                 return super().__contains__(name)
 
         m = 300
-        used = Counted()
-        rename_bound(formula(" & ".join(f"(exists y P{i}(y))" for i in range(m))), used)
+        names = FreshNamer(Counted())
+        rename_bound(formula(" & ".join(f"(exists y P{i}(y))" for i in range(m))), names)
         assert len(lookups) <= 3 * m
         lookups.clear()
         for i in range(m):
-            rename_bound(formula(f"exists y Q{i}(y)"), used)
+            rename_bound(formula(f"exists y Q{i}(y)"), names)
         assert len(lookups) <= 3 * m
-        assert used == {"y"} | {f"y_{k}" for k in range(1, 2 * m)}
+        assert names.used == {"y"} | {f"y_{k}" for k in range(1, 2 * m)}
+
+        from wfomc.transform import skolemize_full
+
+        lookups.clear()
+        monkeypatch.setattr(FreshNamer, "for_theory", classmethod(
+            lambda cls, t: cls(Counted(sig.name for sig in t.predicates()))))
+        t = theory("\n".join(f"forall x exists y R{i}(x,y)" for i in range(m))
+                   + "\nZ0 & Z1 & Sk0 & Sk2")
+        out = skolemize_full(t)
+        assert len(lookups) <= 3 * m
+        fresh = {sig.name for sig in out.predicates()} - {sig.name for sig in t.predicates()}
+        assert fresh == {f"Z{k}" for k in range(2, m + 2)} | {"Sk1"} | {
+            f"Sk{k}" for k in range(3, m + 2)}
 
     def test_preserves_counts_on_small_domains(self):
         from wfomc.counting import wfomc

@@ -603,9 +603,13 @@ class TestSweep:
         for kind in ("skolemize", "skolemize_full", "skolemize_prenex_shortcut",
                      "next_internal_site", "clause_form", "to_cnf_distribute",
                      "to_cnf_tseitin", "unit_propagate", "to_nnf", "to_prenex", "ground",
-                     "count.brute", "count.dpll"):
+                     "count.brute", "count.dpll", "standardize_apart"):
             assert digests[kind][0] == 3 + samples, kind
         assert digests["unit_propagate.clauses"][0] == 3
+        assert digests["standardize_apart.shadowed"][0] == 3
+        for kind, suffix in (("encode_mln", "mln"), ("encode_problog", "plp")):
+            models = 3 + len(list(SAMPLES.glob(f"*.{suffix}")))
+            assert digests[kind][0] == digests[f"{kind}.prepared"][0] == models, kind
         assert {"eliminate_one", "staged.isolate", "staged.implication"} <= set(digests)
         assert transform_sweep.sweep(range(3)) == digests
         assert transform_sweep.main(["--seeds", "3"]) == 0

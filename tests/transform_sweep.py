@@ -20,22 +20,47 @@ recorded by the subformula it names, not by its tree path. One more kind,
 those of the corpus. The kinds ``count.brute`` and ``count.dpll`` hold
 ``wfomc`` of each corpus theory on that engine at one and two constants
 (plus the theory's own), so the script also compares the counting engines
-of two checkouts. The file name keeps pytest from collecting it.
+of two checkouts.
+
+The encoders are swept too. ``standardize_apart`` is recorded for each
+corpus theory and, as ``standardize_apart.shadowed``, for each seed's theory
+with its variables renamed to x, y and z, so that binders share names.
+``encode_mln`` and ``encode_problog`` (and ``.prepared``, the Skolemized
+clausal form a query is counted against) are recorded for every
+``samples/*.mln`` and ``samples/*.plp`` and for one seeded MLN and one
+seeded ProbLog program per seed (``gen_mln``, ``gen_program``). The file
+name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from wfomc.counting import wfomc
+from wfomc.encoders import encode_mln, encode_problog
 from wfomc.errors import WfomcError
-from wfomc.frontends import parse_theory, serialize_formula, serialize_theory
+from wfomc.frontends import (
+    BodyLiteral,
+    LogicProgram,
+    MlnModel,
+    MlnRule,
+    ProbFact,
+    Rule,
+    parse_mln,
+    parse_problog,
+    parse_theory,
+    serialize_formula,
+    serialize_theory,
+)
 from wfomc.grounding import ground
 from wfomc.logic import (
+    QUANT,
     Atom,
     Constant,
     Domain,
@@ -44,9 +69,12 @@ from wfomc.logic import (
     Variable,
     WeightFn,
     WeightedTheory,
+    children,
     close_universally,
     fold_or,
     standardize_apart,
+    strip_foralls,
+    with_children,
 )
 from wfomc.propcheck import GenConfig, gen_theory
 from wfomc.transform import (
@@ -69,11 +97,14 @@ from wfomc.transform import (
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
+def generated(seed: int) -> WeightedTheory:
+    return gen_theory(GenConfig(seed=seed, max_connective_depth=4, max_sentences=3))
+
+
 def corpus(seeds):
     """(label, theory) pairs: the generated theories, then the samples."""
     for seed in seeds:
-        yield f"seed {seed}", gen_theory(GenConfig(seed=seed, max_connective_depth=4,
-                                                   max_sentences=3))
+        yield f"seed {seed}", generated(seed)
     for path in sorted(SAMPLES.glob("*.fol")):
         yield path.name, parse_theory(path.read_text())[0]
 
@@ -98,6 +129,81 @@ def unit_clauses(seed: int, max_preds: int = 4, max_clauses: int = 8,
         sentences.append(close_universally(fold_or(lits)))
     pairs = {sig: (rng.choice((1, 2, 3)), rng.choice((1, -1, 5))) for sig in sigs}
     return WeightedTheory(tuple(sentences), WeightFn(pairs))
+
+
+def shadowed(f):
+    """``f``, a formula or theory of ``gen_theory``, with each variable
+    ``v<k>`` renamed to x, y or z by k mod 3."""
+    if isinstance(f, WeightedTheory):
+        return f.replace(sentences=tuple(map(shadowed, f.sentences)))
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(Variable("xyz"[int(a.name[1:]) % 3]) if isinstance(a, Variable)
+                                  else a for a in f.args))
+    if isinstance(f, QUANT):
+        return type(f)("xyz"[int(f.var[1:]) % 3], shadowed(f.body))
+    return with_children(f, tuple(map(shadowed, children(f))))
+
+
+def gen_mln(seed: int) -> MlnModel:
+    """The sentences of the seed's shadowed theory as MLN formulas, without
+    their leading universals, so those variables are free, each weighted
+    1.5, -0.5 or inf (hard). Its predicates P0, P1, ... share the stem of
+    the encoder's parameter predicates."""
+    rng = random.Random(seed)
+    return MlnModel(tuple(MlnRule(rng.choice((1.5, -0.5, math.inf)), strip_foralls(s)[1])
+                          for s in shadowed(generated(seed)).sentences))
+
+
+def gen_program(seed: int) -> LogicProgram:
+    """A seeded ProbLog program over the variables x, y, z and y_1: one to
+    three facts on each of A, B and A_0, so multi-fact predicates whose
+    auxiliary names collide with A_0, and one to three rules for each of H
+    (over A, B, A_0 and E, which has neither facts nor rules) and G (over A,
+    B and H). Each head takes its own variables, so body-only variables
+    collide with the first rule's head variables; one head in thirty has a
+    constant or a repeated variable."""
+    rng = random.Random(seed)
+    arity = {name: rng.randint(0, 2) for name in ("A", "B", "A_0", "E", "H", "G")}
+    pool = ("x", "y", "z", "y_1")
+
+    def head(name):
+        args = [Variable(v) for v in rng.sample(pool, arity[name])]
+        if args and rng.random() < 1 / 30:
+            args[-1] = rng.choice((args[0], Constant("C")))
+        return Atom(PredicateSig(name, arity[name]), tuple(args))
+
+    def literal(names):
+        name = rng.choice(names)
+        args = tuple(Variable(rng.choice(pool)) for _ in range(arity[name]))
+        return BodyLiteral(rng.random() < 0.7, Atom(PredicateSig(name, arity[name]), args))
+
+    probs = (Fraction(1, 10), Fraction(1, 2), Fraction(3, 4))
+    facts = [ProbFact(rng.choice(probs), head(name))
+             for name in ("A", "B", "A_0") for _ in range(rng.randint(1, 3))]
+    rules = [Rule(head(name), tuple(literal(body) for _ in range(rng.randint(1, 3))))
+             for name, body in (("H", ("A", "B", "A_0", "E")), ("G", ("A", "B", "H")))
+             for _ in range(rng.randint(1, 3))]
+    return LogicProgram(tuple(facts), tuple(rules))
+
+
+def programs(seeds):
+    """(label, encoder, model) triples: the sample models, then one seeded
+    MLN and one seeded ProbLog program per seed."""
+    for path in sorted(SAMPLES.glob("*.mln")):
+        yield path.name, encode_mln, parse_mln(path.read_text())
+    for path in sorted(SAMPLES.glob("*.plp")):
+        yield path.name, encode_problog, parse_problog(path.read_text())
+    for seed in seeds:
+        yield f"mln {seed}", encode_mln, gen_mln(seed)
+        yield f"plp {seed}", encode_problog, gen_program(seed)
+
+
+def _shown(thunk, show=serialize_theory) -> str:
+    """``show`` of ``thunk()``, or ``error: ...`` where it raises."""
+    try:
+        return show(thunk())
+    except WfomcError as e:
+        return f"error: {e}"
 
 
 def _clauses(form) -> str:
@@ -125,16 +231,14 @@ def outputs(t):
     out = {}
 
     def record(kind, thunk, show=serialize_theory):
-        try:
-            out[kind] = show(thunk())
-        except WfomcError as e:
-            out[kind] = f"error: {e}"
+        out[kind] = _shown(thunk, show)
 
     record("skolemize", lambda: skolemize(t))
     record("skolemize_full", lambda: skolemize_full(t))
     record("skolemize_prenex_shortcut", lambda: skolemize_prenex_shortcut(t))
     record("to_nnf", lambda: [to_nnf(s) for s in t.sentences], _sentences)
     std = standardize_apart(t)
+    out["standardize_apart"] = serialize_theory(std)
     record("to_prenex", lambda: [to_prenex(s) for s in std.sentences], _sentences)
     record("ground", lambda: ground(t, Domain.of_size(2, t.constants())).formula,
            serialize_formula)
@@ -178,6 +282,12 @@ def sweep(seeds) -> dict[str, tuple[int, str]]:
     for seed in seeds:
         add("unit_propagate.clauses", f"units {seed}",
             serialize_theory(unit_propagate(unit_clauses(seed))))
+        add("standardize_apart.shadowed", f"seed {seed}",
+            serialize_theory(standardize_apart(shadowed(generated(seed)))))
+    for label, encode, model in programs(seeds):
+        kind = encode.__name__
+        add(kind, label, _shown(lambda: encode(model).theory))
+        add(f"{kind}.prepared", label, _shown(lambda: encode(model).prepared().theory))
     return {kind: (n, h.hexdigest()) for kind, (n, h) in sorted(digests.items())}
 
 
