@@ -50,11 +50,12 @@ def backend() -> str:
 def satisfying_words(ops, args, stack_need: int, start: int, n: int) -> np.ndarray:
     """uint64 satisfaction words covering assignments start..start+n-1.
 
-    ``start`` must be 64-aligned (or 0 with n < 64); trailing lanes beyond
-    ``n`` are unspecified. ``stack_need`` is the program's stack depth from
+    ``start`` must be 64-aligned, also for a block of n < 64: lanes are
+    numbered from the word's first assignment. Trailing lanes beyond ``n``
+    are unspecified. ``stack_need`` is the program's stack depth from
     ``compile_program``; the evaluator grows its stack as it goes.
     """
-    if start % 64 and n >= 64:
+    if start % 64:
         raise ValueError("block start must be 64-aligned")
     n_words = (n + 63) // 64
     widx = np.arange(start // 64, start // 64 + n_words, dtype=np.uint64)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import CapExceededError, NonTightProgramError, ParseError, WfomcError
@@ -125,30 +126,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_theory(path: Path) -> tuple[WeightedTheory, Domain | None]:
-    """The theory of a .fol, .mln or .plp file and its declared domain (a
-    .fol file's, else None)."""
+def _load_encoding(path: Path, mode: str | None = None) -> tuple[WfomcEncoding, Domain | None]:
+    """A .fol, .mln or .plp file as a counting problem, in ``mode``, and its
+    declared domain (a .fol file's, else None). A .fol theory is its own
+    model; an .mln or .plp file's encoder records the model's predicates."""
     text = path.read_text(encoding="utf-8")
     suffix = path.suffix.lower()
+    declared = None
     if suffix == ".fol":
-        return parse_theory(text)
-    if suffix == ".mln":
-        return encode_mln(parse_mln(text)).theory, None
-    if suffix == ".plp":
-        return encode_problog(parse_problog(text)).theory, None
-    raise WfomcError(f"unknown input format {suffix!r} (expected .fol, .mln or .plp)")
-
-
-def _load_encoding(path: Path, mode: str | None) -> tuple[WfomcEncoding, Domain | None]:
-    """The input as a counting problem for ``prob``, in ``mode``, and its
-    declared domain (``_load_theory``)."""
-    theory, declared = _load_theory(path)
-    if mode == "exact" and path.suffix.lower() == ".mln":
+        theory, declared = parse_theory(text)
+        enc = WfomcEncoding(theory)
+    elif suffix == ".mln":
+        enc = encode_mln(parse_mln(text))
+    elif suffix == ".plp":
+        enc = encode_problog(parse_problog(text))
+    else:
+        raise WfomcError(f"unknown input format {suffix!r} (expected .fol, .mln or .plp)")
+    if mode == "exact" and suffix == ".mln":
         raise WfomcError("MLN weights are e^w; only float mode is available")
     if mode == "float":
-        pairs = {sig: (float(wt), float(wf)) for sig, (wt, wf) in theory.weights.pairs.items()}
-        theory = theory.replace(weights=WeightFn(pairs, FLOAT))
-    return WfomcEncoding(theory), declared
+        pairs = {sig: (float(wt), float(wf)) for sig, (wt, wf) in enc.theory.weights.pairs.items()}
+        enc = replace(enc, theory=enc.theory.replace(weights=WeightFn(pairs, FLOAT)))
+    return enc, declared
 
 
 def _resolve_domain(args, theory: WeightedTheory, declared: Domain | None) -> Domain:
@@ -166,7 +165,7 @@ def _resolve_domain(args, theory: WeightedTheory, declared: Domain | None) -> Do
 
 
 def _cmd_skolemize(args) -> int:
-    theory, _ = _load_theory(args.input)
+    theory = _load_encoding(args.input)[0].theory
     if args.shortcut:
         out = skolemize_prenex_shortcut(theory)
     else:
@@ -179,7 +178,7 @@ def _cmd_skolemize(args) -> int:
 
 
 def _cmd_cnf(args) -> int:
-    theory, _ = _load_theory(args.input)
+    theory = _load_encoding(args.input)[0].theory
     out = skolemize(theory)
     out = to_cnf_tseitin(out) if args.tseitin else to_cnf_distribute(out)
     _emit_theory(out, args.json)

@@ -168,8 +168,7 @@ def compile_program(formula: Formula, base: HerbrandBase) -> Program:
 # Brute-force engine
 
 
-def wmc_bruteforce(g: GroundProblem, cap: int | None = None,
-                   block_bits: int = _BLOCK_BITS) -> Fraction:
+def wmc_bruteforce(g: GroundProblem, cap: int | None = None) -> Fraction:
     """Sum of weight products over all satisfying assignments of the base."""
     _check_brute_cap(len(g.base), cap)
     prog = compile_program(g.formula, g.base)
@@ -187,7 +186,7 @@ def wmc_bruteforce(g: GroundProblem, cap: int | None = None,
     used_weights = [weights[i] for i in prog.atoms]
     unit = all(wt == 1 and wf == 1 for wt, wf in used_weights)
 
-    total, den = _sum_exact(prog, used_weights, m, unit, block_bits)
+    total, den = _sum_exact(prog, used_weights, m, unit)
     return Fraction(total, den) * free * g.scalar
 
 
@@ -200,24 +199,23 @@ def _check_brute_cap(n: int, cap: int | None):
         )
 
 
-def _blocks(m: int, block_bits: int):
-    # Blocks must stay word-aligned: the kernels evaluate 64 assignments per
-    # uint64 lane, so a block is at least one full word (unless m < 6).
-    total = 1 << m
-    step = 1 << min(m, max(block_bits, 6))
-    for start in range(0, total, step):
-        yield start, min(step, total - start)
+def _blocks(m: int):
+    # The kernels evaluate 64 assignments per uint64 word and take only
+    # word-aligned starts, so _BLOCK_BITS is at least 6; a base of m < 6
+    # atoms is one block.
+    step = 1 << min(m, _BLOCK_BITS)
+    for start in range(0, 1 << m, step):
+        yield start, step
 
 
-def _sum_exact(prog: Program, weights, m: int, unit: bool,
-               block_bits: int) -> tuple[int, int]:
+def _sum_exact(prog: Program, weights, m: int, unit: bool) -> tuple[int, int]:
     import numpy as np
 
     from . import _kernels as K
 
     if unit:
         sat = 0
-        for start, count in _blocks(m, block_bits):
+        for start, count in _blocks(m):
             words = K.satisfying_words(prog.ops, prog.args, prog.stack_need,
                                        start, count)
             sat += K.popcount(words, count)
@@ -236,31 +234,24 @@ def _sum_exact(prog: Program, weights, m: int, unit: bool,
     low = _weight_table(nums_t[:k], nums_f[:k])
     high = _weight_table(nums_t[k:], nums_f[k:])
     # Every table entry and every product is at most the bound, also when
-    # one table is all zeros.
+    # one table is all zeros. Below 2**62 the products are added in int64
+    # segments whose sums stay below 2**62; past it, as Python ints in one.
     bound = max(1, *map(abs, low)) * max(1, *map(abs, high))
+    if bound < _INT64_SAFE:
+        dtype, segment = np.int64, _INT64_SAFE // bound
+    else:
+        dtype, segment = object, 1 << m
+    low_a = np.asarray(low, dtype=dtype)
+    high_a = np.asarray(high, dtype=dtype)
     low_mask = (1 << k) - 1
 
     total = 0
-    if bound < _INT64_SAFE:
-        low_a = np.asarray(low, dtype=np.int64)
-        high_a = np.asarray(high, dtype=np.int64)
-        chunk = _INT64_SAFE // bound
-        for start, count in _blocks(m, block_bits):
-            mask = K.satisfying_mask(prog.ops, prog.args, prog.stack_need,
-                                     start, count)
-            idx = np.arange(start, start + count, dtype=np.int64)[mask.view(np.bool_)]
-            if not idx.size:
-                continue
-            vals = low_a[idx & low_mask] * high_a[idx >> k]
-            for off in range(0, vals.size, chunk):
-                total += int(np.sum(vals[off:off + chunk], dtype=np.int64))
-    else:
-        for start, count in _blocks(m, block_bits):
-            mask = K.satisfying_mask(prog.ops, prog.args, prog.stack_need,
-                                     start, count)
-            for j in np.flatnonzero(mask.view(np.bool_)).tolist():
-                a = start + j
-                total += low[a & low_mask] * high[a >> k]
+    for start, count in _blocks(m):
+        mask = K.satisfying_mask(prog.ops, prog.args, prog.stack_need,
+                                 start, count)
+        idx = np.arange(start, start + count, dtype=np.int64)[mask.view(np.bool_)]
+        vals = low_a[idx & low_mask] * high_a[idx >> k]
+        total += sum(np.add.reduceat(vals, np.arange(0, vals.size, segment)).tolist())
     return total, den
 
 
@@ -771,7 +762,9 @@ def _branch_atom(occurrences: Counter) -> int:
 def _brute(t: WeightedTheory, d: Domain, cap: int | None, query: Formula | None):
     """Ground t once and count by enumeration, the query joining t's
     sentences for the first of the two counts."""
-    # The Herbrand base's layout gives its size before any atom; refuse early.
+    # The Herbrand base's layout gives its size before any atom, so the cap
+    # is checked before ``ground``, which computes the scale factor
+    # base ** n**k first: `scale 3 2` at n = 100000 would raise 3 to 10^10.
     _check_brute_cap(len(herbrand_base(t, d)), cap)
     g = ground(t, d)
     if query is None:

@@ -54,16 +54,29 @@ class WfomcEncoding:
     ``query_ready`` marks the post-Skolemization, clausal form; queries are
     conjoined to that form, which is sound because the elimination step stays
     correct under later conjunction of new sentences.
+
+    ``model_predicates`` are the predicates of the model as written, the
+    ones a query may use. The encoders record them, so that the predicates
+    they or Skolemization invent are not among them; left out, they are
+    those of the theory's sentences and its weighted ones (a ``.fol``
+    theory is its own model).
     """
 
     theory: WeightedTheory
     query_ready: bool = False
+    model_predicates: frozenset[PredicateSig] | None = None
+
+    def __post_init__(self):
+        if self.model_predicates is None:
+            t = self.theory
+            object.__setattr__(self, "model_predicates",
+                               frozenset(t.predicates()).union(t.weights.pairs))
 
     def prepared(self) -> "WfomcEncoding":
         if self.query_ready:
             return self
         t = to_cnf_distribute(skolemize(self.theory))
-        return WfomcEncoding(t, True)
+        return WfomcEncoding(t, True, self.model_predicates)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +88,8 @@ def encode_mln(m: MlnModel) -> WfomcEncoding:
     by an equivalence and weighted (e^w, 1). Hard formulas become plain
     constraints. The weights are floats (e^w is irrational); counting takes
     each as its exact binary value."""
-    names = FreshNamer({sig.name for r in m.rules for sig in predicates(r.formula)})
+    own = frozenset().union(*(predicates(r.formula) for r in m.rules))
+    names = FreshNamer({sig.name for sig in own})
     sentences: list[Formula] = []
     pairs: dict[PredicateSig, tuple[Weight, Weight]] = {}
     for r in m.rules:
@@ -90,7 +104,8 @@ def encode_mln(m: MlnModel) -> WfomcEncoding:
             except OverflowError:
                 raise WfomcError(f"soft weight {r.weight}: e^{r.weight} is out of "
                                  "float range") from None
-    return WfomcEncoding(WeightedTheory(tuple(sentences), WeightFn(pairs, FLOAT)))
+    return WfomcEncoding(WeightedTheory(tuple(sentences), WeightFn(pairs, FLOAT)),
+                         model_predicates=own)
 
 
 def mln_oracle(m: MlnModel, d: Domain, query: Formula, cap: int = 20) -> float:
@@ -285,7 +300,8 @@ def encode_problog(p: LogicProgram) -> WfomcEncoding:
     """Completion of the rules; each probabilistic fact weights its predicate
     (p, 1-p). Multiple facts on one predicate are routed through fresh
     auxiliary predicates first."""
-    p = _expand_multifacts(p)
+    own = _program_predicates(p)
+    p = _expand_multifacts(p, own)
     for f in p.facts:
         _distinct_vars(f.head, "probabilistic fact", "")
     theory = clarks_completion(p)
@@ -293,10 +309,20 @@ def encode_problog(p: LogicProgram) -> WfomcEncoding:
         f.head.pred: (f.prob, 1 - f.prob)
         for f in p.facts
     }
-    return WfomcEncoding(theory.replace(weights=WeightFn(pairs)))
+    return WfomcEncoding(theory.replace(weights=WeightFn(pairs)), model_predicates=own)
 
 
-def _expand_multifacts(p: LogicProgram) -> LogicProgram:
+def _program_predicates(p: LogicProgram) -> frozenset[PredicateSig]:
+    """The predicates of the facts' heads and the rules' heads and bodies."""
+    atoms = [f.head for f in p.facts]
+    for r in p.rules:
+        atoms += (r.head, *(lit.atom for lit in r.body))
+    return frozenset(a.pred for a in atoms)
+
+
+def _expand_multifacts(p: LogicProgram, own: frozenset[PredicateSig]) -> LogicProgram:
+    """``p`` with each fact on a predicate of several facts routed through
+    an auxiliary predicate, named fresh against ``own``, p's predicates."""
     counts: dict[PredicateSig, int] = {}
     for f in p.facts:
         counts[f.head.pred] = counts.get(f.head.pred, 0) + 1
@@ -304,8 +330,7 @@ def _expand_multifacts(p: LogicProgram) -> LogicProgram:
     if not multi:
         return p
 
-    names = FreshNamer({sig.name for sig in counts} | {
-        a.pred.name for r in p.rules for a in (r.head, *(lit.atom for lit in r.body))})
+    names = FreshNamer({sig.name for sig in own})
     facts: list[ProbFact] = []
     rules = list(p.rules)
     for f in p.facts:
@@ -438,16 +463,18 @@ def query_probability(e: WfomcEncoding, d: Domain, query: Formula,
     (an MLN's e^w) gets it as a float, rounded once here: this is the one
     place a float leaves the pipeline.
 
-    The query's predicates must be the model's: those of the prepared
-    theory's sentences, or weighted ones. A weighted predicate that no
-    sentence mentions (a ProbLog fact that no rule uses) joins the theory
-    through a tautology, so that both counts range over the same atoms.
+    The query's predicates must be the model's (``model_predicates``),
+    never one that an encoder or Skolemization invented. A model predicate
+    that no prepared sentence mentions (a ProbLog fact that no rule uses)
+    joins the theory through a tautology, so that both counts range over
+    the same atoms.
     """
-    prepared = e.prepared().theory
-    unused = predicates(query) - set(prepared.predicates())
-    missing = sorted(sig.name for sig in unused if sig not in prepared.weights.pairs)
+    used = predicates(query)
+    missing = sorted(sig.name for sig in used - e.model_predicates)
     if missing:
         raise WfomcError(f"query predicate(s) {missing} not in the model")
+    prepared = e.prepared().theory
+    unused = used - set(prepared.predicates())
     if unused:
         prepared = prepared.replace(sentences=prepared.sentences + tuple(
             _tautology(sig) for sig in sorted(unused, key=lambda p: (p.name, p.arity))))

@@ -415,6 +415,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: query predicate(s) ['Q'] not in the model\n"
 
+    @pytest.mark.parametrize("mode", [None, "float"])
+    @pytest.mark.parametrize("source,domain,query,name", [
+        ("workshop.plp", ("--domain-size", "1"), "Z0", "Z0"),  # Skolemization's
+        ("employment.mln", ("--domain", "A,B"), "P0(A)", "P0"),  # a soft formula's
+        (None, ("--domain-size", "1"), "A_0(C1)", "A_0"),  # a second fact's
+    ])
+    def test_invented_predicate_is_not_the_models(self, capsys, tmp_path, mode,
+                                                  source, domain, query, name):
+        # A predicate that an encoder or Skolemization adds is not queryable.
+        (tmp_path / "facts.plp").write_text("0.5 :: A(x).\n0.25 :: A(x).\n")
+        path = SAMPLES / source if source else tmp_path / "facts.plp"
+        argv = ["prob", path, *domain, "--query", query]
+        code, out, err = run(capsys, *argv, *(("--mode", mode) if mode else ()))
+        assert code == 2 and out == ""
+        assert err == f"error: query predicate(s) ['{name}'] not in the model\n"
+
     def test_soft_weight_past_float_range_is_two(self, capsys, tmp_path):
         f = tmp_path / "big.mln"
         f.write_text("800 Boss(x)\n")

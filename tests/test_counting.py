@@ -111,13 +111,50 @@ class TestBruteForce:
         with pytest.raises(CapExceededError):
             wmc_bruteforce(g, cap=3)
 
-    def test_partition_independence(self):
-        t = theory("weight P 1 2 -1\nforall x forall y (P(x) | Q(x,y))")
-        g = ground(t, Domain.of_size(2))
-        values = {
-            wmc_bruteforce(g, block_bits=bits) for bits in (1, 3, 6, 9, 18)
-        }
-        assert len(values) == 1
+    def test_partition_independence(self, monkeypatch):
+        # 12 used atoms: 64, 8 and 1 block(s) of assignments. Per constant,
+        # P true leaves its three Q atoms free (2 * 2^3 with weights (2, -1),
+        # 1 * 2^3 unweighted), P false forces them true.
+        text = "forall x forall y (P(x) | Q(x,y))"
+        for weights, count in (("weight P 1 2 -1\n", 15 ** 3), ("", 9 ** 3)):
+            g = ground(theory(weights + text), Domain.of_size(3))
+            assert len(compile_program(g.formula, g.base).atoms) == 12
+            for bits in (6, 9, 18):
+                monkeypatch.setattr(counting, "_BLOCK_BITS", bits)
+                assert wmc_bruteforce(g) == count, (weights, bits)
+
+    def test_sum_in_several_int64_segments(self):
+        # Every product is at most (24 * 25)^6 < 2^56, so int64 segments
+        # hold 98 products each, and the 729 models need 8 of them; their
+        # sum 1728^6 = 12^18 is past 2^63.
+        t = theory("weight P 1 24 23\nweight Q 1 24 25\nforall x (P(x) | Q(x))")
+        d = Domain.of_size(6)
+        bound = (24 * 25) ** 6
+        assert 2 ** 50 < bound < 2 ** 62 < 2 ** 63 < 12 ** 18
+        assert wmc_bruteforce(ground(t, d)) == 12 ** 18
+        assert wfomc(t, d, engine="dpll") == 12 ** 18
+
+    def test_sum_past_int64_over_several_blocks(self, monkeypatch):
+        # Products reach (2^40 * 2^30)^6 = 2^420, and 64-assignment blocks
+        # split the 4096 assignments into 64 blocks. The weight -3 makes
+        # the sum alternate.
+        monkeypatch.setattr(counting, "_BLOCK_BITS", 6)
+        t = theory("weight P 1 1099511627776 -3\nweight Q 1 5 1073741824\n"
+                   "forall x (P(x) | Q(x))")
+        d = Domain.of_size(6)
+        per_constant = 2 ** 40 * 5 + 2 ** 40 * 2 ** 30 - 3 * 5
+        assert wmc_bruteforce(ground(t, d)) == per_constant ** 6
+        assert wfomc(t, d, engine="dpll") == per_constant ** 6
+
+    def test_cap_is_checked_before_grounding(self, monkeypatch):
+        # ground computes the scale factor 3^(n^2) first: 3^(10^10) here.
+        def fail(*args):
+            raise AssertionError("ground was called")
+
+        monkeypatch.setattr(counting, "ground", fail)
+        t = theory("scale 3 2\nforall x P(x)")
+        with pytest.raises(CapExceededError, match="100000 atoms"):
+            wfomc(t, Domain.of_size(100000))
 
     def test_float_mode(self):
         t = theory("forall x (P(x) | Q(x))")
@@ -169,10 +206,15 @@ class TestKernels:
                 assert np.array_equal(block, expected[start:start + step])
             checked += 1
 
-    def test_unaligned_block_start_is_rejected(self):
-        prog = compile_program(TRUE, HerbrandBase(()))
+    @pytest.mark.parametrize("start,n", [(32, 64), (8, 8)])
+    def test_unaligned_block_start_is_rejected(self, start, n):
+        # At start 8 the evaluator would read lanes 0-7 of word 0: lane 0
+        # is false, though assignment 8 satisfies P0 | P1 | P2 | P3.
+        atoms = [Atom(PredicateSig(f"P{i}", 0), ()) for i in range(4)]
+        base = HerbrandBase(()).appended(a.pred for a in atoms)
+        prog = compile_program(fold_or(atoms), base)
         with pytest.raises(ValueError, match="aligned"):
-            K.satisfying_words(prog.ops, prog.args, prog.stack_need, 32, 64)
+            K.satisfying_words(prog.ops, prog.args, prog.stack_need, start, n)
 
     def test_popcount_ignores_trailing_lanes(self):
         ones = np.full(2, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
