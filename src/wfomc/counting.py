@@ -25,6 +25,16 @@ they are instantiated (``transform.clause_form``). No ground formula is built, a
 and definition atoms included, lies in the base layout, so the symmetric
 cache can rename all of them.
 
+The ``dpll`` engine grounds a whole theory only when it has no separator
+(``_separator_split``): one argument position per predicate at which every
+atom of a clause holds the same term, an outer variable or, in an evidence
+clause, a constant. With one, the ground clauses fall apart into a slice
+per constant over disjoint atoms, and the slices of the constants that no
+clause names are copies of one another: one of them, and the slice of
+each named constant, is grounded and counted. Theories with a nullary
+predicate or a clause without such a term, and queries that are not one
+clause or touch several slices, are counted whole.
+
 ``wfomc(t, d, engine, query=q)`` returns the pair (count of t ∧ q, count of
 t) that a probability query needs. Brute force counts the two independently.
 DPLL puts the theory in clause form and searches it once, then puts the
@@ -62,13 +72,16 @@ from .grounding import (
 from .logic import (
     And,
     Atom,
+    Constant,
     Domain,
     FalseF,
     Formula,
+    FreshNamer,
     Iff,
     Implies,
     Not,
     Or,
+    PredicateSig,
     TrueF,
     WeightedTheory,
     children,
@@ -774,14 +787,201 @@ def _brute(t: WeightedTheory, d: Domain, cap: int | None, query: Formula | None)
 
 
 def _dpll(t: WeightedTheory, d: Domain, cap: int | None, query: Formula | None):
-    """Put t's sentences in clause form and then the query's over it, and
-    answer both counts from one search. ``cap`` bounds brute force only."""
-    theory = tseitin_ground(ground(t, d))
+    """Count t, and t with the query, with ``wmc_dpll``. ``cap`` bounds
+    brute force only.
+
+    When t's clause form and the query have a separator
+    (``_separator_split``), one slice per class of interchangeable constants
+    is counted. Otherwise t's sentences are put in clause form and then the
+    query's over it, and both counts come from one search over the whole
+    ground theory.
+    """
+    g = ground(t, d)
+    split = _separator_split(g, query)
+    if split is not None:
+        return split
+    theory = tseitin_ground(g)
     if query is None:
         return wmc_dpll(theory)
     # The query's own predicates are laid out after the theory's.
     encoded = tseitin_ground(replace(theory, clauses=None, sentences=(query,)))
     return wmc_dpll(theory, encoded)
+
+
+# ---------------------------------------------------------------------------
+# Separator split
+#
+# A separator of a clause set puts each predicate P's atoms at one argument
+# position pos(P), and gives each clause one term, an outer variable or a
+# constant, that sits at pos(P) in every atom of the clause. Then every
+# ground clause, and every atom, belongs to the slice of the one constant c
+# at its separator positions, and slices share no atom: the count is the
+# product of the slices' counts (the power rule of lifted inference, Van den
+# Broeck 2011; Beame et al. 2015). A permutation of the constants that fixes
+# those the clauses name maps the clause set to itself and one slice to
+# another, so the slices of all other constants have one count.
+
+_SEPARATOR_BACKTRACKS = 64  # dead ends of the position search before it gives up
+
+
+def _separator_split(g: GroundProblem, query: Formula | None):
+    """``_dpll``'s answer from one slice per class of constants, or None
+    when there is no separator.
+
+    The split applies when no predicate of the base is nullary, every
+    clause of the first-order clause form of g's sentences
+    (``transform.clause_form``) has a literal, the query, if any, reads as
+    one clause (``transform.clause_walk``) with a constant for its
+    separator, and one choice of positions (``_positions``) gives every
+    clause a separator. The slice of a constant c is the clause set with
+    each separator bound to c and the separator argument dropped: a problem
+    over the same constants with a block per predicate P, of arity one
+    less, under a fresh name and with P's weight pair. An evidence clause,
+    whose separator is a constant, joins only that constant's slice. Each
+    slice is counted by ``wmc_dpll`` in clause form.
+
+    The constants that g's clauses name are special, and the others are
+    generic. The count is g's scalar, times the free factor of each block
+    that no clause mentions, times the count of each special constant's
+    slice, times the count of one generic constant's slice to the power of
+    the number of generic constants. The query joins the slice of its
+    separator constant, which is counted once with it and once without
+    (``wmc_dpll``'s query pair); when that constant is generic, the count
+    without the query stands for every generic slice. Nothing is divided:
+    a Skolem atom's free factor 1 + (-1) is 0.
+    """
+    if any(sig.arity == 0 for sig, _ in g.base.blocks):
+        return None
+    clauses = []  # (literals, inner variables): the query's first, if any
+    if query is not None:
+        walked = clause_walk(query)
+        if not isinstance(walked, tuple):
+            return None
+        clauses.append(walked)
+    form, added = clause_form(g.sentences, [sig for sig, _ in g.base.blocks])
+    clauses += form
+    if not all(lits for lits, _ in clauses):
+        return None
+    # A query whose separator is a variable would touch every slice.
+    options = [_separator_options(lits, inner, constant=query is not None and i == 0)
+               for i, (lits, inner) in enumerate(clauses)]
+    pos = _positions(options)
+    if pos is None:
+        return None
+    rows = []  # (literals, inner variables, separator)
+    for lits, inner in clauses:
+        atom = lits[0][0]
+        rows.append((lits, inner, atom.args[pos[atom.pred]]))
+
+    base = g.base
+    n = len(base.constants)
+    blocks = [(sig, pair) for (sig, _), pair in zip(base.blocks, g.weights)] + added
+    namer = FreshNamer({sig.name for sig, _ in blocks})
+    renamed, weights = {}, []
+    total = g.scalar
+    for sig, pair in blocks:
+        if sig in pos:
+            renamed[sig] = PredicateSig(namer.fresh(sig.name + "_", 0), sig.arity - 1)
+            weights.append(pair)
+        else:
+            total = total * (pair[0] + pair[1]) ** (n ** sig.arity)
+    layout = HerbrandBase(base.constants).appended(renamed.values())
+    weights = tuple(weights)
+
+    def sliced(c: Constant, rows) -> GroundProblem:
+        out: dict[frozenset[int], None] = {}
+        for lits, inner, sep in rows:
+            if isinstance(sep, Constant) and sep != c:
+                continue
+            bound = [(Atom(renamed[a.pred], tuple(c if arg == sep else arg for i, arg in enumerate(a.args)
+                                                  if i != pos[a.pred])), positive)
+                     for a, positive in lits]
+            _add_instances(bound, inner, layout, out)
+        return GroundProblem(layout, weights, Fraction(1), clauses=_clause_tuple(out))
+
+    sep = None  # the query's separator
+    if query is not None:
+        asked = rows.pop(0)
+        sep = asked[2]
+        with_query, asked_count = wmc_dpll(sliced(sep, rows), sliced(sep, [asked]))
+    named = {arg for lits, _, _ in rows for a, _ in lits for arg in a.args if isinstance(arg, Constant)}
+    for c in base.constants:
+        if c in named and c != sep:
+            total = total * wmc_dpll(sliced(c, rows))
+    generic = [c for c in base.constants if c not in named]
+    if sep in generic:  # the query's slice without it stands for the others
+        total = total * asked_count ** (len(generic) - 1)
+    elif generic:
+        total = total * wmc_dpll(sliced(generic[0], rows)) ** len(generic)
+    if query is None:
+        return total
+    return total * with_query, total * asked_count
+
+
+def _separator_options(lits, inner, constant: bool) -> list:
+    """The ways a clause can be separated, one per term that is in every
+    atom and is not an inner variable (only constants, if ``constant``):
+    per predicate, the positions at which the term sits in every atom of
+    that predicate. A term that leaves some predicate no position is no
+    option."""
+    terms = None
+    for a, _ in lits:
+        held = {arg for arg in a.args if isinstance(arg, Constant)
+                or not constant and arg.name not in inner}
+        terms = held if terms is None else terms & held
+    options = []
+    for term in sorted(terms, key=lambda t: (type(t).__name__, t.name)):
+        need: dict[PredicateSig, frozenset[int]] = {}
+        for a, _ in lits:
+            at = frozenset(i for i, arg in enumerate(a.args) if arg == term)
+            need[a.pred] = need.get(a.pred, at) & at
+        if all(need.values()):
+            options.append(tuple(need.items()))
+    return options
+
+
+def _positions(options: list) -> dict | None:
+    """One position per predicate such that each clause has an option, a
+    tuple of (predicate, allowed positions), that allows every one of its
+    predicates its position; None when the search finds no such choice.
+
+    A depth-first search over the clauses, those with the fewest options
+    first, on an explicit stack. Clauses with one option do not branch; a
+    choice that leaves a later clause no option is undone, and after
+    ``_SEPARATOR_BACKTRACKS`` such dead ends the search gives up.
+    """
+    order = sorted(dict.fromkeys(map(tuple, options)), key=len)
+    allowed: dict = {}
+    stack = []  # per chosen clause: (allowed before it, its options left)
+    left = None  # the options of the next clause not yet tried
+    dead_ends = 0
+    while len(stack) < len(order):
+        if left is None:
+            left = iter(order[len(stack)])
+        for option in left:
+            narrowed = _narrowed(allowed, option)
+            if narrowed is not None:
+                stack.append((allowed, left))
+                allowed, left = narrowed, None
+                break
+        else:
+            dead_ends += 1
+            if not stack or dead_ends > _SEPARATOR_BACKTRACKS:
+                return None
+            allowed, left = stack.pop()
+    return {sig: min(at) for sig, at in allowed.items()}
+
+
+def _narrowed(allowed: dict, option) -> dict | None:
+    """``allowed`` with each predicate's positions cut to the option's, or
+    None when that leaves a predicate none."""
+    out = dict(allowed)
+    for sig, at in option:
+        at = out.get(sig, at) & at
+        if not at:
+            return None
+        out[sig] = at
+    return out
 
 
 # Every engine, by name: ``engine(t, d, cap, query)`` returns the count of t,

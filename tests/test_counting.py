@@ -373,26 +373,40 @@ class TestDpll:
         assert wfomc(t, Domain.of_size(16), engine="dpll") == _smokers_closed_form(16)
         assert [len(c.memo) for c in counters] == [136]
 
-    @pytest.mark.parametrize("name,n,want,entries", [
-        ("boss", 12, (2 ** 13 - 1) ** 12, 1),
-        ("parents", 6, (2 ** 37 - 1) ** 6, 11),
-        ("employment", 11, mln_boss_probability(11, 1.3), 2),
+    @pytest.mark.parametrize("name,n,want,split,whole", [
+        ("boss", 12, (2 ** 13 - 1) ** 12, [1], [1]),
+        ("parents", 6, (2 ** 37 - 1) ** 6, [10], [11]),
+        ("employment", 11, mln_boss_probability(11, 1.3), [2], [2]),
     ], ids=["boss", "parents", "employment"])
-    def test_skolemized_memo_entries(self, monkeypatch, name, n, want, entries):
+    def test_skolemized_memo_entries(self, monkeypatch, name, n, want, split, whole):
         # Skolem and definition blocks weigh one pair each, so the key
-        # renames their atoms with the rest: boss's n components share one
-        # entry. The MLN query Pr(Boss(A)) over n - 1 constants and A runs
-        # on the encoder's skolemized theory.
+        # renames their atoms with the rest: on the whole ground theory,
+        # boss's n components share one entry. The separator split counts
+        # one slice per class of constants instead, a counter each: boss
+        # and parents have one class. So does the encoder's skolemized
+        # theory, which names no constant: the MLN query Pr(Boss(A)) over
+        # n - 1 constants and A counts A's slice with and without Boss(A),
+        # and the count without it stands for every slice.
         counters = _record_counters(monkeypatch)
         if name == "employment":
             e = encode_mln(parse_mln((ROOT / "samples" / "employment.mln").read_text()))
+            t = e.prepared().theory
             d = Domain.of_size(n - 1, extra=(Constant("A"),))
-            got = query_probability(e, d, formula("Boss(A)"), engine="dpll")
+            q = formula("Boss(A)")
+            got = query_probability(e, d, q, engine="dpll")
             assert got == pytest.approx(want, rel=1e-12)
+            assert [len(c.memo) for c in counters] == split
+            counters.clear()
+            num, den = _whole_ground(t, d, q)
+            assert float(num / den) == pytest.approx(want, rel=1e-12)
         else:
             t = skolemize(theory((ROOT / "samples" / f"{name}.fol").read_text()))
-            assert wfomc(t, Domain.of_size(n), engine="dpll") == want
-        assert [len(c.memo) for c in counters] == [entries]
+            d = Domain.of_size(n)
+            assert wfomc(t, d, engine="dpll") == want
+            assert [len(c.memo) for c in counters] == split
+            counters.clear()
+            assert _whole_ground(t, d) == want
+        assert [len(c.memo) for c in counters] == whole
 
     def test_per_block_problem_matches_brute_force(self):
         # A hand-built problem: a nullary block and a binary block, with
@@ -531,17 +545,22 @@ class TestKeyTables:
         assert counting._key_tables.cache_info().currsize == counting._KEY_TABLES_MAX
 
     def test_large_base_keeps_no_tables(self):
-        # The fewest constants whose n + n^2 atoms exceed the bound: counted
-        # right, and not kept.
+        # The fewest constants whose 1 + n + n^2 atoms exceed the bound:
+        # counted right, and not kept. The nullary Q keeps the theory off
+        # the separator split, so the whole base is counted at once.
         n = 1
-        while n + n * n <= counting._KEY_TABLES_MAX_ATOMS:
+        while 1 + n + n * n <= counting._KEY_TABLES_MAX_ATOMS:
             n += 1
         counting._key_tables.cache_clear()
-        t = theory("forall x forall y (R(x) | F(x,y))")
-        assert wfomc(t, Domain.of_size(n), engine="dpll") == (2 ** n + 1) ** n
+        t = theory("forall x forall y (R(x) | F(x,y) | Q)")
+
+        def want(n):  # Q true: every atom free; Q false: R(x) | F(x,.) per x
+            return 2 ** (n + n * n) + (2 ** n + 1) ** n
+
+        assert wfomc(t, Domain.of_size(n), engine="dpll") == want(n)
         assert counting._key_tables.cache_info().currsize == 0
         # One constant fewer fits, and is kept.
-        assert wfomc(t, Domain.of_size(n - 1), engine="dpll") == (2 ** (n - 1) + 1) ** (n - 1)
+        assert wfomc(t, Domain.of_size(n - 1), engine="dpll") == want(n - 1)
         assert counting._key_tables.cache_info().currsize == 1
 
     def test_shared_layout_keeps_each_weighting(self):
@@ -735,6 +754,15 @@ def _assert_paths_agree(t, d):
 def _smokers_closed_form(n):
     # k smokers: the k(n-k) friendships from a smoker to a non-smoker are false
     return sum(math.comb(n, k) * 2 ** (n * n - k * (n - k)) for k in range(n + 1))
+
+
+def _whole_ground(t, d, query=None):
+    """``_dpll``'s counts without the separator split: t's whole ground
+    clause form, and the query's over it, in one search."""
+    g = tseitin_ground(ground(t, d))
+    if query is None:
+        return wmc_dpll(g)
+    return wmc_dpll(g, tseitin_ground(replace(g, clauses=None, sentences=(query,))))
 
 
 def _record_counters(monkeypatch) -> list:
@@ -1026,6 +1054,162 @@ class TestQueryCount:
     def test_query_predicate_outside_the_theory(self, engine):
         with pytest.raises(WfomcError, match=r"query predicate\(s\) \['Q'\] not in the theory"):
             wfomc(theory("forall x P(x)"), domain("A"), engine, query=formula("P(A) & Q"))
+
+
+def _split_taken(t, d, query=None) -> bool:
+    return counting._separator_split(ground(t, d), query) is not None
+
+
+def _assert_split_agrees(t, d, query=None):
+    """dpll's count (or pair) equals the whole-ground search's and, on a
+    base of at most 16 atoms, brute force's; returns it."""
+    got = wfomc(t, d, engine="dpll", query=query)
+    assert got == _whole_ground(t, d, query), (query, len(d))
+    if len(grounding.herbrand_base(t, d)) <= 16:
+        assert got == wfomc(t, d, query=query), (query, len(d))
+    return got
+
+
+class TestSeparatorSplit:
+    """dpll counts a theory whose clauses share a separator one slice per
+    class of constants; every count equals the whole-ground search and
+    brute force."""
+
+    @pytest.mark.parametrize("name,split", [
+        ("boss", True), ("parents", True), ("stress", True), ("smokers", False), ("mother", False),
+    ])
+    def test_samples(self, name, split):
+        # smokers' S(y) and mother's nullary Female have no separator.
+        t = theory((ROOT / "samples" / f"{name}.fol").read_text())
+        sk = skolemize(t)
+        for th in (t, sk, to_cnf_distribute(sk)):
+            for n in (1, 2, 3):
+                d = Domain.of_size(n)
+                assert _split_taken(th, d) == split
+                _assert_split_agrees(th, d)
+
+    def test_encoded_samples(self):
+        mln = encode_mln(parse_mln((ROOT / "samples" / "employment.mln").read_text()))
+        plp = encode_problog(parse_problog((ROOT / "samples" / "workshop.plp").read_text()))
+        for n in (1, 2, 3):
+            d = Domain.of_size(n, extra=(Constant("A"),))
+            t, q = mln.prepared().theory, formula("Boss(A)")
+            assert _split_taken(t, d, q)
+            _assert_split_agrees(t, d, q)
+            # The workshop's nullary Series keeps its encoding whole.
+            t, q = plp.prepared().theory, formula("Series")
+            assert not _split_taken(t, d, q)
+            _assert_split_agrees(t, d, q)
+
+    def test_generated_theories(self):
+        took = 0
+        for seed in range(150):
+            t = gen_theory(GenConfig(seed=seed))
+            for th in (t, skolemize(t)):
+                for n in (1, 2, 3):
+                    d = Domain.of_size(n, extra=th.constants())
+                    if _split_taken(th, d):
+                        took += 1
+                        _assert_split_agrees(th, d)
+        # of the 900 (seed, theory, n) cases
+        assert took == 102
+
+    def test_separator_at_position_one(self):
+        # Per x: G(x) with F(.,x) free, or ~G(x) with F(.,x) false.
+        t = theory("weight G 1 2 -1\nweight F 2 1/2 3\nforall x forall y (F(y,x) -> G(x))")
+        for n in (1, 2, 3, 40):
+            d = Domain.of_size(n)
+            assert _split_taken(t, d)
+            assert _assert_split_agrees(t, d) == (2 * Fraction(7, 2) ** n - 3 ** n) ** n
+
+    def test_diagonal_atom(self):
+        # Per x: F(x,x) with the other F(x,.) free, or every F(x,.) false.
+        t = theory("forall x forall y (F(x,x) | ~F(x,y))")
+        for n in (1, 2, 3, 40):
+            d = Domain.of_size(n)
+            assert _split_taken(t, d)
+            assert _assert_split_agrees(t, d) == (2 ** (n - 1) + 1) ** n
+
+    def test_blocks_no_clause_mentions(self):
+        # A `true` literal drops Q's and W's sentences: their atoms are free.
+        t = theory("weight Q 1 2 1/3\nweight W 2 -1 1/2\nforall x (Q(x) | true)\n"
+                   "forall x forall y (W(x,y) | true)\nforall x (R(x) | S(x))")
+        for n in (1, 2, 3, 30):
+            d = Domain.of_size(n)
+            assert _split_taken(t, d)
+            assert _assert_split_agrees(t, d) == Fraction(7, 3) ** n * Fraction(-1, 2) ** (n * n) * 3 ** n
+
+    def test_positions_found_after_dead_ends(self):
+        # Each clause has two separators, x and y. The first choices, A and
+        # B at the first argument each, leave the third clause none.
+        t = theory("forall x forall y A(x,y)\n"
+                   "forall x forall y forall z (A(x,y) | B(y,x,z))\n"
+                   "forall x forall y exists z B(x,z,y)")
+        for n in (1, 2, 3, 8):
+            d = Domain.of_size(n)
+            assert _split_taken(t, d)
+            assert _assert_split_agrees(t, d) == (2 ** n - 1) ** (n * n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_evidence_constants(self, monkeypatch, n):
+        # WorksFor(x,A) names A outside the separator position. A and B are
+        # special, and one generic slice stands for the n others.
+        t = theory("weight Boss 1 2 -1\nweight WorksFor 2 3 -1/2\n"
+                   "forall x exists y (WorksFor(x,y) | Boss(x))\n"
+                   "forall x (WorksFor(x,A) -> Boss(x))\nBoss(B)\n~WorksFor(A,B)")
+        d = Domain.of_size(n, extra=(Constant("A"), Constant("B")))
+        for th in (t, skolemize(t)):
+            assert _split_taken(th, d)
+            _assert_split_agrees(th, d)
+        calls = []
+        dpll = counting.wmc_dpll
+        monkeypatch.setattr(counting, "wmc_dpll", lambda *a: calls.append(a) or dpll(*a))
+        wfomc(t, d, engine="dpll")
+        assert len(calls) == 2 + (n > 0)
+
+    def test_queries(self):
+        boss = theory("weight Boss 1 1/3 -2\nweight WorksFor 2 -1 3\n"
+                      "forall x exists y (WorksFor(x,y) | Boss(x))")
+        one_slice = ("Boss(A)", "~WorksFor(A,B)", "exists y WorksFor(A,y)", "WorksFor(A,A) | Boss(A)")
+        whole = ("Boss(A) | Boss(B)", "Boss(A) & Boss(B)", "exists x Boss(x)", "forall x Boss(x)")
+        for th in (boss, skolemize(boss)):
+            for n in (0, 1, 2):
+                d = Domain.of_size(n, extra=(Constant("A"), Constant("B")))
+                for text in one_slice + whole:
+                    q = formula(text)
+                    assert _split_taken(th, d, q) == (text in one_slice), text
+                    _assert_split_agrees(th, d, q)
+
+    def test_skolem_free_factor_zero(self):
+        # Sk0(A)'s clauses are satisfied by evidence, so A's slice leaves
+        # it free: 1 + (-1) = 0, and only the query's count is not 0.
+        t = theory("weight Sk0 1 1 -1\nforall x forall y (Sk0(x) | ~WorksFor(x,y))\n"
+                   "forall x (Sk0(x) | ~Boss(x))\n~Boss(A)\nforall y ~WorksFor(A,y)")
+        d = domain("A", "B", "C")
+        q = formula("Sk0(A)")
+        assert _split_taken(t, d, q)
+        num, den = _assert_split_agrees(t, d, q)
+        assert den == 0 and num != 0
+
+    def test_closed_forms_at_large_n_under_a_low_recursion_limit(self):
+        boss = skolemize(theory((ROOT / "samples" / "boss.fol").read_text()))
+        parents = theory((ROOT / "samples" / "parents.fol").read_text())
+        stress = theory((ROOT / "samples" / "stress.fol").read_text())
+        mln = encode_mln(parse_mln((ROOT / "samples" / "employment.mln").read_text()))
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            assert wfomc(boss, Domain.of_size(1000), engine="dpll") == (2 ** 1001 - 1) ** 1000
+            assert wfomc(parents, Domain.of_size(100), engine="dpll") == (2 ** 10001 - 1) ** 100
+            assert wfomc(stress, Domain.of_size(10000), engine="dpll") == 3 ** 10000
+            d = Domain.of_size(999, extra=(Constant("A"),))
+            got = query_probability(mln, d, formula("Boss(A)"), engine="dpll")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == pytest.approx(mln_boss_probability(1000, 1.3), rel=1e-12)
 
 
 class TestModelEnumeration:
