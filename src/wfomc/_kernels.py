@@ -1,17 +1,21 @@
 """Assignment-block evaluation of compiled ground formulas.
 
 This is the hot loop of brute-force counting: evaluate one fixed formula,
-given as a postfix (RPN) instruction program, over a contiguous block of
-truth assignments. Assignment ``a`` assigns atom ``i`` the bit ``(a >> i) & 1``.
+given as a program with one instruction per node of its ground DAG
+(``counting.compile_program``), over a contiguous block of truth
+assignments. Assignment ``a`` assigns atom ``i`` the bit ``(a >> i) & 1``.
 
 Evaluation is 64-way bit-parallel: every uint64 word holds one formula value
 for 64 consecutive assignments (lane ``l`` of word ``w`` is assignment
 ``64*w + l``). Atom bits 0..5 vary within a word and load as fixed lane
 patterns; higher atom bits are constant per word.
 
-There is one evaluator, written in numpy: each instruction acts on the whole
-block of words at once, so the Python dispatch per instruction is paid once
-per block rather than once per word.
+There is one evaluator, written in numpy: each instruction computes its
+node's array of words for the whole block at once, so the Python dispatch
+per instruction is paid once per block rather than once per word. Each
+node is evaluated once, however many nodes share it. The arrays are the
+rows of one buffer allocated per block, as many as the program's width,
+and a node's row is reused once the last instruction reading it has run.
 """
 
 from __future__ import annotations
@@ -47,52 +51,61 @@ def backend() -> str:
     return "numpy"
 
 
-def satisfying_words(ops, args, stack_need: int, start: int, n: int) -> np.ndarray:
+def satisfying_words(ops, args, slots, start: int, n: int) -> np.ndarray:
     """uint64 satisfaction words covering assignments start..start+n-1.
 
-    ``start`` must be 64-aligned, also for a block of n < 64: lanes are
-    numbered from the word's first assignment. Trailing lanes beyond ``n``
-    are unspecified. ``stack_need`` is the program's stack depth from
-    ``compile_program``; the evaluator grows its stack as it goes.
+    Instruction ``k`` computes node ``k`` into row ``slots[k]`` of one
+    buffer: ``ops[k]`` is its opcode and ``args[k]`` a tuple, the atom bit
+    of a load and otherwise the rows it reads (any number for ``OP_AND``
+    and ``OP_OR``). A row is written again only after the last instruction
+    that reads it, and the last instruction is the formula. ``start`` must
+    be 64-aligned, also for a block of n < 64: lanes are numbered from the
+    word's first assignment. Trailing lanes beyond ``n`` are unspecified.
     """
     if start % 64:
         raise ValueError("block start must be 64-aligned")
     n_words = (n + 63) // 64
-    widx = np.arange(start // 64, start // 64 + n_words, dtype=np.uint64)
-    stack: list[np.ndarray] = []
-    for k in range(ops.shape[0]):
-        op = ops[k]
+    rows = list(np.empty((max(slots) + 1, n_words), dtype=np.uint64))
+    widx = None
+    for k, op in enumerate(ops):
+        a = args[k]
+        out = rows[slots[k]]
         if op == OP_LOAD:
-            bit = args[k]
+            bit = a[0]
             if bit < 6:
-                stack.append(np.full(n_words, _LANE[bit], dtype=np.uint64))
+                out.fill(_LANE[bit])
             else:
-                hit = (widx >> np.uint64(bit - 6)) & np.uint64(1)
-                stack.append(hit * _ONES)
-        elif op == OP_NOT:
-            stack[-1] = ~stack[-1]
+                if widx is None:
+                    widx = np.arange(start // 64, start // 64 + n_words, dtype=np.uint64)
+                np.right_shift(widx, bit - 6, out=out)
+                out &= 1
+                out *= _ONES
         elif op == OP_AND:
-            b = stack.pop()
-            stack[-1] = stack[-1] & b
+            np.bitwise_and(rows[a[0]], rows[a[1]], out=out)
+            for j in a[2:]:
+                out &= rows[j]
         elif op == OP_OR:
-            b = stack.pop()
-            stack[-1] = stack[-1] | b
+            np.bitwise_or(rows[a[0]], rows[a[1]], out=out)
+            for j in a[2:]:
+                out |= rows[j]
+        elif op == OP_NOT:
+            np.invert(rows[a[0]], out=out)
         elif op == OP_IMP:
-            b = stack.pop()
-            stack[-1] = ~stack[-1] | b
+            np.invert(rows[a[0]], out=out)
+            out |= rows[a[1]]
         elif op == OP_IFF:
-            b = stack.pop()
-            stack[-1] = ~(stack[-1] ^ b)
+            np.bitwise_xor(rows[a[0]], rows[a[1]], out=out)
+            np.invert(out, out=out)
         elif op == OP_TRUE:
-            stack.append(np.full(n_words, _ONES, dtype=np.uint64))
+            out.fill(_ONES)
         else:
-            stack.append(np.zeros(n_words, dtype=np.uint64))
-    return stack[0]
+            out.fill(0)
+    return rows[slots[-1]].copy()
 
 
-def satisfying_mask(ops, args, stack_need: int, start: int, n: int) -> np.ndarray:
+def satisfying_mask(ops, args, slots, start: int, n: int) -> np.ndarray:
     """uint8 mask of length ``n``: 1 where assignment ``start+i`` satisfies."""
-    words = satisfying_words(ops, args, stack_need, start, n)
+    words = satisfying_words(ops, args, slots, start, n)
     bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
     return bits[:n]
 

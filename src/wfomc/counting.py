@@ -5,7 +5,10 @@
 table. It holds two engines, ``brute`` and ``dpll``, over two counters:
 
   * ``wmc_bruteforce`` enumerates truth assignments with the block kernels
-    from ``_kernels`` and sums exact per-assignment weight products. This is
+    from ``_kernels`` and sums exact per-assignment weight products. It
+    compiles the grounder's hash-consed DAG (``GroundProblem.dag``) to one
+    instruction per distinct node (``compile_program``), so a shared
+    subformula or atom is evaluated once per block of assignments. This is
     the semantic reference for everything else in the package. It is the
     only user of numpy, which its functions import on first use, so that
     the rest of the package loads and counts without it.
@@ -21,9 +24,10 @@ DPLL counts clauses, and ``tseitin_ground`` makes them at the first-order
 level: a sentence that reads as one clause, disjunctive quantifiers
 included, is instantiated from the Herbrand base layout; the others are
 Skolemized (the source paper's count-preserving step) and clausified before
-they are instantiated (``transform.clause_form``). No ground formula is built, and every atom, Skolem
-and definition atoms included, lies in the base layout, so the symmetric
-cache can rename all of them.
+they are instantiated (``transform.clause_form``, computed once per
+problem as ``GroundProblem.clause_form``). No ground formula is built, and
+every atom, Skolem and definition atoms included, lies in the base layout,
+so the symmetric cache can rename all of them.
 
 The ``dpll`` engine grounds a whole theory only when it has no separator
 (``_separator_split``): one argument position per predicate at which every
@@ -62,6 +66,7 @@ from itertools import chain, repeat
 
 from .errors import CapExceededError, WfomcError
 from .grounding import (
+    GroundDag,
     GroundProblem,
     HerbrandBase,
     check_constants,
@@ -84,12 +89,11 @@ from .logic import (
     PredicateSig,
     TrueF,
     WeightedTheory,
-    children,
     constants,
     free_vars,
     predicates,
 )
-from .transform import clause_form, clause_walk
+from .transform import clause_walk
 
 DEFAULT_MAX_ATOMS = 26
 _BLOCK_BITS = 18  # assignments are enumerated in blocks of 2**_BLOCK_BITS
@@ -117,64 +121,72 @@ def max_atoms_cap(override: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class Program:
-    ops: np.ndarray
-    args: np.ndarray
-    stack_need: int
-    atoms: tuple[int, ...]  # base index per bit position
+    """A ground DAG as instructions for ``_kernels.satisfying_words``: one
+    per node reachable from the root, children first, the root last.
+
+    Each instruction writes its node's array to a slot, ``slots[k]``, and
+    ``args[k]`` holds the slots of its operands, or for a load the atom's
+    bit; ``ops[k]`` is its opcode. A slot is given again only after the
+    last instruction that reads its node, so the slots number the
+    program's width: the most nodes live at once, each instruction's own
+    included. The evaluator holds one array per slot. ``atoms`` is the base
+    index per bit.
+    """
+
+    ops: tuple[int, ...]
+    args: tuple[tuple[int, ...], ...]
+    slots: tuple[int, ...]
+    atoms: tuple[int, ...]
 
 
-def compile_program(formula: Formula, base: HerbrandBase) -> Program:
-    """Flatten a ground formula into postfix instructions over atom bits."""
-    import numpy as np
+def compile_program(dag: GroundDag) -> Program:
+    """One instruction per distinct node of a ground DAG reachable from its
+    root, in node order; an n-ary ``And``/``Or`` is one instruction. Bits
+    are numbered in order of the atoms' instructions.
 
+    A backward pass finds each reachable node's last reader, the first
+    reader it meets. The forward pass gives each instruction a slot, a
+    spare one if there is one, and then gives back the slots of the
+    operands it reads last, so it never writes over an operand.
+    """
     from . import _kernels as K
 
-    used: list[int] = []  # base index per bit
-    bit_of: dict[Atom, int] = {}
+    code = {And: K.OP_AND, Or: K.OP_OR, Not: K.OP_NOT, Implies: K.OP_IMP,
+            Iff: K.OP_IFF, TrueF: K.OP_TRUE, FalseF: K.OP_FALSE}
+    nodes = dag.nodes
+    last = {dag.root: dag.root}  # per reachable node, its last reader
+    for i in range(dag.root, -1, -1):
+        if i in last and nodes[i][0] is not Atom:
+            for j in nodes[i][1:]:
+                if j not in last:
+                    last[j] = i
+    atoms: list[int] = []  # base index per bit
     ops: list[int] = []
-    args: list[int] = []
-    binary = {And: K.OP_AND, Or: K.OP_OR, Implies: K.OP_IMP, Iff: K.OP_IFF}
-
-    def emit(f: Formula) -> int:  # returns stack need of the subtree
-        if isinstance(f, Atom):
-            bit = bit_of.get(f)
-            if bit is None:
-                bit = bit_of[f] = len(used)
-                used.append(base.atom_index(f))
+    args: list[tuple[int, ...]] = []
+    slots: list[int] = []
+    slot: dict[int, int] = {}  # per node
+    spare: list[int] = []  # slots given back
+    width = 0
+    for i in sorted(last):
+        if spare:
+            slot[i] = spare.pop()
+        else:
+            slot[i] = width
+            width += 1
+        slots.append(slot[i])
+        node = nodes[i]
+        if node[0] is Atom:
             ops.append(K.OP_LOAD)
-            args.append(bit)
-            return 1
-        if isinstance(f, TrueF):
-            ops.append(K.OP_TRUE)
-            args.append(0)
-            return 1
-        if isinstance(f, FalseF):
-            ops.append(K.OP_FALSE)
-            args.append(0)
-            return 1
-        if isinstance(f, Not):
-            need = emit(f.body)
-            ops.append(K.OP_NOT)
-            args.append(0)
-            return need
-        op = binary.get(type(f))
-        if op is None:
-            raise WfomcError(f"quantifier in ground formula: {type(f).__name__}")
-        first, *rest = children(f)
-        need = emit(first)
-        for g in rest:  # a chain of k operands is k-1 binary ops
-            need = max(need, 1 + emit(g))
-            ops.append(op)
-            args.append(0)
-        return need
-
-    need = emit(formula)
-    return Program(
-        np.asarray(ops, dtype=np.int8),
-        np.asarray(args, dtype=np.int64),
-        need,
-        tuple(used),
-    )
+            args.append((len(atoms),))
+            atoms.append(node[1])
+            continue
+        ops.append(code[node[0]])
+        args.append(tuple([slot[j] for j in node[1:]]))
+        for j in node[1:]:
+            if last[j] == i:
+                last[j] = -1  # an operand read twice is given back once
+                spare.append(slot[j])
+    return Program(tuple(ops), tuple(args), tuple(slots), tuple(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -184,23 +196,33 @@ def compile_program(formula: Formula, base: HerbrandBase) -> Program:
 def wmc_bruteforce(g: GroundProblem, cap: int | None = None) -> Fraction:
     """Sum of weight products over all satisfying assignments of the base."""
     _check_brute_cap(len(g.base), cap)
-    prog = compile_program(g.formula, g.base)
-    m = len(prog.atoms)
-    used = set(prog.atoms)
-    weights = g.atom_weights
+    prog = compile_program(g.dag)
+    base = g.base
+
+    # Each block's weight pair scaled by the lcm of its denominators once,
+    # as in _DpllCounter: every assignment weight is an integer product over
+    # the constant denominator den.
+    firsts = [first for _, first in base.blocks]
+    scaled, unused, den = [], [], 1
+    for (sig, _), (wt, wf) in zip(base.blocks, g.weights):
+        d = math.lcm(wt.denominator, wf.denominator)
+        scaled.append((wt.numerator * (d // wt.denominator), wf.numerator * (d // wf.denominator)))
+        unused.append(base.block_length(sig.arity))
+        den *= d ** unused[-1]
+    weights = []  # per bit
+    for i in prog.atoms:
+        b = bisect_right(firsts, i) - 1
+        unused[b] -= 1
+        weights.append(scaled[b])
 
     # Atoms the formula never mentions contribute an independent (wt + wf)
-    # factor each; enumeration only runs over the mentioned atoms.
-    free = Fraction(1)
-    for i, (wt, wf) in enumerate(weights):
-        if i not in used:
-            free = free * (wt + wf)
-
-    used_weights = [weights[i] for i in prog.atoms]
-    unit = all(wt == 1 and wf == 1 for wt, wf in used_weights)
-
-    total, den = _sum_exact(prog, used_weights, m, unit)
-    return Fraction(total, den) * free * g.scalar
+    # factor each, one power per block; enumeration only runs over the
+    # mentioned atoms.
+    free = 1
+    for (t, f), k in zip(scaled, unused):
+        free *= (t + f) ** k
+    total = _sum_exact(prog, weights) if free else 0
+    return Fraction(total * free * g.scalar.numerator, den * g.scalar.denominator)
 
 
 def _check_brute_cap(n: int, cap: int | None):
@@ -221,31 +243,24 @@ def _blocks(m: int):
         yield start, step
 
 
-def _sum_exact(prog: Program, weights, m: int, unit: bool) -> tuple[int, int]:
+def _sum_exact(prog: Program, weights: list[tuple[int, int]]) -> int:
+    """Sum over the satisfying assignments of the program's atoms of the
+    product of their integer weights, ``weights[bit]`` = (true, false)."""
     import numpy as np
 
     from . import _kernels as K
 
-    if unit:
+    m = len(prog.atoms)
+    if all(w == (1, 1) for w in weights):
         sat = 0
         for start, count in _blocks(m):
-            words = K.satisfying_words(prog.ops, prog.args, prog.stack_need,
-                                       start, count)
+            words = K.satisfying_words(prog.ops, prog.args, prog.slots, start, count)
             sat += K.popcount(words, count)
-        return sat, 1
-
-    # Clear denominators once: each assignment weight becomes an integer
-    # product of per-atom numerators over a constant common denominator.
-    nums_t, nums_f, den = [], [], 1
-    for wt, wf in weights:
-        d = math.lcm(wt.denominator, wf.denominator)
-        nums_t.append(int(wt * d))
-        nums_f.append(int(wf * d))
-        den *= d
+        return sat
 
     k = m // 2
-    low = _weight_table(nums_t[:k], nums_f[:k])
-    high = _weight_table(nums_t[k:], nums_f[k:])
+    low = _weight_table(weights[:k])
+    high = _weight_table(weights[k:])
     # Every table entry and every product is at most the bound, also when
     # one table is all zeros. Below 2**62 the products are added in int64
     # segments whose sums stay below 2**62; past it, as Python ints in one.
@@ -260,20 +275,22 @@ def _sum_exact(prog: Program, weights, m: int, unit: bool) -> tuple[int, int]:
 
     total = 0
     for start, count in _blocks(m):
-        mask = K.satisfying_mask(prog.ops, prog.args, prog.stack_need,
-                                 start, count)
-        idx = np.arange(start, start + count, dtype=np.int64)[mask.view(np.bool_)]
-        vals = low_a[idx & low_mask] * high_a[idx >> k]
+        idx = np.flatnonzero(K.satisfying_mask(prog.ops, prog.args, prog.slots, start, count))
+        idx += start  # the satisfying assignments
+        vals = low_a[idx & low_mask]
+        idx >>= k
+        vals *= high_a[idx]
         total += sum(np.add.reduceat(vals, np.arange(0, vals.size, segment)).tolist())
-    return total, den
+    return total
 
 
-def _weight_table(nums_t: list, nums_f: list) -> list:
+def _weight_table(weights: list[tuple[int, int]]) -> list:
     """table[b] = product over atoms i of (t_i if bit i of b else f_i)."""
     table = [1]
-    for t, f in zip(nums_t, nums_f):
+    for t, f in weights:
         table = [w * f for w in table] + [w * t for w in table]
     return table
+
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +310,10 @@ def weighted_models(g: GroundProblem, cap: int = 20):
     n = len(g.base)
     if n > cap:
         raise CapExceededError(f"{n} atoms is too many to enumerate models")
-    prog = compile_program(g.formula, g.base)
+    prog = compile_program(g.dag)
     # Bit i of an assignment is base atom i: loads read base indices.
-    args = np.asarray([prog.atoms[a] if op == K.OP_LOAD else 0
-                       for op, a in zip(prog.ops, prog.args)], dtype=np.int64)
-    mask = K.satisfying_mask(prog.ops, args, prog.stack_need, 0, 1 << n)
+    args = [(prog.atoms[a[0]],) if op == K.OP_LOAD else a for op, a in zip(prog.ops, prog.args)]
+    mask = K.satisfying_mask(prog.ops, args, prog.slots, 0, 1 << n)
     weights = g.atom_weights
     for a in np.nonzero(mask)[0].tolist():
         bits = tuple((a >> i) & 1 for i in range(n))
@@ -360,16 +376,16 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
 
     A problem already in clause form is returned as it is. The sentences
     are put in clause form at the first-order level
-    (``transform.clause_form``), and each clause's instances are numbered
-    from the base layout, without a ground formula. The predicates that
-    clause form adds (Skolem predicates and definitions) get names fresh
-    against every predicate of the base and blocks laid out after its own,
-    so a query encoded over a theory's clause form gets its predicates
-    numbered after the theory's.
+    (``GroundProblem.clause_form``, shared with ``_separator_split``), and
+    each clause's instances are numbered from the base layout, without a
+    ground formula. The predicates that clause form adds (Skolem
+    predicates and definitions) get names fresh against every predicate of
+    the base and blocks laid out after its own, so a query encoded over a
+    theory's clause form gets its predicates numbered after the theory's.
     """
     if g.clauses is not None:
         return g
-    form, added = clause_form(g.sentences, [sig for sig, _ in g.base.blocks])
+    form, added = g.clause_form
     base = g.base.appended(sig for sig, _ in added)
     clauses: dict[frozenset[int], None] = {}
     for lits, inner in form:
@@ -830,7 +846,7 @@ def _separator_split(g: GroundProblem, query: Formula | None):
 
     The split applies when no predicate of the base is nullary, every
     clause of the first-order clause form of g's sentences
-    (``transform.clause_form``) has a literal, the query, if any, reads as
+    (``GroundProblem.clause_form``) has a literal, the query, if any, reads as
     one clause (``transform.clause_walk``) with a constant for its
     separator, and one choice of positions (``_positions``) gives every
     clause a separator. The slice of a constant c is the clause set with
@@ -858,7 +874,7 @@ def _separator_split(g: GroundProblem, query: Formula | None):
         if not isinstance(walked, tuple):
             return None
         clauses.append(walked)
-    form, added = clause_form(g.sentences, [sig for sig, _ in g.base.blocks])
+    form, added = g.clause_form
     clauses += form
     if not all(lits for lits, _ in clauses):
         return None

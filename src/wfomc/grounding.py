@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -10,25 +11,27 @@ from typing import Iterator, Mapping
 
 from .errors import WfomcError
 from .logic import (
-    FALSE,
-    QUANT,
     And,
     Atom,
     Constant,
     Domain,
+    Exists,
     FalseF,
     ForAll,
     Formula,
+    Iff,
+    Implies,
     Not,
     Or,
     PredicateSig,
     TrueF,
     Variable,
     WeightedTheory,
-    children,
-    fold_and,
-    fold_or,
+    constants,
+    first_occurrence_vars,
+    predicates,
 )
+from .transform import clause_form
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,7 @@ class HerbrandBase:
     index ``first + sum(p_k * strides(a)[k])``. A theory's base lays out its
     predicates sorted by (name, arity); the predicates that clause form adds
     (``counting.tseitin_ground``) get blocks after them. Ground atoms are
-    built only when ``atoms`` is read.
+    built only when ``atoms`` or ``atom`` is read.
     """
 
     constants: tuple[Constant, ...]
@@ -57,7 +60,8 @@ class HerbrandBase:
 
     def strides(self, arity: int) -> tuple[int, ...]:
         """Per argument position, the index step of the next constant."""
-        return tuple(self.block_length(arity - 1 - k) for k in range(arity))
+        n = len(self.constants)
+        return tuple(n ** (arity - 1 - k) for k in range(arity))
 
     def appended(self, sigs) -> "HerbrandBase":
         """This base with a block per predicate of ``sigs`` after its own."""
@@ -94,11 +98,45 @@ class HerbrandBase:
             raise WfomcError(f"ground atom {atom} not in the Herbrand base")
         return i
 
+    def atom(self, i: int) -> Atom:
+        """The ground atom of index ``i``."""
+        if not 0 <= i < len(self):
+            raise WfomcError(f"atom index {i} outside a Herbrand base of {len(self)} atoms")
+        sig, first = self.blocks[bisect_right([first for _, first in self.blocks], i) - 1]
+        n, offset = len(self.constants), i - first
+        return Atom(sig, tuple(self.constants[offset // stride % n]
+                               for stride in self.strides(sig.arity)))
+
     @property
     def atoms(self) -> tuple[Atom, ...]:
         """Every ground atom in index order, built on each read."""
         return tuple(Atom(sig, args) for sig, _ in self.blocks
                      for args in itertools.product(self.constants, repeat=sig.arity))
+
+
+@dataclass(frozen=True)
+class GroundDag:
+    """A ground formula as a hash-consed DAG over a Herbrand base.
+
+    ``nodes`` holds each distinct ground subformula once, every node after
+    its children, as a tuple of a formula class and ints: ``(Atom, i)`` for
+    base atom ``i``, ``(cls, *child ids)`` for a connective (``Not``,
+    ``And``, ``Or``, ``Implies``, ``Iff``), ``(TrueF,)`` and ``(FalseF,)``.
+    The formula is the node ``root``. It may not reach every node: a
+    junction spliced into an enclosing one of its kind is left behind.
+    """
+
+    base: HerbrandBase
+    nodes: tuple[tuple, ...]
+    root: int
+
+    def formula(self) -> Formula:
+        """The ground formula as ``Formula`` objects, one per node."""
+        built: list[Formula] = []
+        for cls, *rest in self.nodes[:self.root + 1]:
+            built.append(self.base.atom(rest[0]) if cls is Atom
+                         else cls(*[built[k] for k in rest]))
+        return built[self.root]
 
 
 @dataclass(frozen=True)
@@ -110,9 +148,10 @@ class GroundProblem:
     ``sentences`` to ground over the base's constants, or
     ``clauses``: a CNF whose literals are signed base numbers (index + 1,
     negative when negated), where an empty clause leaves no model.
-    ``formula``, the ground conjunction, is built from whichever is held on
-    first access and then cached, so a counter that reads only clauses never
-    builds it.
+    ``dag``, the ground conjunction as a hash-consed DAG, and ``formula``,
+    the same conjunction as ``Formula`` objects, are built from whichever
+    is held on first access and then cached, so a counter that reads only
+    clauses never builds them.
     """
 
     base: HerbrandBase
@@ -133,14 +172,26 @@ class GroundProblem:
                      for _ in range(self.base.block_length(sig.arity)))
 
     @cached_property
-    def formula(self) -> Formula:
+    def clause_form(self) -> tuple[list, list]:
+        """``transform.clause_form`` of the sentences, with the base's
+        predicates reserved: (clauses, added predicates with their weights)."""
+        return clause_form(self.sentences, [sig for sig, _ in self.base.blocks])
+
+    @cached_property
+    def dag(self) -> GroundDag:
+        g = _Grounder(self.base, len(self.base.constants))
         if self.clauses is not None:
-            return _clause_formula(self.clauses, self.base)
-        g = _Grounder(self.base.constants)
-        parts: dict[int, None] = {}
-        for s in self.sentences:
-            g.flatten(And, g.instantiate(s, {}), parts)
-        return g.nodes[g.fold(And, parts)]
+            root = g.clause_conjunction(self.clauses)
+        else:
+            parts: dict[int, None] = {}
+            for s in self.sentences:
+                g.into(And, s, {}, parts)
+            root = g.fold(And, parts)
+        return GroundDag(self.base, tuple(g.nodes), root)
+
+    @cached_property
+    def formula(self) -> Formula:
+        return self.dag.formula()
 
 
 def herbrand_base(t: WeightedTheory, d: Domain) -> HerbrandBase:
@@ -195,17 +246,6 @@ def clause_instances(lits: list[tuple[Atom, bool]], base: HerbrandBase,
             for j in range(n ** len(outer)))
 
 
-def _clause_formula(clauses, base: HerbrandBase) -> Formula:
-    """Conjunction of the clauses, literals in base order in each."""
-    atoms, parts = base.atoms, []
-    for c in clauses:
-        if not c:
-            return FALSE
-        parts.append(fold_or([atoms[l - 1] if l > 0 else Not(atoms[-l - 1])
-                              for l in sorted(c, key=abs)]))
-    return fold_and(parts)
-
-
 def check_constants(constants, d: Domain, owner: str):
     """Raise unless each of ``constants`` (those of ``owner``) is in ``d``."""
     names = {c.name for c in d.constants}
@@ -219,80 +259,126 @@ def expand(f: Formula, d: Domain, env: Mapping[str, Constant] | None = None) -> 
     ``exists`` a disjunction over the domain's constants.
 
     Variables bound in ``env`` or by an enclosing quantifier are replaced by
-    their constants; other variables stay free.
+    their constants; other variables stay free. The grounder lays its atoms
+    out in a Herbrand base over the domain's constants followed by every
+    other term ``f`` can leave in an atom (constants of ``env`` or ``f``
+    outside ``d``, free variables), each free variable bound to itself.
     """
-    g = _Grounder(d.constants)
-    return g.nodes[g.instantiate(f, dict(env or {}))]
+    env = dict(env or {})
+    free = [Variable(v) for v in first_occurrence_vars(f) if v not in env]
+    extra = [*env.values(), *sorted(constants(f), key=lambda c: c.name), *free]
+    terms = tuple(dict.fromkeys([*d.constants, *extra]))
+    sigs = sorted(predicates(f), key=lambda sig: (sig.name, sig.arity))
+    base = HerbrandBase(terms).appended(sigs)
+    position = {t: i for i, t in enumerate(terms)}
+    bound = {v: position[c] for v, c in env.items()} | {v.name: position[v] for v in free}
+    g = _Grounder(base, len(d.constants))
+    root = g.instantiate(f, bound)
+    return GroundDag(base, tuple(g.nodes), root).formula()
 
 
 class _Grounder:
     """One pass over a formula that carries an environment from variables to
-    constants and builds the ground result hash-consed.
+    constant positions and builds the ground result as a hash-consed DAG
+    (``GroundDag``) over a Herbrand base.
 
     Binding only constants means nothing can be captured, and an inner binder
     shadows an outer one by overwriting its name in the environment, so no
     renaming is needed. The recursion follows the formula's nesting; loops,
-    never recursion, run over the domain.
+    never recursion, run over the domain, the first ``n`` constants of the
+    base.
 
-    Equal ground subformulas get one id and one object. Instances repeated
-    across a quantifier's expansion (a subformula not mentioning the bound
-    variable, a vacuous quantifier) are dropped after flattening by id,
-    keeping first occurrences in order: conjunction and disjunction are
-    associative and idempotent, and this matches hand-written groundings.
-    Nodes are keyed by their child ids rather than by the ground formulas
-    themselves because that is faster: no subtree is hashed or compared as
-    a whole.
+    A node is keyed by its own tuple of a class and ints: an atom by its
+    base index, computed from the first-order atom's ``HerbrandBase.layout``
+    and the positions its variables are bound to, a connective by its child
+    ids. No ``Formula`` object is built and no subtree is hashed or compared
+    as a whole, so equal ground subformulas get one id cheaply. Instances
+    repeated across a quantifier's expansion (a subformula not mentioning
+    the bound variable, a vacuous quantifier) are dropped after flattening
+    by id, keeping first occurrences in order: conjunction and disjunction
+    are associative and idempotent, and this matches hand-written
+    groundings.
     """
 
-    def __init__(self, constants: tuple[Constant, ...]):
-        self.consts = constants
-        self.nodes: list[Formula] = []  # by id
-        self.kids: list[tuple[int, ...]] = []  # child ids, by id
-        self.ids: dict[tuple, int] = {}  # (Atom, pred, args) or (type, *child ids)
+    def __init__(self, base: HerbrandBase, n: int):
+        self.base = base
+        self.n = n
+        self.nodes: list[tuple] = []  # by id
+        self.ids: dict[tuple, int] = {}
+        # per first-order atom object, by id(): its layout, the steps as pairs
+        self.layouts: dict[int, tuple[int, tuple[tuple[str, int], ...]]] = {}
 
-    def _add(self, key: tuple, f: Formula, kids: tuple[int, ...]) -> int:
-        i = self.ids[key] = len(self.nodes)
-        self.nodes.append(f)
-        self.kids.append(kids)
-        return i
-
-    def _node(self, cls, kids: tuple[int, ...]) -> int:
-        key = (cls, *kids)
+    def node(self, key: tuple) -> int:
         i = self.ids.get(key)
         if i is None:
-            i = self._add(key, cls(*[self.nodes[k] for k in kids]), kids)
+            i = self.ids[key] = len(self.nodes)
+            self.nodes.append(key)
         return i
 
-    def instantiate(self, f: Formula, env: dict[str, Constant]) -> int:
-        if isinstance(f, Atom):
-            args = tuple(env.get(a.name, a) if isinstance(a, Variable) else a for a in f.args)
-            key = (Atom, f.pred, args)
-            i = self.ids.get(key)
-            if i is None:
-                i = self._add(key, Atom(f.pred, args), ())
-            return i
-        if isinstance(f, QUANT):
-            cls = And if isinstance(f, ForAll) else Or
-            outer = env.get(f.var)
+    def instantiate(self, f: Formula, env: dict[str, int]) -> int:
+        t = type(f)
+        if t is Atom:
+            layout = self.layouts.get(id(f))
+            if layout is None:
+                start, steps = self.base.layout(f)
+                layout = self.layouts[id(f)] = (start, tuple(steps.items()))
+            index, steps = layout
+            try:
+                for v, step in steps:
+                    index += env[v] * step
+            except KeyError:
+                raise WfomcError(f"free variable {v!r} in a sentence to ground") from None
+            key = (Atom, index)
+        elif t is ForAll or t is Exists:
+            cls = And if t is ForAll else Or
             parts: dict[int, None] = {}
-            for c in self.consts:
+            self.into(cls, f, env, parts)
+            return self.fold(cls, parts)
+        elif t is And or t is Or:
+            key = (t, *[self.instantiate(p, env) for p in f.parts])
+        elif t is Not:
+            key = (Not, self.instantiate(f.body, env))
+        elif t is Implies or t is Iff:
+            key = (t, self.instantiate(f.left, env), self.instantiate(f.right, env))
+        elif t is TrueF or t is FalseF:
+            key = (t,)
+        else:
+            raise WfomcError(f"cannot ground a {t.__name__}")
+        return self.node(key)
+
+    def into(self, cls, f: Formula, env: dict[str, int], parts: dict[int, None]):
+        """Add the ``cls`` operands of ``f``'s instantiation to ``parts``,
+        skipping repeats. A ``cls`` junction, or a quantifier that expands
+        to one (``forall`` for ``And``, ``exists`` for ``Or``), adds its
+        operands' operands in order, without a node of its own."""
+        t = type(f)
+        if t is cls:
+            for p in f.parts:
+                self.into(cls, p, env, parts)
+        elif t is (ForAll if cls is And else Exists):
+            outer = env.get(f.var)
+            for c in range(self.n):
                 env[f.var] = c
-                self.flatten(cls, self.instantiate(f.body, env), parts)
+                self.into(cls, f.body, env, parts)
             if outer is None:
                 del env[f.var]
             else:
                 env[f.var] = outer
-            return self.fold(cls, parts)
-        kids = tuple(self.instantiate(c, env) for c in children(f))
-        return self._node(type(f), kids)
+        else:
+            i = self.instantiate(f, env)
+            if self.nodes[i][0] is cls:
+                self.flatten(cls, i, parts)
+            else:
+                parts[i] = None  # a repeat keeps its first position
 
     def flatten(self, cls, i: int, parts: dict[int, None]):
         """Append the ``cls`` operands of node ``i`` to ``parts``, skipping repeats."""
         stack = [i]
         while stack:
             j = stack.pop()
-            if isinstance(self.nodes[j], cls):
-                stack += reversed(self.kids[j])
+            node = self.nodes[j]
+            if node[0] is cls:
+                stack += reversed(node[1:])
             else:
                 parts[j] = None  # a repeat keeps its first position
 
@@ -300,5 +386,19 @@ class _Grounder:
         """One ``cls`` node over the ids in ``parts``: the id itself if there
         is one, ``true``/``false`` if none."""
         if len(parts) > 1:
-            return self._node(cls, tuple(parts))
-        return next(iter(parts)) if parts else self._node(TrueF if cls is And else FalseF, ())
+            return self.node((cls, *parts))
+        return next(iter(parts)) if parts else self.node((TrueF,) if cls is And else (FalseF,))
+
+    def clause_conjunction(self, clauses) -> int:
+        """The conjunction of clauses of signed base numbers, literals in
+        base order in each; ``false`` if one is empty."""
+        if not all(clauses):
+            return self.fold(Or, ())
+        parts: dict[int, None] = {}
+        for c in clauses:
+            lits = {}
+            for l in sorted(c, key=abs):
+                a = self.node((Atom, abs(l) - 1))
+                lits[a if l > 0 else self.node((Not, a))] = None
+            parts[self.fold(Or, lits)] = None
+        return self.fold(And, parts)

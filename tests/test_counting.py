@@ -49,9 +49,10 @@ from wfomc.logic import (
     WeightFn,
     WeightedTheory,
     fold_or,
+    subformulas,
 )
 from wfomc.propcheck import GenConfig, gen_theory
-from wfomc.transform import clause_walk, skolemize, to_cnf_distribute
+from wfomc.transform import clause_form, clause_walk, skolemize, to_cnf_distribute
 
 from perfbench.workloads import SMOKERS_WEIGHTS, mln_boss_probability, smokers_count
 
@@ -118,7 +119,7 @@ class TestBruteForce:
         text = "forall x forall y (P(x) | Q(x,y))"
         for weights, count in (("weight P 1 2 -1\n", 15 ** 3), ("", 9 ** 3)):
             g = ground(theory(weights + text), Domain.of_size(3))
-            assert len(compile_program(g.formula, g.base).atoms) == 12
+            assert len(compile_program(g.dag).atoms) == 12
             for bits in (6, 9, 18):
                 monkeypatch.setattr(counting, "_BLOCK_BITS", bits)
                 assert wmc_bruteforce(g) == count, (weights, bits)
@@ -156,6 +157,36 @@ class TestBruteForce:
         with pytest.raises(CapExceededError, match="100000 atoms"):
             wfomc(t, Domain.of_size(100000))
 
+    def test_skolem_block_free_factor(self):
+        # Each block's unused atoms contribute one power of wt + wf: with
+        # the Skolem pair (1, -1) that is 0^0 = 1 when every S atom occurs
+        # and 0 when one does not. With both atoms used, P(A) true leaves
+        # S(A) free (1 - 1) and P(A) false forces S(A): the count is 1.
+        t = theory("weight S 1 1 -1\nP(A) | S(A)")
+        assert wmc_bruteforce(ground(t, domain("A"))) == 1
+        g = ground(t, domain("A", "B"))  # S(B) and P(B) never occur
+        assert wmc_bruteforce(g) == 0 == wfomc(t, domain("A", "B"), engine="dpll")
+        # every atom of the block occurs: no unused factor
+        t = theory("weight S 1 1 -1\nforall x (P(x) | S(x))")
+        for n in (1, 2, 3):
+            assert wmc_bruteforce(ground(t, Domain.of_size(n))) == 1
+
+    def test_matches_dpll_on_generated_theories(self):
+        # The theories certify counts, before and after Skolemization.
+        checked = 0
+        for seed in range(300):
+            t = gen_theory(GenConfig(seed=seed))
+            for th in (t, skolemize(t)):
+                for n in (1, 2):
+                    d = Domain.of_size(n, extra=th.constants())
+                    try:
+                        brute = wfomc(th, d)
+                    except CapExceededError:
+                        continue
+                    assert brute == wfomc(th, d, engine="dpll"), (seed, n)
+                    checked += 1
+        assert checked > 1100
+
     def test_float_mode(self):
         t = theory("forall x (P(x) | Q(x))")
         t = t.replace(weights=WeightFn({PredicateSig("P", 1): (2.0, 1.0)}, "float"))
@@ -164,15 +195,59 @@ class TestBruteForce:
         assert wmc_bruteforce(g) == 5
 
 
-def random_ground_formula(rng, atoms, depth):
+def random_ground_formula(rng, atoms, depth, pool):
+    """A random ground formula in which ``And``/``Or`` take two to four
+    operands and a quarter of the subformulas are drawn again from ``pool``
+    (every subformula built so far), so its ground DAG shares nodes."""
+    if pool and rng.random() < 0.25:
+        return rng.choice(pool)
     if depth == 0 or rng.random() < 0.2:
         r = rng.random()
-        return TRUE if r < 0.1 else FALSE if r < 0.2 else rng.choice(atoms)
-    cls = rng.choice([Not, And, Or, Implies, Iff])
-    if cls is Not:
-        return Not(random_ground_formula(rng, atoms, depth - 1))
-    return cls(random_ground_formula(rng, atoms, depth - 1),
-               random_ground_formula(rng, atoms, depth - 1))
+        f = TRUE if r < 0.1 else FALSE if r < 0.2 else rng.choice(atoms)
+    else:
+        cls = rng.choice([Not, And, Or, Implies, Iff])
+        arity = 1 if cls is Not else rng.randint(2, 4) if cls in (And, Or) else 2
+        f = cls(*[random_ground_formula(rng, atoms, depth - 1, pool) for _ in range(arity)])
+    pool.append(f)
+    return f
+
+
+def _dag(f, base):
+    """The ground DAG of a quantifier-free sentence over ``base``."""
+    unit = ((Fraction(1), Fraction(1)),) * len(base.blocks)
+    return GroundProblem(base, unit, Fraction(1), (f,)).dag
+
+
+def _reachable(dag) -> list[int]:
+    """The ids of the nodes the root reaches, in node order."""
+    seen = {dag.root}
+    for i in range(dag.root, -1, -1):
+        if i in seen and dag.nodes[i][0] is not Atom:
+            seen.update(dag.nodes[i][1:])
+    return sorted(seen)
+
+
+def _evaluator_rows(prog, n) -> int:
+    """The number of block arrays ``satisfying_words`` holds, read from
+    its frame while it runs."""
+    seen = []
+
+    def line(frame, event, arg):
+        rows = frame.f_locals.get("rows")
+        if rows is not None:
+            seen.append(len(rows))
+        return line
+
+    def call(frame, event, arg):
+        return line if frame.f_code is K.satisfying_words.__code__ else None
+
+    sys.settrace(call)
+    try:
+        K.satisfying_words(prog.ops, prog.args, prog.slots, 0, n)
+    finally:
+        sys.settrace(None)
+    assert len(set(seen)) == 1
+    return seen[0]
 
 
 ALL_OPS = {K.OP_LOAD, K.OP_NOT, K.OP_AND, K.OP_OR, K.OP_IMP, K.OP_IFF,
@@ -184,27 +259,88 @@ class TestKernels:
         # Oracle: the recursive evaluator from the encoders, one world at a
         # time. Nine atoms give 512 assignments, so bits above 5 (constant
         # per word) and blocks that start past word 0 are both exercised.
+        # Every program holds each opcode, an And or Or of three or more
+        # operands, and an instruction that several others read.
         atoms = [Atom(PredicateSig(f"P{i}", 0), ()) for i in range(9)]
         base = HerbrandBase(()).appended(a.pred for a in atoms)
         rng = random.Random(7)
         checked = 0
         while checked < 30:
-            f = random_ground_formula(rng, atoms, 6)
-            prog = compile_program(f, base)
-            if set(prog.ops.tolist()) != ALL_OPS:
+            f = random_ground_formula(rng, atoms, 6, [])
+            dag = _dag(f, base)
+            prog = compile_program(dag)
+            readers = Counter(j for i in _reachable(dag) if dag.nodes[i][0] is not Atom
+                              for j in set(dag.nodes[i][1:]))
+            if (set(prog.ops) != ALL_OPS or max(readers.values()) < 2
+                    or not any(op in (K.OP_AND, K.OP_OR) and len(a) > 2
+                               for op, a in zip(prog.ops, prog.args))):
                 continue
             m = len(prog.atoms)
             expected = np.array([
                 _eval_ground(f, {atoms[prog.atoms[i]] for i in range(m) if a >> i & 1})
                 for a in range(1 << m)
             ], dtype=np.uint8)
-            full = K.satisfying_mask(prog.ops, prog.args, prog.stack_need, 0, 1 << m)
+            full = K.satisfying_mask(prog.ops, prog.args, prog.slots, 0, 1 << m)
             assert np.array_equal(full, expected)
             step = min(64, 1 << m)
             for start in range(0, 1 << m, step):
-                block = K.satisfying_mask(prog.ops, prog.args, prog.stack_need, start, step)
+                block = K.satisfying_mask(prog.ops, prog.args, prog.slots, start, step)
                 assert np.array_equal(block, expected[start:start + step])
             checked += 1
+
+    def test_one_instruction_per_distinct_ground_node(self):
+        # Each P(c) | Q(d) is one Or node, and each atom one node, however
+        # many Ors share it: 6 loads, 9 Ors and one And of nine operands.
+        # A tree of binary operations would need 9 * 3 + 8 = 35.
+        g = ground(theory("forall x forall y (P(x) | Q(y))"), Domain.of_size(3))
+        prog = compile_program(g.dag)
+        assert len(prog.ops) == len(set(subformulas(g.formula))) == 16
+        assert Counter(prog.ops) == {K.OP_LOAD: 6, K.OP_OR: 9, K.OP_AND: 1}
+        ors = [k for k, op in enumerate(prog.ops) if op == K.OP_OR]
+        assert prog.args[-1] == tuple(prog.slots[k] for k in ors)
+        # every P true or every Q true
+        assert wmc_bruteforce(g) == 2 ** 3 + 2 ** 3 - 1
+        # The vacuous exists grounds to the node Q(A) & R(A), which the
+        # top-level And splices: the root does not reach it.
+        g = ground(theory("forall x P(x)\nexists y (Q(A) & R(A))"), domain("A", "B"))
+        assert len(g.dag.nodes) == 6
+        prog = compile_program(g.dag)
+        assert len(prog.ops) == len(set(subformulas(g.formula))) == 5
+        assert wmc_bruteforce(g) == 4  # Q(B) and R(B) are free
+
+    def test_slots_are_reused_after_the_last_reader(self):
+        # An instruction reads its operands' slots, and no instruction
+        # between an operand and its reader writes that slot. The slots
+        # number the width: the most nodes live at once, counted here from
+        # the DAG. Here each instance's two Ands and the Not die at its Or:
+        # 25 instructions in 8 slots, and the evaluator holds 8 arrays.
+        rng = random.Random(11)
+        atoms = [Atom(PredicateSig(f"P{i}", 0), ()) for i in range(8)]
+        base = HerbrandBase(()).appended(a.pred for a in atoms)
+        wide = ground(theory("forall x forall y ((P(x) & Q(y)) | (R(x,y) & ~R(y,x)))"),
+                      Domain.of_size(2)).dag
+        cases = [wide] + [_dag(random_ground_formula(rng, atoms, 6, []), base)
+                          for _ in range(40)]
+        for dag in cases:
+            prog = compile_program(dag)
+            order = _reachable(dag)
+            index = {i: k for k, i in enumerate(order)}
+            last = list(range(len(order)))
+            for k, i in enumerate(order):
+                node = dag.nodes[i]
+                if node[0] is Atom:
+                    continue
+                reads = [index[j] for j in node[1:]]
+                assert prog.args[k] == tuple(prog.slots[j] for j in reads)
+                for j in reads:
+                    assert prog.slots[j] not in prog.slots[j + 1:k + 1]
+                    last[j] = k
+            live = [1 + sum(last[j] >= k for j in range(k)) for k in range(len(order))]
+            width = max(prog.slots) + 1
+            assert width == max(live)
+            assert _evaluator_rows(prog, 1 << len(prog.atoms)) == width
+        prog = compile_program(wide)
+        assert (len(prog.ops), max(prog.slots) + 1) == (25, 8)
 
     @pytest.mark.parametrize("start,n", [(32, 64), (8, 8)])
     def test_unaligned_block_start_is_rejected(self, start, n):
@@ -212,9 +348,9 @@ class TestKernels:
         # is false, though assignment 8 satisfies P0 | P1 | P2 | P3.
         atoms = [Atom(PredicateSig(f"P{i}", 0), ()) for i in range(4)]
         base = HerbrandBase(()).appended(a.pred for a in atoms)
-        prog = compile_program(fold_or(atoms), base)
+        prog = compile_program(_dag(fold_or(atoms), base))
         with pytest.raises(ValueError, match="aligned"):
-            K.satisfying_words(prog.ops, prog.args, prog.stack_need, start, n)
+            K.satisfying_words(prog.ops, prog.args, prog.slots, start, n)
 
     def test_popcount_ignores_trailing_lanes(self):
         ones = np.full(2, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
@@ -816,6 +952,24 @@ class TestClauseFormGrounding:
         t = replace(theory("forall x (P(x) | Q(x))"), scale=(ScaleFactor(Fraction(3), 1),))
         d = Domain.of_size(3)
         assert wfomc(t, d, engine="dpll") == 3 ** 3 * 3 ** 3 == wfomc(t, d)
+
+    def test_clause_form_is_computed_once(self, monkeypatch):
+        # Without a separator (smokers' S(y)), dpll grounds the whole
+        # theory; the separator search and tseitin_ground share one
+        # first-order clause form. Each conjunct exists y Pi(x,y) allows
+        # 3 of the 4 settings of Pi(x,A), Pi(x,B) per x.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return clause_form(*args)
+
+        monkeypatch.setattr(grounding, "clause_form", counted)
+        text = (ROOT / "samples" / "smokers.fol").read_text()
+        conjuncts = " & ".join(f"(exists y P{i}(x,y))" for i in range(1000))
+        t = theory(f"{text}\nforall x ({conjuncts})")
+        assert wfomc(t, Domain.of_size(2), engine="dpll") == _smokers_closed_form(2) * 9 ** 1000
+        assert len(calls) == 1
 
     def test_missing_constant_raises_on_the_dpll_path(self):
         with pytest.raises(WfomcError, match="missing from the domain"):
