@@ -20,14 +20,17 @@ table. It holds two engines, ``brute`` and ``dpll``, over two counters:
     often do) are searched once. The search runs on an explicit stack, so
     its depth never meets Python's recursion limit.
 
-DPLL counts clauses, and ``tseitin_ground`` makes them at the first-order
-level: a sentence that reads as one clause, disjunctive quantifiers
-included, is instantiated from the Herbrand base layout; the others are
-Skolemized (the source paper's count-preserving step) and clausified before
-they are instantiated (``transform.clause_form``, computed once per
-problem as ``GroundProblem.clause_form``). No ground formula is built, and
-every atom, Skolem and definition atoms included, lies in the base layout,
-so the symmetric cache can rename all of them.
+Both counters, and ``export_dimacs``, take any ground problem: closed
+sentences or clauses. ``tseitin_ground`` is the one place where a problem
+becomes clauses, and ``wmc_dpll``, ``clauses_of`` and ``export_dimacs``
+read clauses only through it. It works at the first-order level: a
+sentence that reads as one clause, disjunctive quantifiers included, is
+instantiated from the Herbrand base layout; the others are Skolemized (the
+source paper's count-preserving step, so no theory is refused) and
+clausified before they are instantiated (``transform.clause_form``,
+computed once per problem as ``GroundProblem.clause_form``). No ground
+formula is built, and every atom, Skolem and definition atoms included,
+lies in the base layout, so the symmetric cache can rename all of them.
 
 The ``dpll`` engine grounds a whole theory only when it has no separator
 (``_separator_split``): one argument position per predicate at which every
@@ -198,17 +201,9 @@ def wmc_bruteforce(g: GroundProblem, cap: int | None = None) -> Fraction:
     _check_brute_cap(len(g.base), cap)
     prog = compile_program(g.dag)
     base = g.base
-
-    # Each block's weight pair scaled by the lcm of its denominators once,
-    # as in _DpllCounter: every assignment weight is an integer product over
-    # the constant denominator den.
+    scaled, den = _scaled(g)
     firsts = [first for _, first in base.blocks]
-    scaled, unused, den = [], [], 1
-    for (sig, _), (wt, wf) in zip(base.blocks, g.weights):
-        d = math.lcm(wt.denominator, wf.denominator)
-        scaled.append((wt.numerator * (d // wt.denominator), wf.numerator * (d // wf.denominator)))
-        unused.append(base.block_length(sig.arity))
-        den *= d ** unused[-1]
+    unused = [base.block_length(sig.arity) for sig, _ in base.blocks]
     weights = []  # per bit
     for i in prog.atoms:
         b = bisect_right(firsts, i) - 1
@@ -223,6 +218,18 @@ def wmc_bruteforce(g: GroundProblem, cap: int | None = None) -> Fraction:
         free *= (t + f) ** k
     total = _sum_exact(prog, weights) if free else 0
     return Fraction(total * free * g.scalar.numerator, den * g.scalar.denominator)
+
+
+def _scaled(g: GroundProblem) -> tuple[list[tuple[int, int]], int]:
+    """Each block's weight pair times the lcm of its denominators, as
+    integers, and ``den``, the product of those scales over every atom of
+    the base: each assignment's weight is an integer product over ``den``."""
+    scaled, den = [], 1
+    for (sig, _), (wt, wf) in zip(g.base.blocks, g.weights):
+        d = math.lcm(wt.denominator, wf.denominator)
+        scaled.append((wt.numerator * (d // wt.denominator), wf.numerator * (d // wf.denominator)))
+        den *= d ** g.base.block_length(sig.arity)
+    return scaled, den
 
 
 def _check_brute_cap(n: int, cap: int | None):
@@ -327,71 +334,49 @@ def weighted_models(g: GroundProblem, cap: int = 20):
 # Clause form
 
 
-def _add_instances(lits, inner, base: HerbrandBase, clauses: dict):
-    """Add the ground instances of a clause to ``clauses``, numbered from
-    the base layout. Instances that are tautologies are dropped; a clause
-    without literals is the empty clause (the domain is never empty)."""
-    if not lits:
-        clauses[frozenset()] = None
-        return
-    instances = clause_instances(lits, base, inner)
-    positive = {a.pred for a, pos in lits if pos}
-    if any(not pos and a.pred in positive for a, pos in lits):
-        for inst in instances:  # some instance may be a tautology
-            c = frozenset(inst)
-            if not any(-l in c for l in c):
-                clauses[c] = None
-    else:
-        clauses.update(dict.fromkeys(map(frozenset, instances)))
-
-
-def _clause_tuple(clauses: dict) -> tuple[frozenset[int], ...]:
-    """The clauses, or only the empty clause when they hold it."""
-    return (frozenset(),) if frozenset() in clauses else tuple(clauses)
-
-
-def clauses_of(g: GroundProblem) -> list[frozenset[int]] | None:
-    """Clause view of a ground problem, or None unless every sentence reads
-    as one clause.
-
-    A problem in clause form (``tseitin_ground``'s output) returns its
-    clauses. Otherwise each sentence's instances are numbered from the base
-    layout, and no ground formula is built: tautological and repeated
-    clauses are dropped, and a false clause leaves the single empty clause.
-    """
-    if g.clauses is not None:
-        return list(g.clauses)
+def _clause_set(rows, layout: HerbrandBase) -> tuple[frozenset[int], ...]:
+    """The ground instances of clauses given as (literals, inner variables)
+    rows, numbered from the base layout (``grounding.clause_instances``).
+    Tautological and repeated instances are dropped; a clause without
+    literals leaves only the empty clause (the domain is never empty)."""
     clauses: dict[frozenset[int], None] = {}
-    for s in g.sentences:
-        walked = clause_walk(s)
-        if walked is None:
-            return None
-        if walked is not True:
-            _add_instances(*walked, g.base, clauses)
-    return list(_clause_tuple(clauses))
+    for lits, inner in rows:
+        if not lits:
+            return (frozenset(),)
+        instances = map(frozenset, clause_instances(lits, layout, inner))
+        positive = {a.pred for a, pos in lits if pos}
+        # Some instance may be a tautology.
+        if any(not pos and a.pred in positive for a, pos in lits):
+            instances = (c for c in instances if not any(-l in c for l in c))
+        clauses.update(dict.fromkeys(instances))
+    return tuple(clauses)
+
+
+def clauses_of(g: GroundProblem) -> list[frozenset[int]]:
+    """The clauses of a ground problem's clause form (``tseitin_ground``)."""
+    return list(tseitin_ground(g).clauses)
 
 
 def tseitin_ground(g: GroundProblem) -> GroundProblem:
-    """Clause form of a ground problem, with the same weighted count.
+    """Clause form of a ground problem, with the same weighted count: the
+    one place where a problem becomes clauses.
 
     A problem already in clause form is returned as it is. The sentences
     are put in clause form at the first-order level
     (``GroundProblem.clause_form``, shared with ``_separator_split``), and
-    each clause's instances are numbered from the base layout, without a
-    ground formula. The predicates that clause form adds (Skolem
-    predicates and definitions) get names fresh against every predicate of
-    the base and blocks laid out after its own, so a query encoded over a
-    theory's clause form gets its predicates numbered after the theory's.
+    each clause's instances are numbered from the base layout
+    (``_clause_set``), without a ground formula. The predicates that clause
+    form adds (Skolem predicates and definitions) get names fresh against
+    every predicate of the base and blocks laid out after its own, so a
+    query encoded over a theory's clause form gets its predicates numbered
+    after the theory's.
     """
     if g.clauses is not None:
         return g
     form, added = g.clause_form
     base = g.base.appended(sig for sig, _ in added)
-    clauses: dict[frozenset[int], None] = {}
-    for lits, inner in form:
-        _add_instances(lits, inner, base, clauses)
     weights = g.weights + tuple(pair for _, pair in added)
-    return GroundProblem(base, weights, g.scalar, clauses=_clause_tuple(clauses))
+    return GroundProblem(base, weights, g.scalar, clauses=_clause_set(form, base))
 
 
 # ---------------------------------------------------------------------------
@@ -399,23 +384,25 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
 
 
 def wmc_dpll(g: GroundProblem, query: GroundProblem | None = None):
-    """Component-caching DPLL count; requires a problem in clause form, or
-    one whose sentences each read as one clause (``clauses_of``).
+    """Component-caching DPLL count of any ground problem, over its clause
+    form (``tseitin_ground``).
 
-    Given ``query``, clauses over ``g``'s base extended by blocks for the
-    query's own predicates (``tseitin_ground`` of the query's sentences over
-    the clause form of ``g``), returns the pair (count of g ∧ query, count of g)
-    from one search. The count of ``g`` is kept in parts: its top-level unit
+    Given ``query``, sentences over ``g``'s predicates and constants held
+    as a problem over ``g``'s base, returns the pair (count of g ∧ query,
+    count of g) from one search. The query's sentences are put in clause
+    form over ``g``'s, so its own added predicates get blocks after those
+    of ``g``'s clause form; a query already in clause form must have been
+    made so. The count of ``g`` is kept in parts: its top-level unit
     assignment and its residual components. The query's clauses are reduced
     by that assignment and merged with the components they share an atom
     with, and only the merged set is counted again, with the same memo
     (``_DpllCounter.conditioned``).
     """
+    g = tseitin_ground(g)
+    if query is not None and query.clauses is None:
+        query = tseitin_ground(replace(g, clauses=None, sentences=query.sentences))
     clauses = clauses_of(g)
     query_clauses = () if query is None else clauses_of(query)
-    if clauses is None or query_clauses is None:
-        raise WfomcError("wmc_dpll needs a CNF ground formula; "
-                         "convert with tseitin_ground first")
     counter = _DpllCounter(g if query is None else query)
     current = frozenset(clauses)
     atoms = set(map(abs, frozenset().union(*current)))
@@ -440,9 +427,10 @@ class _DpllCounter:
     """Weighted counts of clause sets, each over the atoms it mentions.
 
     Atoms are numbered from 1 and literals are signed atom numbers. Each
-    block's weight pair is scaled by the lcm of its denominators once, so
-    the search multiplies Python ints and ``value`` divides a final total by
-    ``den``, the product of those scales over every atom of the base.
+    block's weight pair is scaled by the lcm of its denominators once
+    (``_scaled``), so the search multiplies Python ints and ``value``
+    divides a final total by ``den``, the product of those scales over
+    every atom of the base.
 
     The memo is keyed by each component's clauses up to a renaming of the
     domain constants (``_key``), so components that differ only by such a
@@ -460,13 +448,10 @@ class _DpllCounter:
         # the end, so both signs fit in one list of 2n + 1 slots.
         self.lit_w = [None] * (2 * n + 1)
         self.free = [None] * (n + 1)  # free[a] = wt + wf of atom a
-        self.den = 1
+        scaled, self.den = _scaled(g)
         self.scalar = g.scalar
-        for (sig, first), (wt, wf) in zip(base.blocks, g.weights):
+        for (sig, first), (wt, wf) in zip(base.blocks, scaled):
             k = base.block_length(sig.arity)
-            d = math.lcm(wt.denominator, wf.denominator)
-            wt, wf = int(wt * d), int(wf * d)
-            self.den *= d ** k
             self.lit_w[first + 1:first + 1 + k] = [wt] * k
             self.lit_w[2 * n + 1 - first - k:2 * n + 1 - first] = [wf] * k
             self.free[first + 1:first + 1 + k] = [wt + wf] * k
@@ -816,12 +801,7 @@ def _dpll(t: WeightedTheory, d: Domain, cap: int | None, query: Formula | None):
     split = _separator_split(g, query)
     if split is not None:
         return split
-    theory = tseitin_ground(g)
-    if query is None:
-        return wmc_dpll(theory)
-    # The query's own predicates are laid out after the theory's.
-    encoded = tseitin_ground(replace(theory, clauses=None, sentences=(query,)))
-    return wmc_dpll(theory, encoded)
+    return wmc_dpll(g, None if query is None else replace(g, sentences=(query,)))
 
 
 # ---------------------------------------------------------------------------
@@ -905,15 +885,11 @@ def _separator_split(g: GroundProblem, query: Formula | None):
     weights = tuple(weights)
 
     def sliced(c: Constant, rows) -> GroundProblem:
-        out: dict[frozenset[int], None] = {}
-        for lits, inner, sep in rows:
-            if isinstance(sep, Constant) and sep != c:
-                continue
-            bound = [(Atom(renamed[a.pred], tuple(c if arg == sep else arg for i, arg in enumerate(a.args)
-                                                  if i != pos[a.pred])), positive)
-                     for a, positive in lits]
-            _add_instances(bound, inner, layout, out)
-        return GroundProblem(layout, weights, Fraction(1), clauses=_clause_tuple(out))
+        kept = (([(Atom(renamed[a.pred], tuple(c if arg == sep else arg for i, arg in enumerate(a.args)
+                                               if i != pos[a.pred])), positive)
+                  for a, positive in lits], inner)
+                for lits, inner, sep in rows if sep == c or not isinstance(sep, Constant))
+        return GroundProblem(layout, weights, Fraction(1), clauses=_clause_set(kept, layout))
 
     sep = None  # the query's separator
     if query is not None:
@@ -1051,10 +1027,10 @@ def _check_query(t: WeightedTheory, d: Domain, query: Formula):
 
 
 def export_dimacs(g: GroundProblem) -> str:
-    """CNF in DIMACS format with `c wght <lit> <weight>` comment lines."""
+    """The clause form of a ground problem (``tseitin_ground``) in DIMACS
+    format, with `c atom` and `c wght <lit> <weight>` comment lines."""
+    g = tseitin_ground(g)
     clauses = clauses_of(g)
-    if clauses is None:
-        raise WfomcError("export_dimacs needs a CNF ground formula")
     lines = [f"p cnf {len(g.base)} {len(clauses)}"]
     for i, (a, (wt, wf)) in enumerate(zip(g.base.atoms, g.atom_weights)):
         lines.append(f"c atom {i + 1} {a.pred.name}"

@@ -23,6 +23,7 @@ from fractions import Fraction
 from .errors import ParseError, WfomcError
 from .logic import (
     FALSE,
+    FLOAT,
     TRUE,
     And,
     Atom,
@@ -585,7 +586,15 @@ def serialize_theory(t: WeightedTheory, domain: Domain | None = None) -> str:
         if (wt, wf) != (1, 1):
             lines.append(f"weight {sig.name} {sig.arity} {weight_str(wt)} {weight_str(wf)}")
     for sf in t.scale:
-        lines.append(f"scale {weight_str(sf.base)} {sf.nvars}")
+        base = sf.base
+        if t.weights.mode == FLOAT:
+            # A float-mode scale base prints as a float: an exact sum of two
+            # float weights as their IEEE sum, unless that overflows.
+            try:
+                base = float(base)
+            except OverflowError:
+                pass
+        lines.append(f"scale {weight_str(base)} {sf.nvars}")
     for s in t.sentences:
         lines.append(serialize_formula(s))
     return "\n".join(lines) + ("\n" if lines else "")

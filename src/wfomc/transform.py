@@ -650,6 +650,8 @@ def _written(t: WeightedTheory, clauses, weights: WeightFn | None = None,
     A predicate of ``t`` that no clause mentions has unconstrained atoms:
     its (wt + wf) factor per grounding enters the scale, so counts stay
     comparable, unless ``accounted`` names it (its factor is in ``scale``).
+    The sum is exact in float mode too: counting reads each float weight
+    as its exact binary value.
     """
     sentences, mentioned = [], set()
     for c in clauses:
@@ -660,7 +662,7 @@ def _written(t: WeightedTheory, clauses, weights: WeightFn | None = None,
     scale = list(t.scale if scale is None else scale)
     for sig in t.predicates():  # sorted by (name, arity)
         if sig not in mentioned and sig not in accounted:
-            wt, wf = t.weights.get(sig)
+            wt, wf = t.weights.exact(sig)
             _push_scale(scale, wt + wf, sig.arity)
     return t.replace(sentences=tuple(sentences), scale=tuple(scale),
                      weights=t.weights if weights is None else weights)

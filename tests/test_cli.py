@@ -371,6 +371,13 @@ class TestExitCodes:
         assert code == 2
         assert "1:17" in err
 
+    def test_unknown_input_format_is_two(self, capsys, tmp_path):
+        f = tmp_path / "theory.txt"
+        f.write_text("forall x P(x)\n")
+        code, out, err = run(capsys, "skolemize", f)
+        assert code == 2 and out == ""
+        assert "unknown input format '.txt' (expected .fol, .mln or .plp)" in err
+
     def test_missing_file_is_two(self, capsys, tmp_path):
         code, _, _ = run(capsys, "count", tmp_path / "nope.fol", "--domain-size", "1")
         assert code == 2

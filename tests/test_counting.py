@@ -418,10 +418,22 @@ class TestDpll:
         g = ground(t, domain("A", "B"))
         assert wmc_dpll(g) == 9
 
-    def test_requires_cnf(self):
+    def test_counts_a_problem_not_in_clause_form(self):
+        # The sentence is not one clause: wmc_dpll counts its clause form.
         g = ground(theory("P(A) <-> Q(A)"), domain("A"))
-        with pytest.raises(WfomcError, match="CNF"):
-            wmc_dpll(g)
+        assert wmc_dpll(g) == 2 == wmc_bruteforce(g)
+        t = theory("weight P 1 2 3\nforall x exists y (P(y) & ~Q(x))")
+        g = ground(t, Domain.of_size(2))
+        assert wmc_dpll(g) == wmc_bruteforce(g) == 5 ** 2 - 3 ** 2 == wmc_dpll(tseitin_ground(g))
+
+    def test_query_in_sentences_is_read_over_the_clause_form(self):
+        # Both sentences need a Skolem predicate: the query's gets a block
+        # after the theory's instead of sharing its atoms.
+        g = ground(theory("exists y (R(y) & S(y))"), Domain.of_size(2))
+        query = replace(g, sentences=(formula("exists y (R(y) & ~S(y))"),))
+        assert wmc_dpll(g, query) == (2, 7)
+        with_query = replace(g, sentences=g.sentences + query.sentences)
+        assert wmc_dpll(g, query) == (wmc_bruteforce(with_query), wmc_bruteforce(g))
 
     def test_unknown_engine_names_every_engine(self):
         with pytest.raises(WfomcError) as e:
@@ -768,7 +780,7 @@ class TestGroundTseitin:
         t = WeightedTheory(sentences, WeightFn(weights))
         g = ground(t, Domain.of_size(1))
         gt = tseitin_ground(g)
-        assert clauses_of(gt) is not None
+        assert gt.clauses is not None
         assert wmc_bruteforce(gt) == wmc_bruteforce(g)
         assert wmc_dpll(gt) == wmc_bruteforce(g)
 
@@ -822,7 +834,7 @@ class TestGroundTseitin:
             g = ground(WeightedTheory(sentences, WeightFn(weights)), Domain.of_size(1))
             gt = tseitin_ground(g)
             paths.add(len(gt.base) > len(g.base))
-            assert clauses_of(gt) is not None
+            assert gt.clauses is not None
             assert wmc_dpll(gt) == wmc_bruteforce(g)
         assert paths == {False, True}
 
@@ -877,11 +889,10 @@ def _assert_paths_agree(t, d):
     g = ground(t, d)
     clause_path = False
     for s in t.sentences:
-        one = replace(g, sentences=(s,))
-        clauses = clauses_of(one)
-        if clauses is not None:
+        if clause_walk(s) is not None:
             clause_path = True
-            assert set(clauses) == _formula_clauses(one), s
+            one = replace(g, sentences=(s,))
+            assert set(clauses_of(one)) == _formula_clauses(one), s
     if len(g.base) <= 18:
         assert wfomc(t, d, engine="dpll") == wmc_bruteforce(g)
     return clause_path
@@ -1367,6 +1378,12 @@ class TestSeparatorSplit:
 
 
 class TestModelEnumeration:
+    def test_weighted_models_over_the_cap_is_an_error(self):
+        g = ground(theory("forall x (P(x) | Q(x))"), Domain.of_size(3))
+        assert len(list(weighted_models(g, cap=6))) == 27
+        with pytest.raises(CapExceededError, match="6 atoms is too many to enumerate models"):
+            next(weighted_models(g, cap=5))
+
     def test_weighted_models_sum_equals_count(self):
         t = theory("weight P 1 2 -1\nforall x (P(x) | Q(x))")
         g = ground(t, Domain.of_size(2))
@@ -1394,7 +1411,11 @@ class TestDimacsExport:
         assert "c wght -1 3602879701896397/36028797018963968" in lines  # Fraction(0.1)
         assert "c wght 2 1/1" in lines
 
-    def test_rejects_non_cnf(self):
+    def test_exports_the_clause_form(self):
         g = ground(theory("P(A) <-> Q(A)"), domain("A"))
-        with pytest.raises(WfomcError):
-            export_dimacs(g)
+        assert export_dimacs(g).splitlines()[:3] == ["p cnf 2 2", "c atom 1 P(A)", "c wght 1 1/1"]
+        assert export_dimacs(g) == export_dimacs(tseitin_ground(g))
+        # Skolem atoms get blocks after the theory's own, with their weights.
+        lines = export_dimacs(ground(theory("exists y (P(y) & Q(y))"), domain("A"))).splitlines()
+        assert lines[0] == "p cnf 3 1" and lines[-1] == "-1 -2 3 0"
+        assert "c atom 3 Sk0" in lines and "c wght -3 -1/1" in lines

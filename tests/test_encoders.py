@@ -6,7 +6,7 @@ import pytest
 
 from conftest import domain, formula, theory
 from wfomc.counting import ENGINES, wfomc
-from wfomc.errors import NonTightProgramError, WfomcError
+from wfomc.errors import CapExceededError, NonTightProgramError, WfomcError
 from wfomc.frontends import parse_mln, parse_problog, serialize_formula
 from wfomc.encoders import (
     WfomcEncoding,
@@ -78,6 +78,22 @@ class TestMlnOracle:
         m = parse_mln("inf Smokes(A)")
         assert mln_oracle(m, domain("A"), formula("Smokes(A)")) == 1.0
 
+    def test_non_sentence_query_and_cap_are_errors(self):
+        m = parse_mln("1.0 P(x)")
+        with pytest.raises(WfomcError, match="query must be a sentence"):
+            mln_oracle(m, Domain.of_size(2), formula("P(x)"))
+        with pytest.raises(CapExceededError, match="21 ground atoms exceed the oracle cap 20"):
+            mln_oracle(m, Domain.of_size(21), formula("P(C1)"))
+
+    def test_contradictory_hard_rules_have_zero_partition_function(self):
+        m = parse_mln("inf P(x)\ninf ~P(x)")
+        d = Domain.of_size(2)
+        with pytest.raises(WfomcError, match="zero partition function"):
+            mln_oracle(m, d, formula("P(C1)"))
+        for engine in ENGINES:
+            with pytest.raises(WfomcError, match="zero partition function"):
+                query_probability(encode_mln(m), d, formula("P(C1)"), engine=engine)
+
     def test_partition_function_matches_counting_route(self):
         m = parse_mln(EMPLOYMENT)
         enc = encode_mln(m).prepared()
@@ -148,6 +164,18 @@ class TestClarksCompletion:
         assert len([s for s in t.sentences if PredicateSig("p", 1) in predicates(s)]) == 1
         got = serialize_formula(t.sentences[0])
         assert got == "forall x (p(x) <-> q(x) | (exists z r(x,z)))"
+
+    def test_body_variable_clashing_with_a_head_variable_is_renamed(self):
+        # The second rule's head variable y becomes the canonical x, so its
+        # body-only x is renamed apart.
+        p = parse_problog("0.3 :: A(x,y).\n0.6 :: B(x,y).\nQ(x) :- A(x,y).\nQ(y) :- B(y,x).")
+        [s] = clarks_completion(p).sentences
+        assert s == formula("forall x (Q(x) <-> (exists y A(x,y)) | (exists x_1 B(x,x_1)))")
+        d, q = Domain.of_size(2), formula("Q(C1)")
+        # Q(C1) fails only if its four parent facts all fail: 1 - (0.7 * 0.4)^2.
+        assert problog_oracle(p, d, q) == Fraction(576, 625)
+        for engine in ENGINES:
+            assert query_probability(encode_problog(p), d, q, engine=engine) == Fraction(576, 625)
 
     def test_fact_predicate_with_rules_rejected(self):
         with pytest.raises(WfomcError, match="both"):
@@ -233,6 +261,13 @@ class TestProblogOracle:
     def test_negation_in_bodies_is_stratified(self):
         p = parse_problog("0.5 :: a.\nq :- \\+a.")
         assert problog_oracle(p, domain("A"), formula("q")) == Fraction(1, 2)
+
+    def test_non_sentence_query_and_cap_are_errors(self):
+        p = parse_problog("0.5 :: P(x).\nQ :- P(x).")
+        with pytest.raises(WfomcError, match="query must be a sentence"):
+            problog_oracle(p, Domain.of_size(2), formula("P(x)"))
+        with pytest.raises(CapExceededError, match="21 ground facts exceed the oracle cap 20"):
+            problog_oracle(p, Domain.of_size(21), formula("Q"))
 
     def test_unstratified_program_rejected(self):
         p = parse_problog("p :- \\+q.\nq :- \\+p.")

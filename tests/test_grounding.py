@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,13 @@ class TestHerbrandBase:
         t = theory("forall x exists y (WorksFor(x,y) | Boss(x))")
         base = herbrand_base(t, domain("A", "B"))
         assert len(base) == 6
+
+    def test_atom_index_outside_the_base_is_an_error(self):
+        base = herbrand_base(theory("forall x (P(x) | Q(x))"), domain("A", "B"))
+        assert base.atom(len(base) - 1) == Atom(PredicateSig("Q", 1), (Constant("B"),))
+        for i in (-1, len(base)):
+            with pytest.raises(WfomcError, match=f"atom index {i} outside a Herbrand base of 4 atoms"):
+                base.atom(i)
 
     def test_deterministic_order(self):
         t = theory("forall x forall y (S(x) & F(x,y) -> S(y))")
@@ -130,6 +138,12 @@ class TestGround:
         q = Atom(PredicateSig("Q", 1), (Constant("A"),))
         assert by_atom[p] == (2, 3)
         assert by_atom[q] == (1, 1)
+
+    def test_free_variable_in_a_sentence_is_an_error(self):
+        g = ground(theory("forall x (P(x) | Q(x))"), domain("A", "B"))
+        g = replace(g, sentences=(formula("P(x)"),))
+        with pytest.raises(WfomcError, match="free variable 'x' in a sentence to ground"):
+            g.dag
 
     def test_one_weight_pair_per_predicate(self):
         # Nine million atoms, one pair: the weights do not grow with the base.

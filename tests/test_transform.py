@@ -7,13 +7,16 @@ import transform_sweep
 from conftest import domain, formula, theory
 from wfomc.counting import max_atoms_cap, wfomc, weighted_models
 from wfomc.errors import WfomcError
+from wfomc.frontends import serialize_theory
 from wfomc.grounding import ground
 from wfomc.logic import (
+    FLOAT,
     Atom,
     Constant,
     Domain,
     PredicateSig,
     ScaleFactor,
+    WeightFn,
     WeightedTheory,
     classify_normal_form,
     predicates,
@@ -483,6 +486,31 @@ class TestUnitPropagate:
         assert out.sentences == theory("forall x (P(x) | Q(x))").sentences
 
 
+class TestFloatScale:
+    # P's atoms are unconstrained once the tautology is dropped, so its
+    # factor wt + wf per atom enters the scale: 0.1 + 0.2 summed exactly,
+    # not as the float 0.30000000000000004.
+    @pytest.mark.parametrize("transform", [to_cnf_distribute, to_cnf_tseitin, unit_propagate])
+    def test_dropped_float_predicate_counts_exactly(self, transform):
+        t = theory("forall x (P(x) -> true)\nQ").replace(
+            weights=WeightFn({PredicateSig("P", 1): (0.1, 0.2)}, FLOAT))
+        out = transform(t)
+        assert out.scale == (ScaleFactor(Fraction(0.1) + Fraction(0.2), 1),)
+        for n in (1, 2):
+            d = Domain.of_size(n)
+            assert wfomc(out, d) == wfomc(t, d) == (Fraction(0.1) + Fraction(0.2)) ** n
+            assert wfomc(out, d, engine="dpll") == wfomc(t, d)
+        # The scale base prints as the float sum, as before.
+        assert "scale 0.30000000000000004 1\n" in serialize_theory(out)
+
+    def test_scale_base_past_float_range_prints_exactly(self):
+        t = theory("forall x (P(x) | true)").replace(
+            weights=WeightFn({PredicateSig("P", 1): (1e308, 1e308)}, FLOAT))
+        [line] = [line for line in serialize_theory(to_cnf_distribute(t)).splitlines()
+                  if line.startswith("scale ")]
+        assert line == f"scale {2 * int(1e308)} 1"
+
+
 class TestClauseForm:
     TEXT = ("forall x (P(x) -> Q(x))\n"
             "forall x exists y (R(x,y) & Q(y))\n"
@@ -603,8 +631,13 @@ class TestSweep:
         for kind in ("skolemize", "skolemize_full", "skolemize_prenex_shortcut",
                      "next_internal_site", "clause_form", "to_cnf_distribute",
                      "to_cnf_tseitin", "unit_propagate", "to_nnf", "to_prenex", "ground",
-                     "count.brute", "count.dpll", "standardize_apart"):
+                     "count.brute", "count.dpll", "prob.brute", "prob.dpll",
+                     "standardize_apart"):
             assert digests[kind][0] == 3 + samples, kind
+        # Counts are exact and every answer is within the brute-force cap,
+        # so the two engines print the same text.
+        assert digests["count.brute"] == digests["count.dpll"]
+        assert digests["prob.brute"] == digests["prob.dpll"]
         assert digests["unit_propagate.clauses"][0] == 3
         assert digests["standardize_apart.shadowed"][0] == 3
         for kind, suffix in (("encode_mln", "mln"), ("encode_problog", "plp")):

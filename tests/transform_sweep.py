@@ -20,7 +20,12 @@ recorded by the subformula it names, not by its tree path. One more kind,
 those of the corpus. The kinds ``count.brute`` and ``count.dpll`` hold
 ``wfomc`` of each corpus theory on that engine at one and two constants
 (plus the theory's own), so the script also compares the counting engines
-of two checkouts.
+of two checkouts; ``prob.brute`` and ``prob.dpll`` hold the query pair
+(count with the query, count without) of the same theories and domains,
+for one ground literal over the theory's predicates drawn from a
+generator seeded by the theory's label and the domain size
+(``gen_ground_conjunction``). Counts are exact, so these four kinds must
+not differ between two checkouts unless a count was wrong.
 
 The encoders are swept too. ``standardize_apart`` is recorded for each
 corpus theory and, as ``standardize_apart.shadowed``, for each seed's theory
@@ -76,7 +81,7 @@ from wfomc.logic import (
     strip_foralls,
     with_children,
 )
-from wfomc.propcheck import GenConfig, gen_theory
+from wfomc.propcheck import GenConfig, gen_ground_conjunction, gen_theory
 from wfomc.transform import (
     FreshNamer,
     clause_form,
@@ -226,8 +231,9 @@ def _site(std, site) -> str:
     return f"{site.sentence_index} {site.kind} {site.var} {site.ys} {serialize_formula(at)}"
 
 
-def outputs(t):
-    """(kind, serialization) of each transform of ``t``."""
+def outputs(t, label=""):
+    """(kind, serialization) of each transform of ``t``; ``label`` seeds
+    the queries of the ``prob`` kinds."""
     out = {}
 
     def record(kind, thunk, show=serialize_theory):
@@ -257,13 +263,15 @@ def outputs(t):
     record("to_cnf_tseitin", lambda: to_cnf_tseitin(skolemize(t)))
     record("unit_propagate", lambda: unit_propagate(to_cnf_distribute(skolemize(t))))
     for engine in ("brute", "dpll"):
-        lines = []
+        counts, probs = [], []
         for n in (1, 2):
-            try:
-                lines.append(f"{n} {wfomc(t, Domain.of_size(n, t.constants()), engine=engine)}")
-            except WfomcError as e:
-                lines.append(f"{n} error: {e}")
-        out[f"count.{engine}"] = "\n".join(lines)
+            d = Domain.of_size(n, t.constants())
+            counts.append(f"{n} {_shown(lambda: wfomc(t, d, engine=engine), str)}")
+            q = gen_ground_conjunction(random.Random(f"{label} {n}"), t, d, max_literals=1)
+            pair = _shown(lambda: wfomc(t, d, engine=engine, query=q), lambda p: f"{p[0]} {p[1]}")
+            probs.append(f"{n} {serialize_formula(q)} {pair}")
+        out[f"count.{engine}"] = "\n".join(counts)
+        out[f"prob.{engine}"] = "\n".join(probs)
     return out
 
 
@@ -277,7 +285,7 @@ def sweep(seeds) -> dict[str, tuple[int, str]]:
         digests[kind] = (n + 1, h)
 
     for label, t in corpus(seeds):
-        for kind, text in outputs(t).items():
+        for kind, text in outputs(t, label).items():
             add(kind, label, text)
     for seed in seeds:
         add("unit_propagate.clauses", f"units {seed}",
