@@ -32,22 +32,12 @@ computed once per problem as ``GroundProblem.clause_form``). No ground
 formula is built, and every atom, Skolem and definition atoms included,
 lies in the base layout, so the symmetric cache can rename all of them.
 
-The ``dpll`` engine grounds a whole theory only when it has no separator
-(``_separator_split``): one argument position per predicate at which every
-atom of a clause holds the same term, an outer variable or, in an evidence
-clause, a constant. With one, the ground clauses fall apart into a slice
-per constant over disjoint atoms, and the slices of the constants that no
-clause names are copies of one another: one of them, and the slice of
-each named constant, is grounded and counted. Theories with a nullary
-predicate or a clause without such a term, and queries that are not one
-clause or touch several slices, are counted whole.
-
-``wfomc(t, d, engine, query=q)`` returns the pair (count of t ∧ q, count of
-t) that a probability query needs. Brute force counts the two independently.
-DPLL puts the theory in clause form and searches it once, then puts the
-query in clause form over the theory's, conditions it on the theory's
-top-level unit assignment and counts again only the components the query
-touches, with the same memo.
+The ``dpll`` engine is ``lifted.count``, lifted rules over the first-order
+clause form (independent parts, the power rule) with ``wmc_dpll`` for what
+no rule takes. ``wfomc(t, d, engine, query=q)`` returns the pair (count of
+t ∧ q, count of t) that a probability query needs. Brute force counts the
+two independently; ``lifted.count`` counts twice only the part or slice
+that holds the query, by one ``wmc_dpll`` search with one memo.
 
 Every count is an exact rational: ``ground`` turns each predicate's weight
 pair (one per base block) into ``Fraction``s, so a float weight counts as
@@ -68,35 +58,31 @@ from functools import lru_cache
 from itertools import chain, repeat
 
 from .errors import CapExceededError, WfomcError
+from . import lifted
 from .grounding import (
     GroundDag,
     GroundProblem,
-    HerbrandBase,
     check_constants,
-    clause_instances,
+    clause_set,
     ground,
     herbrand_base,
 )
 from .logic import (
     And,
     Atom,
-    Constant,
     Domain,
     FalseF,
     Formula,
-    FreshNamer,
     Iff,
     Implies,
     Not,
     Or,
-    PredicateSig,
     TrueF,
     WeightedTheory,
     constants,
     free_vars,
     predicates,
 )
-from .transform import clause_walk
 
 DEFAULT_MAX_ATOMS = 26
 _BLOCK_BITS = 18  # assignments are enumerated in blocks of 2**_BLOCK_BITS
@@ -299,7 +285,6 @@ def _weight_table(weights: list[tuple[int, int]]) -> list:
     return table
 
 
-
 # ---------------------------------------------------------------------------
 # Model enumeration (test-scale helper)
 
@@ -334,24 +319,6 @@ def weighted_models(g: GroundProblem, cap: int = 20):
 # Clause form
 
 
-def _clause_set(rows, layout: HerbrandBase) -> tuple[frozenset[int], ...]:
-    """The ground instances of clauses given as (literals, inner variables)
-    rows, numbered from the base layout (``grounding.clause_instances``).
-    Tautological and repeated instances are dropped; a clause without
-    literals leaves only the empty clause (the domain is never empty)."""
-    clauses: dict[frozenset[int], None] = {}
-    for lits, inner in rows:
-        if not lits:
-            return (frozenset(),)
-        instances = map(frozenset, clause_instances(lits, layout, inner))
-        positive = {a.pred for a, pos in lits if pos}
-        # Some instance may be a tautology.
-        if any(not pos and a.pred in positive for a, pos in lits):
-            instances = (c for c in instances if not any(-l in c for l in c))
-        clauses.update(dict.fromkeys(instances))
-    return tuple(clauses)
-
-
 def clauses_of(g: GroundProblem) -> list[frozenset[int]]:
     """The clauses of a ground problem's clause form (``tseitin_ground``)."""
     return list(tseitin_ground(g).clauses)
@@ -362,21 +329,20 @@ def tseitin_ground(g: GroundProblem) -> GroundProblem:
     one place where a problem becomes clauses.
 
     A problem already in clause form is returned as it is. The sentences
-    are put in clause form at the first-order level
-    (``GroundProblem.clause_form``, shared with ``_separator_split``), and
-    each clause's instances are numbered from the base layout
-    (``_clause_set``), without a ground formula. The predicates that clause
-    form adds (Skolem predicates and definitions) get names fresh against
-    every predicate of the base and blocks laid out after its own, so a
-    query encoded over a theory's clause form gets its predicates numbered
-    after the theory's.
+    are put in clause form at the first-order level (``GroundProblem.
+    clause_form``, shared with ``lifted.count``), and each clause's
+    instances are numbered from the base layout (``grounding.clause_set``).
+    The predicates that clause form adds (Skolem predicates and
+    definitions) get fresh names and blocks after the base's, so a query
+    encoded over a theory's clause form gets its predicates numbered after
+    the theory's.
     """
     if g.clauses is not None:
         return g
     form, added = g.clause_form
     base = g.base.appended(sig for sig, _ in added)
     weights = g.weights + tuple(pair for _, pair in added)
-    return GroundProblem(base, weights, g.scalar, clauses=_clause_set(form, base))
+    return GroundProblem(base, weights, g.scalar, clauses=clause_set(form, base))
 
 
 # ---------------------------------------------------------------------------
@@ -389,38 +355,21 @@ def wmc_dpll(g: GroundProblem, query: GroundProblem | None = None):
 
     Given ``query``, sentences over ``g``'s predicates and constants held
     as a problem over ``g``'s base, returns the pair (count of g ∧ query,
-    count of g) from one search. The query's sentences are put in clause
-    form over ``g``'s, so its own added predicates get blocks after those
-    of ``g``'s clause form; a query already in clause form must have been
-    made so. The count of ``g`` is kept in parts: its top-level unit
-    assignment and its residual components. The query's clauses are reduced
-    by that assignment and merged with the components they share an atom
-    with, and only the merged set is counted again, with the same memo
-    (``_DpllCounter.conditioned``).
+    count of g). The query is put in clause form over ``g``'s (a query in
+    clause form must have been made so). One counter makes both counts, so
+    the components that the query does not touch are memo hits the second
+    time.
     """
     g = tseitin_ground(g)
     if query is not None and query.clauses is None:
         query = tseitin_ground(replace(g, clauses=None, sentences=query.sentences))
     clauses = clauses_of(g)
-    query_clauses = () if query is None else clauses_of(query)
     counter = _DpllCounter(g if query is None else query)
-    current = frozenset(clauses)
-    atoms = set(map(abs, frozenset().union(*current)))
-    top = None if frozenset() in current else counter._propagate(current, atoms, _units(current))
-    components = []  # (clauses, atoms, count) per top-level component
-    if top is None:
-        total = 0
-    else:
-        total, residual, rest, _ = top
-        for comp in _components(residual, rest) if residual else ():
-            count = counter._search([comp])
-            components.append((*comp, count))
-            total = total * count
-    total = counter.times_free(total, atoms, len(g.base))
+    without = counter.value(counter.count(clauses, len(g.base)))
     if query is None:
-        return counter.value(total)
-    with_query = counter.conditioned(top, components, query_clauses, len(query.base))
-    return counter.value(with_query), counter.value(total)
+        return without
+    with_query = counter.count(clauses + clauses_of(query), len(query.base))
+    return counter.value(with_query), without
 
 
 class _DpllCounter:
@@ -463,56 +412,25 @@ class _DpllCounter:
         """A search total as a count: unscaled, times the problem's scalar."""
         return Fraction(total, self.den) * self.scalar
 
-    def times_free(self, total: int, covered: set, n: int) -> int:
-        """``total`` times the free factor of each atom 1..n not in ``covered``."""
-        free = self.free
-        for a in range(1, n + 1):
-            if a not in covered:
-                total = total * free[a]
-        return total
-
-    def conditioned(self, top, components, query_clauses, n: int):
-        """Count of the theory's clauses and ``query_clauses`` over atoms
-        1..n, from the theory's top-level parts as ``wmc_dpll`` keeps them.
-
-        ``top`` is the theory's top-level propagation (None when the
-        theory has no model). Its assigned literals U hold in every model,
-        so the query's clauses that U satisfies drop out and the others are
-        counted with U assigned; a clause that U empties leaves no model.
-        With Q the atoms of the reduced query, the count is the weight of
-        U, times the count of each component that shares no atom with Q,
-        times the count of the reduced query merged with the other
-        components, times the free factor of every atom that none of these
-        mentions. It is built from parts, never by dividing the theory's
-        count: an atom's free factor wt + wf can be 0 (the Skolem weights
-        (1, -1)).
-        """
-        if top is None or frozenset() in query_clauses:
+    def count(self, clauses, n: int) -> int:
+        """Search total of a clause set over atoms 1..n: its top-level
+        propagation, its components and the free factor of each atom it
+        does not mention."""
+        clauses = frozenset(clauses)
+        if frozenset() in clauses:
             return 0
-        _, _, rest, units = top
-        live = [c for c in query_clauses if c.isdisjoint(units)]
-        mentioned = set(map(abs, frozenset().union(*live)))
-        assigned = set(map(abs, units))
-        query_atoms = mentioned - assigned
-        merged = set(live)
-        total = 1
-        for clauses, atoms, count in components:
-            if atoms.isdisjoint(query_atoms):
-                total = total * count
-            else:
-                merged |= clauses
-                mentioned |= atoms
-        total = total * self.count(frozenset(merged), mentioned, units | _units(live))
-        return self.times_free(total, rest | mentioned | assigned, n)
-
-    def count(self, clauses: frozenset, atoms: set, lits: set):
-        """Count of a clause set without empty clauses, times the weight of
-        ``lits``, under the conditions of ``_propagate``."""
-        reduced = self._propagate(clauses, atoms, lits)
+        atoms = set(map(abs, frozenset().union(*clauses)))
+        reduced = self._propagate(clauses, atoms, _units(clauses))
         if reduced is None:
             return 0
-        factor, residual, rest, _ = reduced
-        return factor * self._search(_components(residual, rest)) if residual else factor
+        total, residual, rest, _ = reduced
+        if residual:
+            total = total * self._search(_components(residual, rest))
+        free = self.free
+        for a in range(1, n + 1):
+            if a not in atoms:
+                total = total * free[a]
+        return total
 
     def _propagate(self, clauses, atoms: set, lits: set):
         """Assign ``lits``, then each unit clause that arises, in one scan
@@ -788,192 +706,9 @@ def _brute(t: WeightedTheory, d: Domain, cap: int | None, query: Formula | None)
 
 
 def _dpll(t: WeightedTheory, d: Domain, cap: int | None, query: Formula | None):
-    """Count t, and t with the query, with ``wmc_dpll``. ``cap`` bounds
-    brute force only.
-
-    When t's clause form and the query have a separator
-    (``_separator_split``), one slice per class of interchangeable constants
-    is counted. Otherwise t's sentences are put in clause form and then the
-    query's over it, and both counts come from one search over the whole
-    ground theory.
-    """
-    g = ground(t, d)
-    split = _separator_split(g, query)
-    if split is not None:
-        return split
-    return wmc_dpll(g, None if query is None else replace(g, sentences=(query,)))
-
-
-# ---------------------------------------------------------------------------
-# Separator split
-#
-# A separator of a clause set puts each predicate P's atoms at one argument
-# position pos(P), and gives each clause one term, an outer variable or a
-# constant, that sits at pos(P) in every atom of the clause. Then every
-# ground clause, and every atom, belongs to the slice of the one constant c
-# at its separator positions, and slices share no atom: the count is the
-# product of the slices' counts (the power rule of lifted inference, Van den
-# Broeck 2011; Beame et al. 2015). A permutation of the constants that fixes
-# those the clauses name maps the clause set to itself and one slice to
-# another, so the slices of all other constants have one count.
-
-_SEPARATOR_BACKTRACKS = 64  # dead ends of the position search before it gives up
-
-
-def _separator_split(g: GroundProblem, query: Formula | None):
-    """``_dpll``'s answer from one slice per class of constants, or None
-    when there is no separator.
-
-    The split applies when no predicate of the base is nullary, every
-    clause of the first-order clause form of g's sentences
-    (``GroundProblem.clause_form``) has a literal, the query, if any, reads as
-    one clause (``transform.clause_walk``) with a constant for its
-    separator, and one choice of positions (``_positions``) gives every
-    clause a separator. The slice of a constant c is the clause set with
-    each separator bound to c and the separator argument dropped: a problem
-    over the same constants with a block per predicate P, of arity one
-    less, under a fresh name and with P's weight pair. An evidence clause,
-    whose separator is a constant, joins only that constant's slice. Each
-    slice is counted by ``wmc_dpll`` in clause form.
-
-    The constants that g's clauses name are special, and the others are
-    generic. The count is g's scalar, times the free factor of each block
-    that no clause mentions, times the count of each special constant's
-    slice, times the count of one generic constant's slice to the power of
-    the number of generic constants. The query joins the slice of its
-    separator constant, which is counted once with it and once without
-    (``wmc_dpll``'s query pair); when that constant is generic, the count
-    without the query stands for every generic slice. Nothing is divided:
-    a Skolem atom's free factor 1 + (-1) is 0.
-    """
-    if any(sig.arity == 0 for sig, _ in g.base.blocks):
-        return None
-    clauses = []  # (literals, inner variables): the query's first, if any
-    if query is not None:
-        walked = clause_walk(query)
-        if not isinstance(walked, tuple):
-            return None
-        clauses.append(walked)
-    form, added = g.clause_form
-    clauses += form
-    if not all(lits for lits, _ in clauses):
-        return None
-    # A query whose separator is a variable would touch every slice.
-    options = [_separator_options(lits, inner, constant=query is not None and i == 0)
-               for i, (lits, inner) in enumerate(clauses)]
-    pos = _positions(options)
-    if pos is None:
-        return None
-    rows = []  # (literals, inner variables, separator)
-    for lits, inner in clauses:
-        atom = lits[0][0]
-        rows.append((lits, inner, atom.args[pos[atom.pred]]))
-
-    base = g.base
-    n = len(base.constants)
-    blocks = [(sig, pair) for (sig, _), pair in zip(base.blocks, g.weights)] + added
-    namer = FreshNamer({sig.name for sig, _ in blocks})
-    renamed, weights = {}, []
-    total = g.scalar
-    for sig, pair in blocks:
-        if sig in pos:
-            renamed[sig] = PredicateSig(namer.fresh(sig.name + "_", 0), sig.arity - 1)
-            weights.append(pair)
-        else:
-            total = total * (pair[0] + pair[1]) ** (n ** sig.arity)
-    layout = HerbrandBase(base.constants).appended(renamed.values())
-    weights = tuple(weights)
-
-    def sliced(c: Constant, rows) -> GroundProblem:
-        kept = (([(Atom(renamed[a.pred], tuple(c if arg == sep else arg for i, arg in enumerate(a.args)
-                                               if i != pos[a.pred])), positive)
-                  for a, positive in lits], inner)
-                for lits, inner, sep in rows if sep == c or not isinstance(sep, Constant))
-        return GroundProblem(layout, weights, Fraction(1), clauses=_clause_set(kept, layout))
-
-    sep = None  # the query's separator
-    if query is not None:
-        asked = rows.pop(0)
-        sep = asked[2]
-        with_query, asked_count = wmc_dpll(sliced(sep, rows), sliced(sep, [asked]))
-    named = {arg for lits, _, _ in rows for a, _ in lits for arg in a.args if isinstance(arg, Constant)}
-    for c in base.constants:
-        if c in named and c != sep:
-            total = total * wmc_dpll(sliced(c, rows))
-    generic = [c for c in base.constants if c not in named]
-    if sep in generic:  # the query's slice without it stands for the others
-        total = total * asked_count ** (len(generic) - 1)
-    elif generic:
-        total = total * wmc_dpll(sliced(generic[0], rows)) ** len(generic)
-    if query is None:
-        return total
-    return total * with_query, total * asked_count
-
-
-def _separator_options(lits, inner, constant: bool) -> list:
-    """The ways a clause can be separated, one per term that is in every
-    atom and is not an inner variable (only constants, if ``constant``):
-    per predicate, the positions at which the term sits in every atom of
-    that predicate. A term that leaves some predicate no position is no
-    option."""
-    terms = None
-    for a, _ in lits:
-        held = {arg for arg in a.args if isinstance(arg, Constant)
-                or not constant and arg.name not in inner}
-        terms = held if terms is None else terms & held
-    options = []
-    for term in sorted(terms, key=lambda t: (type(t).__name__, t.name)):
-        need: dict[PredicateSig, frozenset[int]] = {}
-        for a, _ in lits:
-            at = frozenset(i for i, arg in enumerate(a.args) if arg == term)
-            need[a.pred] = need.get(a.pred, at) & at
-        if all(need.values()):
-            options.append(tuple(need.items()))
-    return options
-
-
-def _positions(options: list) -> dict | None:
-    """One position per predicate such that each clause has an option, a
-    tuple of (predicate, allowed positions), that allows every one of its
-    predicates its position; None when the search finds no such choice.
-
-    A depth-first search over the clauses, those with the fewest options
-    first, on an explicit stack. Clauses with one option do not branch; a
-    choice that leaves a later clause no option is undone, and after
-    ``_SEPARATOR_BACKTRACKS`` such dead ends the search gives up.
-    """
-    order = sorted(dict.fromkeys(map(tuple, options)), key=len)
-    allowed: dict = {}
-    stack = []  # per chosen clause: (allowed before it, its options left)
-    left = None  # the options of the next clause not yet tried
-    dead_ends = 0
-    while len(stack) < len(order):
-        if left is None:
-            left = iter(order[len(stack)])
-        for option in left:
-            narrowed = _narrowed(allowed, option)
-            if narrowed is not None:
-                stack.append((allowed, left))
-                allowed, left = narrowed, None
-                break
-        else:
-            dead_ends += 1
-            if not stack or dead_ends > _SEPARATOR_BACKTRACKS:
-                return None
-            allowed, left = stack.pop()
-    return {sig: min(at) for sig, at in allowed.items()}
-
-
-def _narrowed(allowed: dict, option) -> dict | None:
-    """``allowed`` with each predicate's positions cut to the option's, or
-    None when that leaves a predicate none."""
-    out = dict(allowed)
-    for sig, at in option:
-        at = out.get(sig, at) & at
-        if not at:
-            return None
-        out[sig] = at
-    return out
+    """``lifted.count``: lifted rules, then ``wmc_dpll``. ``cap`` bounds
+    brute force only."""
+    return lifted.count(ground(t, d), query)
 
 
 # Every engine, by name: ``engine(t, d, cap, query)`` returns the count of t,
@@ -987,13 +722,9 @@ DEFAULT_ENGINE = "brute"
 def wfomc(t: WeightedTheory, d: Domain, engine: str = DEFAULT_ENGINE,
           cap: int | None = None, query: Formula | None = None):
     """Weighted first-order model count of the theory over the domain, by
-    the engine of that name in ``ENGINES``.
-
-    Given a query sentence over the theory's predicates and the domain's
-    constants, returns the pair (count of t ∧ query, count of t). Brute
-    force makes the two counts independently; DPLL answers both from one
-    search.
-    """
+    the engine of that name in ``ENGINES``. Given a query sentence over the
+    theory's predicates and the domain's constants, returns the pair (count
+    of t ∧ query, count of t)."""
     if query is not None:
         _check_query(t, d, query)
     count = ENGINES.get(engine)

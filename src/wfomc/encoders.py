@@ -454,8 +454,8 @@ def query_probability(e: WfomcEncoding, d: Domain, query: Formula,
     """Pr(query) = count(theory + query) / count(theory).
 
     Both counts come from one ``wfomc`` call. With the dpll engine that is
-    one grounding and one search: the theory is counted once, and only the
-    parts of its search that the query touches are counted again. The query
+    one grounding, and the lifted rules (``lifted.count``) count twice only
+    the part or slice that holds the query, by one search memo. The query
     is conjoined after Skolemization; that is exactly the situation the
     elimination step is modular for.
 

@@ -174,7 +174,11 @@ class GroundProblem:
     @cached_property
     def clause_form(self) -> tuple[list, list]:
         """``transform.clause_form`` of the sentences, with the base's
-        predicates reserved: (clauses, added predicates with their weights)."""
+        predicates reserved: (clauses, added predicates with their weights).
+        A sentence with a free variable is refused, as ``dag`` refuses it."""
+        free = [v for s in self.sentences for v in first_occurrence_vars(s)]
+        if free:
+            raise WfomcError(f"free variable {free[0]!r} in a sentence to ground")
         return clause_form(self.sentences, [sig for sig, _ in self.base.blocks])
 
     @cached_property
@@ -244,6 +248,24 @@ def clause_instances(lits: list[tuple[Atom, bool]], base: HerbrandBase,
         return zip(*(col for col, _ in columns))
     return (tuple(itertools.chain.from_iterable(col[j * k:(j + 1) * k] for col, k in columns))
             for j in range(n ** len(outer)))
+
+
+def clause_set(rows, layout: HerbrandBase) -> tuple[frozenset[int], ...]:
+    """The ground instances of clauses given as (literals, inner variables)
+    rows, numbered from the base layout (``clause_instances``).
+    Tautological and repeated instances are dropped; a clause without
+    literals leaves only the empty clause (the domain is never empty)."""
+    clauses: dict[frozenset[int], None] = {}
+    for lits, inner in rows:
+        if not lits:
+            return (frozenset(),)
+        instances = map(frozenset, clause_instances(lits, layout, inner))
+        positive = {a.pred for a, pos in lits if pos}
+        # Some instance may be a tautology.
+        if any(not pos and a.pred in positive for a, pos in lits):
+            instances = (c for c in instances if not any(-l in c for l in c))
+        clauses.update(dict.fromkeys(instances))
+    return tuple(clauses)
 
 
 def check_constants(constants, d: Domain, owner: str):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import domain, formula, theory
-from wfomc import _kernels as K, counting, grounding
+from wfomc import _kernels as K, counting, grounding, lifted
 from wfomc.encoders import _eval_ground, encode_mln, encode_problog, query_probability
 from wfomc.errors import CapExceededError, WfomcError
 from wfomc.frontends import parse_mln, parse_problog
@@ -51,7 +51,7 @@ from wfomc.logic import (
     fold_or,
     subformulas,
 )
-from wfomc.propcheck import GenConfig, gen_theory
+from wfomc.propcheck import GenConfig, gen_ground_conjunction, gen_theory
 from wfomc.transform import clause_form, clause_walk, skolemize, to_cnf_distribute
 
 from perfbench.workloads import SMOKERS_WEIGHTS, mln_boss_probability, smokers_count
@@ -1222,7 +1222,21 @@ class TestQueryCount:
 
 
 def _split_taken(t, d, query=None) -> bool:
-    return counting._separator_split(ground(t, d), query) is not None
+    """Whether dpll's count of t (with the query) splits some clause set by
+    a separator: the power rule, ``lifted._split``, returns a count."""
+    split, taken = lifted._split, []
+
+    def watched(*args):
+        got = split(*args)
+        taken.append(got is not None)
+        return got
+
+    lifted._split = watched
+    try:
+        wfomc(t, d, engine="dpll", query=query)
+    finally:
+        lifted._split = split
+    return any(taken)
 
 
 def _assert_split_agrees(t, d, query=None):
@@ -1276,8 +1290,10 @@ class TestSeparatorSplit:
                     if _split_taken(th, d):
                         took += 1
                         _assert_split_agrees(th, d)
-        # of the 900 (seed, theory, n) cases
-        assert took == 102
+        # of the 900 (seed, theory, n) cases; a theory whose nullary or
+        # unseparated clauses share no predicate with the others still
+        # splits its other parts
+        assert took == 126
 
     def test_separator_at_position_one(self):
         # Per x: G(x) with F(.,x) free, or ~G(x) with F(.,x) false.
@@ -1375,6 +1391,69 @@ class TestSeparatorSplit:
         finally:
             sys.setrecursionlimit(limit)
         assert got == pytest.approx(mln_boss_probability(1000, 1.3), rel=1e-12)
+
+
+class TestLiftedRules:
+    """``lifted.count``: independent parts, the power rule and the ground
+    leaf, each returning a (with, without) pair under a query."""
+
+    @pytest.mark.parametrize("seeds", [range(k, 300, 4) for k in range(4)],
+                             ids=[f"seeds{k}mod4" for k in range(4)])
+    def test_generated_theories_with_a_query(self, seeds):
+        for seed in seeds:
+            t = gen_theory(GenConfig(seed=seed))
+            for th in (t, skolemize(t)):
+                for n in (1, 2, 3):
+                    d = Domain.of_size(n, extra=th.constants())
+                    q = gen_ground_conjunction(random.Random(f"{seed} {n}"), th, d, max_literals=1)
+                    got = wfomc(th, d, engine="dpll", query=q)
+                    assert got == _whole_ground(th, d, q), (seed, n, q)
+                    if len(grounding.herbrand_base(th, d)) <= 16:
+                        assert got == wfomc(th, d, query=q), (seed, n, q)
+
+    def test_independent_parts(self, monkeypatch):
+        # F shares no predicate with boss: boss's part is split, and F's one
+        # clause of n^2 literals is counted apart, so no wmc_dpll call sees
+        # the whole base.
+        boss = skolemize(theory((ROOT / "samples" / "boss.fol").read_text()))
+        t = boss.replace(sentences=boss.sentences + (formula("exists x exists y F(x,y)"),))
+        seen = []
+        dpll = counting.wmc_dpll
+        monkeypatch.setattr(counting, "wmc_dpll", lambda g, *q: seen.append(len(g.base)) or dpll(g, *q))
+        for n in (1, 2, 3, 12):
+            d = Domain.of_size(n)
+            seen.clear()
+            got = wfomc(t, d, engine="dpll")
+            assert got == (2 ** (n + 1) - 1) ** n * (2 ** (n * n) - 1)
+            assert seen and max(seen) < len(tseitin_ground(ground(t, d)).base)
+            assert _split_taken(t, d)
+            if n < 3:
+                assert got == _whole_ground(t, d) == wfomc(t, d)
+
+    def test_query_pair_shares_one_memo(self, monkeypatch):
+        # Each ground component is a lone clause R(a,b) | R(b,a), counted in
+        # closed form: the memo stays empty until a query clause joins two
+        # components, which the count with the query adds alone.
+        sizes = []
+
+        class Recording(counting._DpllCounter):
+            def count(self, clauses, n):
+                total = super().count(clauses, n)
+                sizes.append(len(self.memo))
+                return total
+
+        monkeypatch.setattr(counting, "_DpllCounter", Recording)
+        counters = _record_counters(monkeypatch)
+        t = theory("forall x forall y (R(x,y) | R(y,x))")
+        for text, memo, with_query in (("R(C1,C2)", [0, 0], 2 * 3 ** 14),
+                                       ("R(C1,C2) | R(C3,C4)", [0, 1], 8 * 3 ** 13)):
+            q = formula(text)
+            counters.clear()
+            sizes.clear()
+            assert wfomc(t, Domain.of_size(6), engine="dpll", query=q) == (with_query, 3 ** 15)
+            assert len(counters) == 1 and sizes == memo
+            d = Domain.of_size(4)
+            assert wfomc(t, d, engine="dpll", query=q) == wfomc(t, d, query=q)
 
 
 class TestModelEnumeration:

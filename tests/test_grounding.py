@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import domain, formula, theory
-from wfomc import counting
+from wfomc import counting, lifted
 from wfomc.counting import clauses_of, wfomc
 from wfomc.errors import CapExceededError, WfomcError
 from wfomc.grounding import expand, ground, herbrand_base
@@ -144,6 +144,18 @@ class TestGround:
         g = replace(g, sentences=(formula("P(x)"),))
         with pytest.raises(WfomcError, match="free variable 'x' in a sentence to ground"):
             g.dag
+
+    @pytest.mark.parametrize("counter", [
+        counting.wmc_bruteforce, counting.wmc_dpll, clauses_of, counting.export_dimacs, lifted.count,
+    ], ids=["brute", "dpll", "clauses_of", "export_dimacs", "lifted"])
+    def test_every_counter_refuses_a_free_variable(self, counter):
+        # The clause path read x as an outer universal: wmc_dpll gave 8 and
+        # clauses_of [{1}, {2}, {3}]. It now refuses, as the grounder does.
+        g = ground(theory("forall x (P(x) | Q(x))"), Domain.of_size(3))
+        g = replace(g, sentences=(formula("P(x)"),))
+        with pytest.raises(WfomcError, match="free variable 'x' in a sentence to ground"):
+            counter(g)
+        assert counter(replace(g, sentences=(formula("forall x P(x)"),))) is not None
 
     def test_one_weight_pair_per_predicate(self):
         # Nine million atoms, one pair: the weights do not grow with the base.
