@@ -18,7 +18,13 @@ table. It holds two engines, ``brute`` and ``dpll``, over two counters:
     constants renamed canonically, so components that differ only by a
     permutation of the constants (as the components of a universal theory
     often do) are searched once. The search runs on an explicit stack, so
-    its depth never meets Python's recursion limit.
+    its depth never meets Python's recursion limit. The memo of counts is
+    per count, since counts depend on the weights; each component's memo
+    key and branch atom do not, and are kept per base layout with a
+    budget of clauses (``_KeyTables``), so a count that repeats a
+    structure under other weights, as a weight sweep or learning loop
+    does, computes no key. Unit propagation indexes a long cascade's
+    clauses by literal, so it stays linear in the cascade.
 
 Both counters, and ``export_dimacs``, take any ground problem: closed
 sentences or clauses. ``tseitin_ground`` is the one place where a problem
@@ -87,6 +93,7 @@ from .logic import (
 DEFAULT_MAX_ATOMS = 26
 _BLOCK_BITS = 18  # assignments are enumerated in blocks of 2**_BLOCK_BITS
 _INT64_SAFE = 1 << 62
+_SCAN_ROUNDS = 3  # propagation rounds that scan every clause before an index pays
 
 
 def max_atoms_cap(override: int | None = None) -> int:
@@ -383,11 +390,17 @@ class _DpllCounter:
 
     The memo is keyed by each component's clauses up to a renaming of the
     domain constants (``_key``), so components that differ only by such a
-    renaming share one count. What the key reads about atoms depends only
-    on the base layout (``_KeyTables``), and counters over one layout of at
-    most ``_KEY_TABLES_MAX_ATOMS`` atoms share it through a cache of the
-    ``_KEY_TABLES_MAX`` layouts used last; the memo holds counts, which
-    depend on the weights, and stays with the counter.
+    renaming share one count. Everything about a search node but its count
+    is weight-free: what the key reads about atoms, and each component's
+    memo key and branch atom, depend only on its clauses and the base
+    layout (the search trace of a decision-DNNF does not depend on the
+    weights; Huang & Darwiche 2007). They live in ``_KeyTables``, and
+    counters over one layout of at most ``_KEY_TABLES_MAX_ATOMS`` atoms
+    share them through a cache of the ``_KEY_TABLES_MAX`` layouts used
+    last, so a second count of one structure, under other weights or
+    predicate names, computes no key. The memo holds counts, which depend
+    on the weights, and stays with the counter; so do propagation and
+    components, which are not kept.
     """
 
     def __init__(self, g: GroundProblem):
@@ -433,21 +446,28 @@ class _DpllCounter:
         return total
 
     def _propagate(self, clauses, atoms: set, lits: set):
-        """Assign ``lits``, then each unit clause that arises, in one scan
-        of the clauses per round.
+        """Assign ``lits``, then each unit clause that arises, round by
+        round.
 
         ``atoms`` are exactly the atoms of ``clauses``, and ``lits`` hold
         the literal of every unit clause among them. A round drops the
         clauses its literals satisfy, removes their complements from the
         others and collects the clauses left with one literal as the next
-        round's literals. Returns (factor, residual clauses, their atoms,
-        assigned literals), where the factor weighs the assigned literals
-        and the atoms that the residual no longer mentions, or None when
-        two literals to assign conflict or a clause loses all its literals.
+        round's literals. The first ``_SCAN_ROUNDS`` rounds scan every
+        clause. A longer cascade indexes the clauses left by literal once,
+        and each later round touches only the clauses its literals are in,
+        so a chain of k units costs O(k) rather than O(k^2) (the literal
+        occurrence lists of sharpSAT; Thurley 2006). Returns (factor,
+        residual clauses, their atoms, assigned literals), where the factor
+        weighs the assigned literals and the atoms that the residual no
+        longer mentions, or None when two literals to assign conflict or a
+        clause loses all its literals.
         """
         lit_w = self.lit_w
         factor = 1
         assigned = set()
+        rounds = 0
+        occurs = None  # per literal, the positions of the clauses it is in
         while lits:
             negs = {-l for l in lits}
             if not negs.isdisjoint(lits):
@@ -455,21 +475,47 @@ class _DpllCounter:
             assigned |= lits
             for l in lits:
                 factor = factor * lit_w[l]
-            touched = lits | negs
             units = set()
-            kept = []
-            for c in clauses:
-                if c.isdisjoint(touched):
-                    kept.append(c)
-                elif c.isdisjoint(lits):
+            rounds += 1
+            if rounds <= _SCAN_ROUNDS:
+                touched = lits | negs
+                kept = []
+                for c in clauses:
+                    if c.isdisjoint(touched):
+                        kept.append(c)
+                    elif c.isdisjoint(lits):
+                        c = c - negs
+                        if len(c) > 1:
+                            kept.append(c)
+                        elif c:
+                            units |= c  # assigned next round, which satisfies it
+                        else:
+                            return None
+                clauses, lits = kept, units
+                continue
+            if occurs is None:  # a long cascade: clauses by position, None once gone
+                clauses = list(clauses)
+                occurs = defaultdict(list)
+                for i, c in enumerate(clauses):
+                    for l in c:
+                        occurs[l].append(i)
+            for l in lits:
+                for i in occurs.get(l, ()):
+                    clauses[i] = None
+            for i in {i for l in negs for i in occurs.get(l, ())}:
+                c = clauses[i]
+                if c is not None:
                     c = c - negs
                     if len(c) > 1:
-                        kept.append(c)
+                        clauses[i] = c
                     elif c:
-                        units |= c  # assigned next round, which satisfies it
+                        units |= c  # as in a scan round
+                        clauses[i] = None
                     else:
                         return None
-            clauses, lits = kept, units
+            lits = units
+        if occurs is not None:
+            clauses = [c for c in clauses if c is not None]
         if not assigned:
             return factor, clauses, atoms, assigned
         residual = frozenset(clauses)
@@ -485,17 +531,23 @@ class _DpllCounter:
         """Product of the counts of connected clause sets without unit or
         empty clauses, given as (clauses, atoms) pairs.
 
-        A lone clause is counted in closed form. Any other component's
-        literal occurrences are counted once; they give its memo key
-        (``_key``) and, on a miss, its branch atom (``_branch_atom``), so
-        the node is searched. Each phase is propagated at once, and the
-        phases that do not conflict wait on an explicit stack, so no Python
-        call nests per decision. A frame is [memo key, total, phases], with
-        one [factor, pending components] per phase, the current one last.
-        Each finished component multiplies into the current phase of the
-        frame below it; a frame whose phases are all done stores its total.
+        A lone clause is counted in closed form. Any other component is
+        looked up in the layout's nodes (``_KeyTables.nodes``) for its memo
+        key and branch atom. On a miss its literal occurrences are counted
+        once; they give its key (``_key``), and the node is kept if the room
+        allows. On a memo miss the node is searched, on its branch atom
+        (``_branch_atom``), read from the same occurrences the first time
+        it is needed: a component met only as memo hits needs none. Each
+        phase is propagated at once, and the phases that do not conflict
+        wait on an explicit stack, so no Python call nests per decision. A
+        frame is [memo key, total, phases], with one [factor, pending
+        components] per phase, the current one last. Each finished
+        component multiplies into the current phase of the frame below it;
+        a frame whose phases are all done stores its total.
         """
         memo = self.memo
+        tables = self.tables
+        nodes = tables.nodes
         stack = [[None, 0, [[1, list(reversed(components))]]]]
         while True:
             frame = stack[-1]
@@ -505,11 +557,18 @@ class _DpllCounter:
                 if len(clauses) == 1:
                     phase[0] = phase[0] * self._lone_clause(next(iter(clauses)))
                     continue
-                occurrences = Counter(chain.from_iterable(clauses))
-                key = self._key(clauses, atoms, occurrences)
+                node = nodes.get(clauses)
+                occurrences = None
+                if node is None:
+                    occurrences = Counter(chain.from_iterable(clauses))
+                    node = [self._key(clauses, atoms, occurrences), 0]
+                    tables.keep(clauses, node)
+                key, a = node
                 count = memo.get(key)
                 if count is None:
-                    a = _branch_atom(occurrences)
+                    if not a:  # met so far only as memo hits
+                        occurrences = occurrences or Counter(chain.from_iterable(clauses))
+                        a = node[1] = _branch_atom(occurrences)
                     phases = []
                     for branch in (-a, a):  # the last phase is searched first
                         reduced = self._propagate(clauses, atoms, {branch})
@@ -584,17 +643,23 @@ class _DpllCounter:
 
 
 class _KeyTables:
-    """What ``_DpllCounter._key`` reads about the atoms of a base layout,
-    filled per atom on first use (``decode``).
+    """The weight-free half of ``_DpllCounter``'s search over a base
+    layout: what ``_key`` reads about its atoms, filled per atom on first
+    use (``decode``), and the search nodes met so far.
 
     A layout is the number of constants ``n`` and (arity, first index) per
     block, so predicate names and weights do not change the tables.
     ``layout[a]`` is (a's number with every constant at position 0, one
     (constant position, stride) per argument), and ``features[l]`` one
     (constant position, feature) per argument of the atom of literal l.
+    ``nodes`` maps a component's clauses (signed base numbers) to its
+    [memo key, branch atom], the atom 0 until a search needs it. It holds
+    at most ``room`` clauses in all, so its size is bounded whatever the
+    search meets; once full it keeps what it has. Only the shared tables
+    (``_key_tables``) have room, ``_NODES_MAX_CLAUSES`` clauses each.
     """
 
-    def __init__(self, n: int, blocks: tuple[tuple[int, int], ...]):
+    def __init__(self, n: int, blocks: tuple[tuple[int, int], ...], room: int = 0):
         self.n = n
         self.firsts = [first for _, first in blocks]
         # Per block: its first atom, argument strides, and per argument the
@@ -605,6 +670,15 @@ class _KeyTables:
                        for arity, first in blocks]
         self.layout: dict[int, tuple] = {}
         self.features: dict[int, tuple] = {}
+        self.nodes: dict[frozenset, list] = {}
+        self.room = room  # clauses that ``nodes`` may still take
+
+    def keep(self, clauses: frozenset, node: list):
+        """Keep a component's [memo key, branch atom] under its clauses,
+        if they fit in the room left."""
+        if len(clauses) <= self.room:
+            self.room -= len(clauses)
+            self.nodes[clauses] = node
 
     def decode(self, l: int) -> tuple:
         """Fill ``layout`` and ``features`` for the atom of literal ``l``
@@ -621,7 +695,13 @@ class _KeyTables:
 
 _KEY_TABLES_MAX = 8  # base layouts whose key tables are kept
 _KEY_TABLES_MAX_ATOMS = 1 << 12  # the tables of a base with more atoms are not kept
-_key_tables = lru_cache(maxsize=_KEY_TABLES_MAX)(_KeyTables)
+_NODES_MAX_CLAUSES = 1 << 15  # clauses the nodes of one kept layout may hold
+
+
+@lru_cache(maxsize=_KEY_TABLES_MAX)
+def _key_tables(n: int, blocks: tuple[tuple[int, int], ...]) -> _KeyTables:
+    """The shared tables of a layout, the only ones that keep nodes."""
+    return _KeyTables(n, blocks, _NODES_MAX_CLAUSES)
 
 
 def _mix(*xs: int) -> int:

@@ -175,10 +175,8 @@ class GroundProblem:
     def clause_form(self) -> tuple[list, list]:
         """``transform.clause_form`` of the sentences, with the base's
         predicates reserved: (clauses, added predicates with their weights).
-        A sentence with a free variable is refused, as ``dag`` refuses it."""
-        free = [v for s in self.sentences for v in first_occurrence_vars(s)]
-        if free:
-            raise WfomcError(f"free variable {free[0]!r} in a sentence to ground")
+        A sentence with a free variable is refused there, as ``dag`` refuses
+        it."""
         return clause_form(self.sentences, [sig for sig, _ in self.base.blocks])
 
     @cached_property

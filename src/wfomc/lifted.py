@@ -51,12 +51,19 @@ def count(g: GroundProblem, query: Formula | None = None):
     return (total, total) if query is not None and not isinstance(total, tuple) else total
 
 
-def _count(rows, blocks, constants):
+def _count(rows, blocks, constants, whole: bool = False):
     """The count of the rows over the blocks, or the pair (with the asked
     ones, without) when there are any. A union-find over predicate names
     (distinct in a theory's base; a shared one only joins parts) finds the
-    parts. One part goes to the power rule, else to the leaf."""
+    parts. One part that mentions every block goes to the power rule, else
+    to the leaf; ``whole`` says that the rows are known to be one (a slice
+    that keeps every row of its part), and the union-find is skipped.
+    Otherwise the union-find counts its joins, so one part is told without
+    grouping the rows."""
+    if whole:
+        return _one_part(rows, blocks, constants)
     parent: dict[str, str] = {}
+    joins = 0
     for lits, _, _ in rows:
         first = None
         for a, _ in lits:
@@ -69,6 +76,10 @@ def _count(rows, blocks, constants):
                 first = x
             elif x != first:
                 parent[x] = first
+                joins += 1
+    if (joins == len(parent) - 1 and all(row[0] for row in rows)
+            and all(block[0].name in parent for block in blocks)):
+        return _one_part(rows, blocks, constants)
     parts: dict = {}  # per root, (rows, blocks); rows without literals share None
     for row in rows:
         parts.setdefault(_root(parent, row[0][0][0].pred.name) if row[0] else None, ([], []))[0].append(row)
@@ -80,8 +91,7 @@ def _count(rows, blocks, constants):
             free.append(block)
     if len(parts) == 1 and not free:
         (part, own), = parts.values()
-        got = _split(part, own, constants)
-        return _ground(part, own, constants) if got is None else got
+        return _one_part(part, own, constants)
     n = len(constants)
     total, with_query, without, asked = Fraction(1), 1, 1, False
     for sig, (wt, wf), asked_block in free:
@@ -98,6 +108,12 @@ def _count(rows, blocks, constants):
         else:  # a part the query does not touch
             total = total * got
     return (total * with_query, total * without) if asked else total
+
+
+def _one_part(rows, blocks, constants):
+    """The power rule, or the leaf where it does not apply."""
+    got = _split(rows, blocks, constants)
+    return _ground(rows, blocks, constants) if got is None else got
 
 
 def _root(parent: dict, x: str) -> str:
@@ -162,7 +178,7 @@ def _split(rows, blocks, constants):
                   for a, positive in lits], inner, asked)
                 for (lits, inner, asked), sep in zip(rows, seps)
                 if sep == c or not isinstance(sep, Constant)]
-        return _count(kept, sliced, constants)
+        return _count(kept, sliced, constants, len(kept) == len(rows))
 
     ask = next((sep for row, sep in zip(rows, seps) if row[2]), None)
     if ask is not None:

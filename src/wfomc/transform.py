@@ -582,22 +582,28 @@ def clause_walk(s: Formula):
     under negative) whose variable the prefix does not bind is walked
     through too, and its variable is inner: the clause of a binding of the
     prefix holds the literals of every binding of the inner variables
-    (``grounding.clause_instances``). Any other operand gives None.
+    (``grounding.clause_instances``). Any other operand, or a variable
+    that no quantifier above it binds (``s`` is then no sentence), gives
+    None.
     """
     prefix, f = strip_foralls(s)
     lits = []
     inner = []
-    stack = [(f, True)]
+    stack = [(f, True, set(prefix))]  # with the variables bound there
     while stack:
-        for g, pos in operands(*stack.pop(), False):
+        f, pos, bound = stack.pop()
+        for g, pos in operands(f, pos, False):
             if isinstance(g, Atom):
+                for t in g.args:
+                    if isinstance(t, Variable) and t.name not in bound:
+                        return None
                 lits.append((g, pos))
             elif isinstance(g, (TrueF, FalseF)):
                 if isinstance(g, TrueF) == pos:
                     return True
             elif isinstance(g, Exists if pos else ForAll) and g.var not in prefix:
                 inner.append(g.var)
-                stack.append((g.body, pos))
+                stack.append((g.body, pos, bound | {g.var}))
             else:
                 return None
     return lits, inner
@@ -617,12 +623,17 @@ def clause_form(sentences, reserved) -> tuple[list, list]:
     clausify's definitions, get names that avoid the predicates
     ``reserved``, which must include every predicate of ``sentences``. The
     clause-shaped sentences' clauses come first, in order, then the
-    Skolemized sentences'.
+    Skolemized sentences'. A formula with a free variable is refused: the
+    walk of a clause-shaped sentence meets each variable in its scope, so
+    only the others are walked again for it.
     """
     clauses, rest = [], []
     for s in sentences:
         walked = clause_walk(s)
         if walked is None:
+            free = first_occurrence_vars(s)
+            if free:
+                raise WfomcError(f"free variable {free[0]!r} in a sentence to ground")
             rest.append(s)
         elif walked is not True:
             clauses.append(walked)

@@ -498,6 +498,42 @@ class TestDpll:
         t = theory("forall x Stress(x)\nforall x (Stress(x) -> Smokes(x))")
         assert wfomc(t, Domain.of_size(3000), engine="dpll") == 1
 
+    @pytest.mark.parametrize("scan_rounds", [0, 1, 10 ** 9])
+    def test_indexed_rounds_propagate_as_scans(self, monkeypatch, scan_rounds):
+        # Random clause sets and literals to assign, propagated with the
+        # default number of scan rounds and then with the index from the
+        # first round on, after one round, or never: the same result.
+        rng = random.Random(11)
+        g = GroundProblem(HerbrandBase(()).appended([PredicateSig(f"P{i}", 0) for i in range(12)]),
+                          tuple((Fraction(rng.choice((1, 2, -1))), Fraction(rng.choice((1, 3))))
+                                for _ in range(12)), Fraction(1), clauses=())
+        counter = counting._DpllCounter(g)
+        for _ in range(400):
+            clauses = {frozenset(rng.choice((1, -1)) * rng.randint(1, 12)
+                                 for _ in range(rng.randint(1, 3)))
+                       for _ in range(rng.randint(1, 14))}
+            clauses = [c for c in clauses if not any(-l in c for l in c)]
+            if not clauses:
+                continue
+            atoms = set(map(abs, chain.from_iterable(clauses)))
+            lits = counting._units(clauses) | {rng.choice((1, -1)) * rng.choice(sorted(atoms))}
+            want = counter._propagate(clauses, atoms, lits)
+            with monkeypatch.context() as m:
+                m.setattr(counting, "_SCAN_ROUNDS", scan_rounds)
+                got = counter._propagate(clauses, atoms, lits)
+            if want is None:
+                assert got is None
+            else:
+                assert (got[0], frozenset(got[1]), got[2], got[3]) == \
+                    (want[0], frozenset(want[1]), want[2], want[3])
+
+    def test_problog_chain_cascades_through_the_index(self):
+        # Q1 :- Q2, ..., Q199 :- Q200, 0.5 :: Q200: asking Q1 sets off a
+        # cascade of 200 rounds, most of them over the literal index.
+        rules = "".join(f"Q{i} :- Q{i + 1}.\n" for i in range(1, 200))
+        e = encode_problog(parse_problog("0.5 :: Q200.\n" + rules))
+        assert query_probability(e, Domain.of_size(1), formula("Q1"), engine="dpll") == Fraction(1, 2)
+
     def test_definition_chain_under_a_low_recursion_limit(self):
         # Neither clause form nor search may nest a call per constant: 60
         # frames above the caller's depth are enough at n=150.
@@ -735,6 +771,93 @@ class TestKeyTables:
                 assert got == pytest.approx(mln_boss_probability(n + 1, w), rel=1e-12)
                 if n == 1:
                     assert got == query_probability(e, d, query)
+
+
+class TestNodeTable:
+    """A component's memo key and branch atom depend only on its clauses and
+    the base layout, so the shared key tables keep them per clause set, up
+    to a budget of clauses; counts, which depend on the weights, do not
+    leave the counter."""
+
+    def test_generated_theories_under_three_weightings(self, monkeypatch):
+        # Each structure is counted under three weightings in a row, with
+        # the nodes that the count before it left and then with the tables
+        # cleared: a node that depended on the weights would make the two
+        # counts differ. After the first weighting, the count before was
+        # over the same clauses, so no key is computed again. The third
+        # weighting makes one predicate false everywhere; Skolem pairs stay
+        # (1, -1).
+        calls = _count_keys(monkeypatch)
+        pairs = [(a, b) for a in SMOKERS_WEIGHTS for b in SMOKERS_WEIGHTS]
+        checked = keyed = 0
+        for seed in range(300):
+            t = gen_theory(GenConfig(seed=seed, domain_sizes=(1, 2, 3)))
+            rng = random.Random(seed)
+            drawn = {sig: rng.choice(pairs) for sig in t.predicates()}
+            zero = {**drawn, t.predicates()[0]: (Fraction(0), Fraction(1))}
+            weightings = [t] + [t.replace(weights=WeightFn(w)) for w in (drawn, zero)]
+            for kind in (lambda u: u, skolemize):
+                for n in (1, 2, 3):
+                    for i, u in enumerate(map(kind, weightings)):
+                        d = Domain.of_size(n, extra=u.constants())
+                        calls.clear()
+                        got = wfomc(u, d, engine="dpll")
+                        assert not (i and calls), (seed, n)
+                        counting._key_tables.cache_clear()
+                        assert wfomc(u, d, engine="dpll") == got, (seed, n)
+                        keyed += bool(calls)
+                        if len(grounding.herbrand_base(u, d)) <= 16:
+                            assert wfomc(u, d) == got, (seed, n)
+                            checked += 1
+        assert checked > 2000 and keyed > 1000
+
+    def test_other_names_and_weights_compute_no_key(self, monkeypatch):
+        counting._key_tables.cache_clear()
+        calls = _count_keys(monkeypatch)
+        t = theory((ROOT / "samples" / "smokers.fol").read_text())
+        assert wfomc(t, Domain.of_size(6), engine="dpll") == _smokers_closed_form(6)
+        assert calls
+        calls.clear()
+        # One layout: other predicate names in the same block order, other
+        # weights, 0 among them.
+        u = theory("weight T 1 2 -1\nweight G 2 0 3/2\nforall x forall y (T(x) & G(x,y) -> T(y))")
+        assert wfomc(u, Domain.of_size(6), engine="dpll") == smokers_count(6, 2, -1, 0, Fraction(3, 2))
+        assert calls == []
+
+    def test_nodes_keep_at_most_their_budget(self, monkeypatch):
+        counting._key_tables.cache_clear()
+        counters = _record_counters(monkeypatch)
+        t = theory((ROOT / "samples" / "smokers.fol").read_text())
+        assert wfomc(t, Domain.of_size(32), engine="dpll") == _smokers_closed_form(32)
+        tables, = {id(c.tables): c.tables for c in counters}.values()
+        held = sum(map(len, tables.nodes))
+        assert held + tables.room == counting._NODES_MAX_CLAUSES
+        # The search meets more clauses than the budget, so it is full up to
+        # less than one node of smokers at 32 (at most 32 * 32 clauses).
+        assert counting._NODES_MAX_CLAUSES - 32 * 32 < held <= counting._NODES_MAX_CLAUSES
+
+    def test_large_base_keeps_no_nodes(self, monkeypatch):
+        n = 1
+        while 1 + n + n * n <= counting._KEY_TABLES_MAX_ATOMS:
+            n += 1
+        counters = _record_counters(monkeypatch)
+        t = theory("forall x forall y (R(x) | F(x,y) | Q)")
+        assert wfomc(t, Domain.of_size(n), engine="dpll") == 2 ** (n + n * n) + (2 ** n + 1) ** n
+        assert counters and all(not c.tables.nodes and not c.tables.room for c in counters)
+
+
+def _count_keys(monkeypatch) -> list:
+    """The clause sets whose memo key ``_DpllCounter._key`` computes from
+    now on."""
+    calls = []
+    key = counting._DpllCounter._key
+
+    def counted(counter, clauses, *args):
+        calls.append(clauses)
+        return key(counter, clauses, *args)
+
+    monkeypatch.setattr(counting._DpllCounter, "_key", counted)
+    return calls
 
 
 class TestBranchAtom:

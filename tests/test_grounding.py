@@ -157,6 +157,15 @@ class TestGround:
             counter(g)
         assert counter(replace(g, sentences=(formula("forall x P(x)"),))) is not None
 
+    def test_a_variable_outside_its_quantifier_is_free(self):
+        # The clause walk reads y as an inner variable of the clause, and
+        # Q(y) lies outside its scope: y is free there.
+        g = ground(theory("forall x (P(x) | Q(x))"), Domain.of_size(2))
+        g = replace(g, sentences=(formula("forall x ((exists y P(y)) | Q(y))"),))
+        for counter in (counting.wmc_dpll, lifted.count):
+            with pytest.raises(WfomcError, match="free variable 'y' in a sentence to ground"):
+                counter(g)
+
     def test_one_weight_pair_per_predicate(self):
         # Nine million atoms, one pair: the weights do not grow with the base.
         g = ground(theory("forall x forall y R(x,y)"), Domain.of_size(3000))
