@@ -23,8 +23,12 @@ table. It holds two engines, ``brute`` and ``dpll``, over two counters:
     key and branch atom do not, and are kept per base layout with a
     budget of clauses (``_KeyTables``), so a count that repeats a
     structure under other weights, as a weight sweep or learning loop
-    does, computes no key. Unit propagation indexes a long cascade's
-    clauses by literal, so it stays linear in the cascade.
+    does, computes no key. Each searched node splits its clauses once for
+    both phases of its branch atom, propagation scans only for units that
+    some clause holds and indexes a long cascade's clauses by literal, so
+    it stays linear in the cascade, and a phase residual that the node
+    table holds is known to be one component without a union-find. The
+    cyclic garbage collector is paused during the search.
 
 Both counters, and ``export_dimacs``, take any ground problem: closed
 sentences or clauses. ``tseitin_ground`` is the one place where a problem
@@ -54,6 +58,7 @@ both engines unchanged.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 from bisect import bisect_right
@@ -93,7 +98,9 @@ from .logic import (
 DEFAULT_MAX_ATOMS = 26
 _BLOCK_BITS = 18  # assignments are enumerated in blocks of 2**_BLOCK_BITS
 _INT64_SAFE = 1 << 62
-_SCAN_ROUNDS = 3  # propagation rounds that scan every clause before an index pays
+_SCAN_ROUNDS = 3  # propagation rounds that scan every clause before an index pays;
+# a branch's own round is the node step's partition, and a round that no
+# clause holds is not scanned, so neither counts
 
 
 def max_atoms_cap(override: int | None = None) -> int:
@@ -365,17 +372,27 @@ def wmc_dpll(g: GroundProblem, query: GroundProblem | None = None):
     count of g). The query is put in clause form over ``g``'s (a query in
     clause form must have been made so). One counter makes both counts, so
     the components that the query does not touch are memo hits the second
-    time.
+    time. The cyclic garbage collector is paused while it searches and
+    left as it was found.
     """
     g = tseitin_ground(g)
     if query is not None and query.clauses is None:
         query = tseitin_ground(replace(g, clauses=None, sentences=query.sentences))
     clauses = clauses_of(g)
     counter = _DpllCounter(g if query is None else query)
-    without = counter.value(counter.count(clauses, len(g.base)))
-    if query is None:
-        return without
-    with_query = counter.count(clauses + clauses_of(query), len(query.base))
+    # The search allocates millions of frozensets and builds no reference
+    # cycle, so the cyclic collector would only cost time (a fifth of a
+    # first count of smokers at n=32).
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        without = counter.value(counter.count(clauses, len(g.base)))
+        if query is None:
+            return without
+        with_query = counter.count(clauses + clauses_of(query), len(query.base))
+    finally:
+        if collecting:
+            gc.enable()
     return counter.value(with_query), without
 
 
@@ -399,8 +416,9 @@ class _DpllCounter:
     share them through a cache of the ``_KEY_TABLES_MAX`` layouts used
     last, so a second count of one structure, under other weights or
     predicate names, computes no key. The memo holds counts, which depend
-    on the weights, and stays with the counter; so do propagation and
-    components, which are not kept.
+    on the weights, and stays with the counter. Propagation results are
+    not kept; the nodes hold only components, so the search takes a phase
+    residual that they hold as one component.
     """
 
     def __init__(self, g: GroundProblem):
@@ -445,28 +463,39 @@ class _DpllCounter:
                 total = total * free[a]
         return total
 
-    def _propagate(self, clauses, atoms: set, lits: set):
+    def _propagate(self, clauses, atoms: set, lits: set, branch: int = 0, held=None):
         """Assign ``lits``, then each unit clause that arises, round by
         round.
 
-        ``atoms`` are exactly the atoms of ``clauses``, and ``lits`` hold
-        the literal of every unit clause among them. A round drops the
-        clauses its literals satisfy, removes their complements from the
-        others and collects the clauses left with one literal as the next
-        round's literals. The first ``_SCAN_ROUNDS`` rounds scan every
-        clause. A longer cascade indexes the clauses left by literal once,
-        and each later round touches only the clauses its literals are in,
-        so a chain of k units costs O(k) rather than O(k^2) (the literal
-        occurrence lists of sharpSAT; Thurley 2006). Returns (factor,
-        residual clauses, their atoms, assigned literals), where the factor
-        weighs the assigned literals and the atoms that the residual no
-        longer mentions, or None when two literals to assign conflict or a
-        clause loses all its literals.
+        ``atoms`` are the atoms of ``clauses``, and ``lits`` hold the
+        literal of every unit clause among them; the search's node step
+        passes the clauses of one phase, with its ``branch`` literal
+        already assigned (its first round, ``_search``), and ``held``, the
+        union of their literals. A round drops the clauses its literals
+        satisfy, removes their complements from the others and collects
+        the clauses left with one literal as the next round's literals.
+        After a round that scans, ``held`` is the union of the literals of
+        the clauses it kept; a round whose literals and their complements
+        lie outside ``held`` touches no clause, so it assigns them without
+        a scan and is the last. The first ``_SCAN_ROUNDS`` rounds that
+        touch clauses scan every clause. A longer cascade indexes the
+        clauses left by literal once, and each later round touches only
+        the clauses its literals are in, so a chain of k units costs O(k)
+        rather than O(k^2) (the literal occurrence lists of sharpSAT;
+        Thurley 2006); ``held`` is then a superset, which keeps its test
+        sound. Returns (factor, residual clauses, their atoms, assigned
+        literals), where the factor weighs the assigned literals and the
+        atoms that the residual no longer mentions, or None when two
+        literals to assign conflict or a clause loses all its literals.
         """
         lit_w = self.lit_w
-        factor = 1
-        assigned = set()
-        rounds = 0
+        if branch:
+            factor = lit_w[branch]
+            assigned = {branch}
+        else:
+            factor = 1
+            assigned = set()
+        scans = 0
         occurs = None  # per literal, the positions of the clauses it is in
         while lits:
             negs = {-l for l in lits}
@@ -475,9 +504,11 @@ class _DpllCounter:
             assigned |= lits
             for l in lits:
                 factor = factor * lit_w[l]
+            if held is not None and held.isdisjoint(lits) and held.isdisjoint(negs):
+                break  # no clause holds these atoms
             units = set()
-            rounds += 1
-            if rounds <= _SCAN_ROUNDS:
+            scans += 1
+            if scans <= _SCAN_ROUNDS:
                 touched = lits | negs
                 kept = []
                 for c in clauses:
@@ -492,6 +523,7 @@ class _DpllCounter:
                         else:
                             return None
                 clauses, lits = kept, units
+                held = frozenset().union(*kept)
                 continue
             if occurs is None:  # a long cascade: clauses by position, None once gone
                 clauses = list(clauses)
@@ -516,10 +548,11 @@ class _DpllCounter:
             lits = units
         if occurs is not None:
             clauses = [c for c in clauses if c is not None]
+            held = frozenset().union(*clauses)
         if not assigned:
             return factor, clauses, atoms, assigned
         residual = frozenset(clauses)
-        left = set(map(abs, frozenset().union(*residual)))
+        left = set(map(abs, held))
         dropped = atoms - left
         dropped.difference_update(map(abs, assigned))
         free = self.free
@@ -533,31 +566,44 @@ class _DpllCounter:
 
         A lone clause is counted in closed form. Any other component is
         looked up in the layout's nodes (``_KeyTables.nodes``) for its memo
-        key and branch atom. On a miss its literal occurrences are counted
-        once; they give its key (``_key``), and the node is kept if the room
-        allows. On a memo miss the node is searched, on its branch atom
-        (``_branch_atom``), read from the same occurrences the first time
-        it is needed: a component met only as memo hits needs none. Each
-        phase is propagated at once, and the phases that do not conflict
-        wait on an explicit stack, so no Python call nests per decision. A
-        frame is [memo key, total, phases], with one [factor, pending
-        components] per phase, the current one last. Each finished
+        key and branch atom, unless its node came with it. On a miss its
+        literal occurrences are counted once; they give its key (``_key``),
+        and the node is kept if the room allows. On a memo miss the node is
+        searched, on its branch atom (``_branch_atom``), read from the same
+        occurrences the first time it is needed: a component met only as
+        memo hits needs none.
+
+        The node step makes one pass over the clauses for both phases of
+        the branch atom ``a``: it splits them into those with ``a``, those
+        with ``-a`` and the rest (a clause with both holds in both phases).
+        That is the first round of each phase: the rest and the other
+        group without the branch literal, whose clauses left with one
+        literal are the units that ``_propagate`` goes on from, with the
+        branch literal assigned. A phase's residual is split into
+        components (``_components``) unless it is one clause or the nodes
+        hold it: they hold only components, so it is one, and its node
+        rides with it. Each phase is propagated at once, and the phases
+        that do not conflict wait on an explicit stack, so no Python call
+        nests per decision. A frame is [memo key, total, phases], with one
+        [factor, pending components] per phase, the current one last; a
+        pending component is (clauses, atoms, node or None). Each finished
         component multiplies into the current phase of the frame below it;
         a frame whose phases are all done stores its total.
         """
         memo = self.memo
         tables = self.tables
         nodes = tables.nodes
-        stack = [[None, 0, [[1, list(reversed(components))]]]]
+        stack = [[None, 0, [[1, [(c, s, None) for c, s in reversed(components)]]]]]
         while True:
             frame = stack[-1]
             phase = frame[2][-1]
             if phase[1]:
-                clauses, atoms = phase[1].pop()
+                clauses, atoms, node = phase[1].pop()
                 if len(clauses) == 1:
-                    phase[0] = phase[0] * self._lone_clause(next(iter(clauses)))
+                    phase[0] = phase[0] * self._lone_clause(next(iter(clauses)), atoms)
                     continue
-                node = nodes.get(clauses)
+                if node is None:
+                    node = nodes.get(clauses)
                 occurrences = None
                 if node is None:
                     occurrences = Counter(chain.from_iterable(clauses))
@@ -569,13 +615,43 @@ class _DpllCounter:
                     if not a:  # met so far only as memo hits
                         occurrences = occurrences or Counter(chain.from_iterable(clauses))
                         a = node[1] = _branch_atom(occurrences)
+                    pos, neg, rest = [], [], []
+                    for c in clauses:
+                        if a in c:
+                            if -a not in c:  # else it holds in both phases
+                                pos.append(c)
+                        elif -a in c:
+                            neg.append(c)
+                        else:
+                            rest.append(c)
+                    held = frozenset().union(*rest)
                     phases = []
-                    for branch in (-a, a):  # the last phase is searched first
-                        reduced = self._propagate(clauses, atoms, {branch})
-                        if reduced is not None:
-                            factor, residual, rest, _ = reduced
-                            pending = _components(residual, rest)[::-1] if residual else []
-                            phases.append([factor, pending])
+                    for branch, reduced in ((-a, pos), (a, neg)):  # the last phase is searched first
+                        drop = (-branch,)
+                        extra, units = [], set()
+                        for c in reduced:
+                            c = c.difference(drop)
+                            if len(c) > 1:
+                                extra.append(c)
+                            else:
+                                units |= c  # a component holds no unit clause
+                        result = self._propagate(rest + extra, atoms, units, branch, held.union(*extra))
+                        if result is None:
+                            continue
+                        factor, residual, left, _ = result
+                        if not residual:
+                            pending = []
+                        elif len(residual) == 1:
+                            pending = [(residual, left, None)]
+                        else:
+                            # ``nodes`` holds only components, so a residual
+                            # that it holds is one.
+                            node = nodes.get(residual)
+                            if node is None:
+                                pending = [(c, s, None) for c, s in reversed(_components(residual, left))]
+                            else:
+                                pending = [(residual, left, node)]
+                        phases.append([factor, pending])
                     if phases:
                         stack.append([key, 0, phases])
                         continue
@@ -593,16 +669,23 @@ class _DpllCounter:
             below = stack[-1][2][-1]
             below[0] = below[0] * frame[1]
 
-    def _lone_clause(self, clause: frozenset):
+    def _lone_clause(self, clause: frozenset, atoms: set):
         """Count of one clause over its own atoms, in closed form.
 
-        The clause is false under exactly one assignment of its atoms. This
-        keeps the search depth from growing with the clause length
-        (`exists y R(y)` grounds to one clause with a literal per constant).
+        The clause is false under exactly one assignment of its atoms,
+        unless it holds an atom in both signs (fewer atoms than literals):
+        then under none. This keeps the search depth from growing with the
+        clause length (`exists y R(y)` grounds to one clause with a literal
+        per constant).
         """
-        total = falsified = 1
+        free = self.free
+        total = 1
+        for a in atoms:
+            total = total * free[a]
+        if len(atoms) < len(clause):
+            return total
+        falsified = 1
         for l in clause:
-            total = total * self.free[abs(l)]
             falsified = falsified * self.lit_w[-l]
         return total - falsified
 
@@ -653,10 +736,13 @@ class _KeyTables:
     (constant position, stride) per argument), and ``features[l]`` one
     (constant position, feature) per argument of the atom of literal l.
     ``nodes`` maps a component's clauses (signed base numbers) to its
-    [memo key, branch atom], the atom 0 until a search needs it. It holds
-    at most ``room`` clauses in all, so its size is bounded whatever the
-    search meets; once full it keeps what it has. Only the shared tables
-    (``_key_tables``) have room, ``_NODES_MAX_CLAUSES`` clauses each.
+    [memo key, branch atom], the atom 0 until a search needs it. Only
+    clause sets that were counted as components are kept, so a clause set
+    that ``nodes`` holds is connected, and the search need not split it.
+    It holds at most ``room`` clauses in all, so its size is bounded
+    whatever the search meets; once full it keeps what it has. Only the
+    shared tables (``_key_tables``) have room, ``_NODES_MAX_CLAUSES``
+    clauses each.
     """
 
     def __init__(self, n: int, blocks: tuple[tuple[int, int], ...], room: int = 0):

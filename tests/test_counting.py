@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import random
@@ -454,6 +455,79 @@ class TestDpll:
         got = wmc_dpll(ground(t, domain("A")))
         assert got == Fraction(0) and isinstance(got, Fraction)
 
+    def test_tautologies_given_as_clauses(self):
+        # clause_set drops tautologies, but a problem built with clauses=
+        # keeps them. {1, -1, 2} holds in both phases of a branch on atom 1
+        # (the branch atom here), and a lone one under every assignment.
+        def count(*clauses):
+            base = HerbrandBase(()).appended([PredicateSig(f"P{i}", 0) for i in range(1, 4)])
+            g = GroundProblem(base, ((Fraction(1), Fraction(2)),) * 3, Fraction(1),
+                              clauses=tuple(map(frozenset, clauses)))
+            assert wmc_dpll(g) == wmc_bruteforce(g)
+            return wmc_dpll(g)
+
+        assert count({1, -1, 2}, {1, 2, 3}, {-1, -3}, {2, -3}) == 12
+        assert count({1, -1, 2}) == count({1, -1}) == 27
+        assert count({1, -1, 2}, {2, 3}) == 15
+
+    def test_random_clauses_with_tautologies_and_repeats(self):
+        # Clause sets passed as they are, with a tautology injected into
+        # some and clauses repeated, over nullary blocks with weights from
+        # WEIGHT_POOL, 0 and -1 among them.
+        rng = random.Random(29)
+        tautologies = 0
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            base = HerbrandBase(()).appended([PredicateSig(f"P{i}", 0) for i in range(n)])
+            clauses = [frozenset(rng.choice((1, -1)) * rng.randint(1, n)
+                                 for _ in range(rng.randint(1, 4)))
+                       for _ in range(rng.randint(1, 12))]
+            for _ in range(rng.randint(0, 3)):
+                c = rng.choice(clauses)
+                l = rng.choice(sorted(c))
+                clauses.append(c | {-l})
+            clauses += rng.choices(clauses, k=rng.randint(0, 3))
+            rng.shuffle(clauses)
+            tautologies += sum(any(-l in c for l in c) for c in clauses)
+            weights = tuple((rng.choice(WEIGHT_POOL), rng.choice(WEIGHT_POOL)) for _ in range(n))
+            g = GroundProblem(base, weights, Fraction(1), clauses=tuple(clauses))
+            assert wmc_dpll(g) == wmc_bruteforce(g), clauses
+        assert tautologies > 300
+
+    def test_search_pauses_the_collector_and_restores_it(self, monkeypatch):
+        # The collector is off during the search and back in its previous
+        # state after it, also when the search raises.
+        seen = []
+        count = counting._DpllCounter.count
+
+        def recording(counter, clauses, n):
+            seen.append(gc.isenabled())
+            return count(counter, clauses, n)
+
+        monkeypatch.setattr(counting._DpllCounter, "count", recording)
+        g = ground(theory("forall x forall y (S(x) & F(x,y) -> S(y))"), Domain.of_size(3))
+        was = gc.isenabled()
+        try:
+            for state in (gc.enable, gc.disable):
+                state()
+                assert wmc_dpll(g) == _smokers_closed_form(3)
+                assert gc.isenabled() is (state is gc.enable)
+            gc.enable()
+            assert wmc_dpll(g, replace(g, sentences=(formula("S(C1)"),)))[1] == _smokers_closed_form(3)
+            assert gc.isenabled() and seen == [False] * 4
+
+            def failing(*args):
+                raise RuntimeError("inside a count")
+
+            monkeypatch.setattr(counting._DpllCounter, "_search", failing)
+            for state in (gc.enable, gc.disable):
+                state()
+                with pytest.raises(RuntimeError, match="inside a count"):
+                    wmc_dpll(g)
+                assert gc.isenabled() is (state is gc.enable)
+        finally:
+            (gc.enable if was else gc.disable)()
+
     def test_larger_random_cnfs_match_brute_force(self):
         rng = random.Random(44)
         for _ in range(40):
@@ -824,6 +898,37 @@ class TestNodeTable:
         assert wfomc(u, Domain.of_size(6), engine="dpll") == smokers_count(6, 2, -1, 0, Fraction(3, 2))
         assert calls == []
 
+    def test_held_residuals_are_not_split_again(self, monkeypatch):
+        # A phase residual that the nodes hold is one component. At n=8
+        # every smokers residual is one, so a second count over the layout,
+        # under other weights, splits nothing inside the search.
+        counting._key_tables.cache_clear()
+        calls = _count_components(monkeypatch)
+        t = theory((ROOT / "samples" / "smokers.fol").read_text())
+        assert wfomc(t, Domain.of_size(8), engine="dpll") == _smokers_closed_form(8)
+        assert [k for caller, k in calls if caller == "_search"] and all(k == 1 for _, k in calls)
+        calls.clear()
+        u = theory("weight T 1 3/10 -1\nweight G 2 -1 3/10\nforall x forall y (T(x) & G(x,y) -> T(y))")
+        got = wfomc(u, Domain.of_size(8), engine="dpll")
+        assert [caller for caller, _ in calls] == ["count"]
+        counting._key_tables.cache_clear()
+        assert wfomc(u, Domain.of_size(8), engine="dpll") == got == smokers_count(
+            8, Fraction(3, 10), Fraction(-1), Fraction(-1), Fraction(3, 10))
+
+    def test_residuals_that_split_still_split(self, monkeypatch):
+        # Q false leaves one part per constant, (P(c) | R(c)) & (~P(c) | S(c)),
+        # which share one memo key; the nodes hold the parts, never their
+        # union, so the second count splits the residual as the first did.
+        counting._key_tables.cache_clear()
+        calls = _count_components(monkeypatch)
+        counters = _record_counters(monkeypatch)
+        t = theory("forall x (Q | P(x) | R(x))\nforall x (Q | ~P(x) | S(x))")
+        for _ in range(2):
+            assert wfomc(t, Domain.of_size(5), engine="dpll") == 8 ** 5 + 4 ** 5
+            assert ("_search", 5) in calls
+            calls.clear()
+        assert [len(c.memo) for c in counters] == [2, 2]
+
     def test_nodes_keep_at_most_their_budget(self, monkeypatch):
         counting._key_tables.cache_clear()
         counters = _record_counters(monkeypatch)
@@ -857,6 +962,21 @@ def _count_keys(monkeypatch) -> list:
         return key(counter, clauses, *args)
 
     monkeypatch.setattr(counting._DpllCounter, "_key", counted)
+    return calls
+
+
+def _count_components(monkeypatch) -> list:
+    """(caller, number of components) for each ``_components`` call from
+    now on."""
+    calls = []
+    components = counting._components
+
+    def counted(clauses, atoms):
+        parts = components(clauses, atoms)
+        calls.append((sys._getframe(1).f_code.co_name, len(parts)))
+        return parts
+
+    monkeypatch.setattr(counting, "_components", counted)
     return calls
 
 
