@@ -23,12 +23,17 @@ table. It holds two engines, ``brute`` and ``dpll``, over two counters:
     key and branch atom do not, and are kept per base layout with a
     budget of clauses (``_KeyTables``), so a count that repeats a
     structure under other weights, as a weight sweep or learning loop
-    does, computes no key. Each searched node splits its clauses once for
-    both phases of its branch atom, propagation scans only for units that
-    some clause holds and indexes a long cascade's clauses by literal, so
-    it stays linear in the cascade, and a phase residual that the node
-    table holds is known to be one component without a union-find. The
-    cyclic garbage collector is paused during the search.
+    does, computes no key. One routine makes every phase of the search,
+    the root included (``_DpllCounter._phase``): it propagates the phase's
+    literals (the root's unit clauses; a branch literal and the units its
+    node's one partition leaves) and sorts the residual into components.
+    Propagation scans only for units that some clause holds, indexes a
+    long cascade's clauses by literal, so it stays linear in the cascade,
+    and gives each atom that the phase drops its free factor, at the root
+    each atom that no clause mentions too. A phase residual that the node
+    table holds is known to be one component without a union-find. Each
+    searched node splits its clauses once for both phases of its branch
+    atom. The cyclic garbage collector is paused during the search.
 
 Both counters, and ``export_dimacs``, take any ground problem: closed
 sentences or clauses. ``tseitin_ground`` is the one place where a problem
@@ -444,57 +449,64 @@ class _DpllCounter:
         return Fraction(total, self.den) * self.scalar
 
     def count(self, clauses, n: int) -> int:
-        """Search total of a clause set over atoms 1..n: its top-level
-        propagation, its components and the free factor of each atom it
-        does not mention."""
+        """Search total of a clause set over atoms 1..n: the root phase
+        (``_phase``) with the unit clauses as its literals, then its
+        search. An atom that no clause mentions is dropped by the root's
+        propagation, which gives it its free factor."""
         clauses = frozenset(clauses)
         if frozenset() in clauses:
             return 0
-        atoms = set(map(abs, frozenset().union(*clauses)))
-        reduced = self._propagate(clauses, atoms, _units(clauses))
-        if reduced is None:
-            return 0
-        total, residual, rest, _ = reduced
-        if residual:
-            total = total * self._search(_components(residual, rest))
-        free = self.free
-        for a in range(1, n + 1):
-            if a not in atoms:
-                total = total * free[a]
-        return total
+        root = self._phase(clauses, set(range(1, n + 1)), _units(clauses), frozenset().union(*clauses))
+        return 0 if root is None else self._search(root)
 
-    def _propagate(self, clauses, atoms: set, lits: set, branch: int = 0, held=None):
+    def _phase(self, clauses, atoms: set, lits: set, held: frozenset):
+        """One phase of the search: ``lits`` assigned and propagated over
+        ``clauses`` (``_propagate``), and its residual sorted for the
+        search. Returns [factor, pending components], or None on a
+        conflict. A residual is nothing, one clause, one component that
+        the node table holds (it holds only components), which rides with
+        its node, or the parts that ``_components`` splits it into; a
+        pending component is (clauses, atoms, node or None), the next to
+        count last."""
+        result = self._propagate(clauses, atoms, lits, held)
+        if result is None:
+            return None
+        factor, residual, left = result
+        if len(residual) > 1:
+            node = self.tables.nodes.get(residual)
+            if node is None:
+                return [factor, [(c, s, None) for c, s in reversed(_components(residual, left))]]
+            return [factor, [(residual, left, node)]]
+        return [factor, [(residual, left, None)] if residual else []]
+
+    def _propagate(self, clauses, atoms: set, lits: set, held: frozenset):
         """Assign ``lits``, then each unit clause that arises, round by
         round.
 
-        ``atoms`` are the atoms of ``clauses``, and ``lits`` hold the
-        literal of every unit clause among them; the search's node step
-        passes the clauses of one phase, with its ``branch`` literal
-        already assigned (its first round, ``_search``), and ``held``, the
-        union of their literals. A round drops the clauses its literals
+        ``atoms`` hold the atoms of ``clauses`` and ``lits``, and ``lits``
+        the literal of every unit clause among them; ``held`` is the union
+        of the clauses' literals. A round drops the clauses its literals
         satisfy, removes their complements from the others and collects
         the clauses left with one literal as the next round's literals.
         After a round that scans, ``held`` is the union of the literals of
         the clauses it kept; a round whose literals and their complements
         lie outside ``held`` touches no clause, so it assigns them without
-        a scan and is the last. The first ``_SCAN_ROUNDS`` rounds that
-        touch clauses scan every clause. A longer cascade indexes the
-        clauses left by literal once, and each later round touches only
-        the clauses its literals are in, so a chain of k units costs O(k)
-        rather than O(k^2) (the literal occurrence lists of sharpSAT;
-        Thurley 2006); ``held`` is then a superset, which keeps its test
-        sound. Returns (factor, residual clauses, their atoms, assigned
-        literals), where the factor weighs the assigned literals and the
-        atoms that the residual no longer mentions, or None when two
-        literals to assign conflict or a clause loses all its literals.
+        a scan and is the last (a branch literal, which no clause of its
+        phase holds, is such a round when it comes alone). The first
+        ``_SCAN_ROUNDS`` rounds that touch clauses scan every clause. A
+        longer cascade indexes the clauses left by literal once, and each
+        later round touches only the clauses its literals are in, so a
+        chain of k units costs O(k) rather than O(k^2) (the literal
+        occurrence lists of sharpSAT; Thurley 2006); ``held`` is then a
+        superset, which keeps its test sound. Returns (factor, residual
+        clauses, their atoms), where the factor weighs the assigned
+        literals and the atoms of ``atoms`` that the residual no longer
+        mentions, or None when two literals to assign conflict or a clause
+        loses all its literals.
         """
         lit_w = self.lit_w
-        if branch:
-            factor = lit_w[branch]
-            assigned = {branch}
-        else:
-            factor = 1
-            assigned = set()
+        factor = 1
+        assigned = set()
         scans = 0
         occurs = None  # per literal, the positions of the clauses it is in
         while lits:
@@ -504,7 +516,7 @@ class _DpllCounter:
             assigned |= lits
             for l in lits:
                 factor = factor * lit_w[l]
-            if held is not None and held.isdisjoint(lits) and held.isdisjoint(negs):
+            if held.isdisjoint(lits) and held.isdisjoint(negs):
                 break  # no clause holds these atoms
             units = set()
             scans += 1
@@ -549,20 +561,18 @@ class _DpllCounter:
         if occurs is not None:
             clauses = [c for c in clauses if c is not None]
             held = frozenset().union(*clauses)
-        if not assigned:
-            return factor, clauses, atoms, assigned
-        residual = frozenset(clauses)
         left = set(map(abs, held))
         dropped = atoms - left
         dropped.difference_update(map(abs, assigned))
         free = self.free
         for a in dropped:
             factor = factor * free[a]
-        return factor, residual, left, assigned
+        return factor, frozenset(clauses), left
 
-    def _search(self, components) -> int:
-        """Product of the counts of connected clause sets without unit or
-        empty clauses, given as (clauses, atoms) pairs.
+    def _search(self, root: list) -> int:
+        """Search total of the root phase, [factor, pending components]
+        (``_phase``): its factor times the count of each component, a
+        connected clause set without unit or empty clauses.
 
         A lone clause is counted in closed form. Any other component is
         looked up in the layout's nodes (``_KeyTables.nodes``) for its memo
@@ -578,22 +588,18 @@ class _DpllCounter:
         with ``-a`` and the rest (a clause with both holds in both phases).
         That is the first round of each phase: the rest and the other
         group without the branch literal, whose clauses left with one
-        literal are the units that ``_propagate`` goes on from, with the
-        branch literal assigned. A phase's residual is split into
-        components (``_components``) unless it is one clause or the nodes
-        hold it: they hold only components, so it is one, and its node
-        rides with it. Each phase is propagated at once, and the phases
-        that do not conflict wait on an explicit stack, so no Python call
-        nests per decision. A frame is [memo key, total, phases], with one
-        [factor, pending components] per phase, the current one last; a
-        pending component is (clauses, atoms, node or None). Each finished
-        component multiplies into the current phase of the frame below it;
-        a frame whose phases are all done stores its total.
+        literal are units. Each phase is then made as the root was, by
+        ``_phase``, with the branch literal as one more unit, and the
+        phases that do not conflict wait on an explicit stack, so no Python
+        call nests per decision. A frame is [memo key, total, phases], the
+        current phase last. Each finished component multiplies into the
+        current phase of the frame below it; a frame whose phases are all
+        done stores its total.
         """
         memo = self.memo
         tables = self.tables
         nodes = tables.nodes
-        stack = [[None, 0, [[1, [(c, s, None) for c, s in reversed(components)]]]]]
+        stack = [[None, 0, [root]]]
         while True:
             frame = stack[-1]
             phase = frame[2][-1]
@@ -628,30 +634,16 @@ class _DpllCounter:
                     phases = []
                     for branch, reduced in ((-a, pos), (a, neg)):  # the last phase is searched first
                         drop = (-branch,)
-                        extra, units = [], set()
+                        extra, units = [], {branch}
                         for c in reduced:
                             c = c.difference(drop)
                             if len(c) > 1:
                                 extra.append(c)
                             else:
                                 units |= c  # a component holds no unit clause
-                        result = self._propagate(rest + extra, atoms, units, branch, held.union(*extra))
-                        if result is None:
-                            continue
-                        factor, residual, left, _ = result
-                        if not residual:
-                            pending = []
-                        elif len(residual) == 1:
-                            pending = [(residual, left, None)]
-                        else:
-                            # ``nodes`` holds only components, so a residual
-                            # that it holds is one.
-                            node = nodes.get(residual)
-                            if node is None:
-                                pending = [(c, s, None) for c, s in reversed(_components(residual, left))]
-                            else:
-                                pending = [(residual, left, node)]
-                        phases.append([factor, pending])
+                        made = self._phase(rest + extra, atoms, units, held.union(*extra))
+                        if made is not None:
+                            phases.append(made)
                     if phases:
                         stack.append([key, 0, phases])
                         continue

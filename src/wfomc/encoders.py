@@ -51,10 +51,6 @@ from .transform import skolemize, to_cnf_distribute
 class WfomcEncoding:
     """A theory whose count ratios realize a model's probabilities.
 
-    ``query_ready`` marks the post-Skolemization, clausal form; queries are
-    conjoined to that form, which is sound because the elimination step stays
-    correct under later conjunction of new sentences.
-
     ``model_predicates`` are the predicates of the model as written, the
     ones a query may use. The encoders record them, so that the predicates
     they or Skolemization invent are not among them; left out, they are
@@ -63,7 +59,6 @@ class WfomcEncoding:
     """
 
     theory: WeightedTheory
-    query_ready: bool = False
     model_predicates: frozenset[PredicateSig] | None = None
 
     def __post_init__(self):
@@ -73,10 +68,11 @@ class WfomcEncoding:
                                frozenset(t.predicates()).union(t.weights.pairs))
 
     def prepared(self) -> "WfomcEncoding":
-        if self.query_ready:
-            return self
+        """The encoding Skolemized and in clausal form. Queries are
+        conjoined to this form, which is sound because the elimination
+        step stays correct under later conjunction of new sentences."""
         t = to_cnf_distribute(skolemize(self.theory))
-        return WfomcEncoding(t, True, self.model_predicates)
+        return WfomcEncoding(t, self.model_predicates)
 
 
 # ---------------------------------------------------------------------------

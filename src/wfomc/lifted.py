@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import counting
 from .grounding import GroundProblem, HerbrandBase, clause_set
-from .logic import Atom, Constant, Formula, FreshNamer, PredicateSig
+from .logic import Atom, Constant, Formula, PredicateSig
 from .transform import clause_form
 
 _SEPARATOR_BACKTRACKS = 64  # dead ends of the position search before it gives up
@@ -148,9 +148,10 @@ def _split(rows, blocks, constants):
     and atom then belongs to the slice of the one constant at its separator
     positions, and slices share no atom (Beame et al. 2015). The slice of c
     binds each separator to c and drops its argument: blocks of arity one
-    less under fresh names; an evidence row, whose separator is a constant,
-    joins that constant's slice only. No block may be nullary or asked, and
-    at most one row is asked, with a constant for its separator.
+    less under the same names, which stay distinct; an evidence row, whose
+    separator is a constant, joins that constant's slice only. No block may
+    be nullary or asked, and at most one row is asked, with a constant for
+    its separator.
 
     Permuting the constants that the unasked rows do not name maps one
     slice to another, so one such generic slice is counted and raised to
@@ -166,9 +167,7 @@ def _split(rows, blocks, constants):
     pos = _positions([_separator_options(lits, inner, asked) for lits, inner, asked in rows])
     if pos is None or any(sig not in pos for sig, _, _ in blocks):
         return None
-    namer = FreshNamer({sig.name for sig, _, _ in blocks})
-    renamed = {sig: PredicateSig(namer.fresh(sig.name + "_", 0), sig.arity - 1)
-               for sig, _, _ in blocks}
+    renamed = {sig: PredicateSig(sig.name, sig.arity - 1) for sig, _, _ in blocks}
     sliced = [(renamed[sig], pair, False) for sig, pair, _ in blocks]
     seps = [lits[0][0].args[pos[lits[0][0].pred]] for lits, _, _ in rows]
 

@@ -473,13 +473,17 @@ class TestDpll:
     def test_random_clauses_with_tautologies_and_repeats(self):
         # Clause sets passed as they are, with a tautology injected into
         # some and clauses repeated, over nullary blocks with weights from
-        # WEIGHT_POOL, 0 and -1 among them.
+        # WEIGHT_POOL, 0 and -1 among them. The last atoms of a base are
+        # often in no clause, so the root's free factors are checked under
+        # weights 0 and -1 too.
         rng = random.Random(29)
         tautologies = 0
+        free_weights = set()
         for _ in range(300):
             n = rng.randint(1, 9)
+            m = max(1, n - rng.randint(0, 2))  # the atoms above m are in no clause
             base = HerbrandBase(()).appended([PredicateSig(f"P{i}", 0) for i in range(n)])
-            clauses = [frozenset(rng.choice((1, -1)) * rng.randint(1, n)
+            clauses = [frozenset(rng.choice((1, -1)) * rng.randint(1, m)
                                  for _ in range(rng.randint(1, 4)))
                        for _ in range(rng.randint(1, 12))]
             for _ in range(rng.randint(0, 3)):
@@ -490,9 +494,11 @@ class TestDpll:
             rng.shuffle(clauses)
             tautologies += sum(any(-l in c for l in c) for c in clauses)
             weights = tuple((rng.choice(WEIGHT_POOL), rng.choice(WEIGHT_POOL)) for _ in range(n))
+            mentioned = set(map(abs, chain.from_iterable(clauses)))
+            free_weights.update(w for a in range(1, n + 1) if a not in mentioned for w in weights[a - 1])
             g = GroundProblem(base, weights, Fraction(1), clauses=tuple(clauses))
             assert wmc_dpll(g) == wmc_bruteforce(g), clauses
-        assert tautologies > 300
+        assert tautologies > 300 and {0, -1} <= free_weights
 
     def test_search_pauses_the_collector_and_restores_it(self, monkeypatch):
         # The collector is off during the search and back in its previous
@@ -591,15 +597,12 @@ class TestDpll:
                 continue
             atoms = set(map(abs, chain.from_iterable(clauses)))
             lits = counting._units(clauses) | {rng.choice((1, -1)) * rng.choice(sorted(atoms))}
-            want = counter._propagate(clauses, atoms, lits)
+            held = frozenset().union(*clauses)
+            want = counter._propagate(clauses, atoms, lits, held)
             with monkeypatch.context() as m:
                 m.setattr(counting, "_SCAN_ROUNDS", scan_rounds)
-                got = counter._propagate(clauses, atoms, lits)
-            if want is None:
-                assert got is None
-            else:
-                assert (got[0], frozenset(got[1]), got[2], got[3]) == \
-                    (want[0], frozenset(want[1]), want[2], want[3])
+                got = counter._propagate(clauses, atoms, lits, held)
+            assert got == want
 
     def test_problog_chain_cascades_through_the_index(self):
         # Q1 :- Q2, ..., Q199 :- Q200, 0.5 :: Q200: asking Q1 sets off a
@@ -901,16 +904,16 @@ class TestNodeTable:
     def test_held_residuals_are_not_split_again(self, monkeypatch):
         # A phase residual that the nodes hold is one component. At n=8
         # every smokers residual is one, so a second count over the layout,
-        # under other weights, splits nothing inside the search.
+        # under other weights, splits nothing, its root phase included.
         counting._key_tables.cache_clear()
         calls = _count_components(monkeypatch)
         t = theory((ROOT / "samples" / "smokers.fol").read_text())
         assert wfomc(t, Domain.of_size(8), engine="dpll") == _smokers_closed_form(8)
-        assert [k for caller, k in calls if caller == "_search"] and all(k == 1 for _, k in calls)
+        assert [k for caller, k in calls if caller == "_phase"] and all(k == 1 for _, k in calls)
         calls.clear()
         u = theory("weight T 1 3/10 -1\nweight G 2 -1 3/10\nforall x forall y (T(x) & G(x,y) -> T(y))")
         got = wfomc(u, Domain.of_size(8), engine="dpll")
-        assert [caller for caller, _ in calls] == ["count"]
+        assert calls == []
         counting._key_tables.cache_clear()
         assert wfomc(u, Domain.of_size(8), engine="dpll") == got == smokers_count(
             8, Fraction(3, 10), Fraction(-1), Fraction(-1), Fraction(3, 10))
@@ -925,7 +928,7 @@ class TestNodeTable:
         t = theory("forall x (Q | P(x) | R(x))\nforall x (Q | ~P(x) | S(x))")
         for _ in range(2):
             assert wfomc(t, Domain.of_size(5), engine="dpll") == 8 ** 5 + 4 ** 5
-            assert ("_search", 5) in calls
+            assert ("_phase", 5) in calls
             calls.clear()
         assert [len(c.memo) for c in counters] == [2, 2]
 
