@@ -36,16 +36,16 @@ table. It holds two engines, ``brute`` and ``dpll``, over two counters:
     atom. The cyclic garbage collector is paused during the search.
 
 Both counters, and ``export_dimacs``, take any ground problem: closed
-sentences or clauses. ``tseitin_ground`` is the one place where a problem
-becomes clauses, and ``wmc_dpll``, ``clauses_of`` and ``export_dimacs``
-read clauses only through it. It works at the first-order level: a
-sentence that reads as one clause, disjunctive quantifiers included, is
-instantiated from the Herbrand base layout; the others are Skolemized (the
+sentences or clauses. ``wmc_dpll``, ``clauses_of`` and ``export_dimacs``
+read clauses only through ``tseitin_ground``, which works at the
+first-order level: a sentence that reads as one clause, disjunctive
+quantifiers included, is kept as one row; the others are Skolemized (the
 source paper's count-preserving step, so no theory is refused) and
-clausified before they are instantiated (``transform.clause_form``,
-computed once per problem as ``GroundProblem.clause_form``). No ground
-formula is built, and every atom, Skolem and definition atoms included,
-lies in the base layout, so the symmetric cache can rename all of them.
+clausified (``transform.clause_form``). ``grounding.clause_problem``, the
+one builder of a clause problem, which ``lifted`` uses too, then
+instantiates the rows from the Herbrand base layout. No ground formula is
+built, and every atom, Skolem and definition atoms included, lies in the
+base layout, so the symmetric cache can rename all of them.
 
 The ``dpll`` engine is ``lifted.count``, lifted rules over the first-order
 clause form (independent parts, the power rule) with ``wmc_dpll`` for what
@@ -79,7 +79,7 @@ from .grounding import (
     GroundDag,
     GroundProblem,
     check_constants,
-    clause_set,
+    clause_problem,
     ground,
     herbrand_base,
 )
@@ -99,6 +99,7 @@ from .logic import (
     free_vars,
     predicates,
 )
+from .transform import clause_form
 
 DEFAULT_MAX_ATOMS = 26
 _BLOCK_BITS = 18  # assignments are enumerated in blocks of 2**_BLOCK_BITS
@@ -305,36 +306,6 @@ def _weight_table(weights: list[tuple[int, int]]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Model enumeration (test-scale helper)
-
-
-def weighted_models(g: GroundProblem, cap: int = 20):
-    """Yield (bits, weight) for every satisfying assignment of the full base.
-
-    ``bits[i]`` is the truth value of ``g.base.atoms[i]``. Intended for
-    small instances only.
-    """
-    import numpy as np
-
-    from . import _kernels as K
-
-    n = len(g.base)
-    if n > cap:
-        raise CapExceededError(f"{n} atoms is too many to enumerate models")
-    prog = compile_program(g.dag)
-    # Bit i of an assignment is base atom i: loads read base indices.
-    args = [(prog.atoms[a[0]],) if op == K.OP_LOAD else a for op, a in zip(prog.ops, prog.args)]
-    mask = K.satisfying_mask(prog.ops, args, prog.slots, 0, 1 << n)
-    weights = g.atom_weights
-    for a in np.nonzero(mask)[0].tolist():
-        bits = tuple((a >> i) & 1 for i in range(n))
-        w = Fraction(1)
-        for b, (wt, wf) in zip(bits, weights):
-            w = w * (wt if b else wf)
-        yield bits, w * g.scalar
-
-
-# ---------------------------------------------------------------------------
 # Clause form
 
 
@@ -344,24 +315,22 @@ def clauses_of(g: GroundProblem) -> list[frozenset[int]]:
 
 
 def tseitin_ground(g: GroundProblem) -> GroundProblem:
-    """Clause form of a ground problem, with the same weighted count: the
-    one place where a problem becomes clauses.
+    """Clause form of a ground problem, with the same weighted count, for
+    the counters and ``export_dimacs``.
 
     A problem already in clause form is returned as it is. The sentences
-    are put in clause form at the first-order level (``GroundProblem.
-    clause_form``, shared with ``lifted.count``), and each clause's
-    instances are numbered from the base layout (``grounding.clause_set``).
-    The predicates that clause form adds (Skolem predicates and
-    definitions) get fresh names and blocks after the base's, so a query
-    encoded over a theory's clause form gets its predicates numbered after
-    the theory's.
+    are put in clause form at the first-order level (``transform.
+    clause_form``, with the base's predicates reserved), and each clause's
+    instances are numbered from the base layout (``grounding.
+    clause_problem``). The predicates that clause form adds (Skolem
+    predicates and definitions) get fresh names and blocks after the
+    base's, so a query encoded over a theory's clause form gets its
+    predicates numbered after the theory's.
     """
     if g.clauses is not None:
         return g
-    form, added = g.clause_form
-    base = g.base.appended(sig for sig, _ in added)
-    weights = g.weights + tuple(pair for _, pair in added)
-    return GroundProblem(base, weights, g.scalar, clauses=clause_set(form, base))
+    form, added = clause_form(g.sentences, [sig for sig, _ in g.base.blocks])
+    return clause_problem(g.base, g.weights, g.scalar, form, added)
 
 
 # ---------------------------------------------------------------------------

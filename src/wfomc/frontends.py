@@ -272,14 +272,21 @@ class _Parser:
 
     def term(self) -> Term:
         if self.at("QUOTED"):
-            t = self.next()
-            return Constant(_unquote(t.text))
+            return self.quoted()
         t = self.expect("IDENT")
         if t.text in _KEYWORDS:
             raise ParseError(f"{t.text!r} is reserved", t.line, t.col)
         if t.text[0].islower():
             return Variable(t.text)
         return Constant(t.text)
+
+    def quoted(self) -> Constant:
+        """The constant of the next token, a quoted name with ``\\'`` and
+        ``\\\\`` escaped; ``''`` names none."""
+        t = self.next()
+        if t.text == "''":
+            raise ParseError("empty constant name", t.line, t.col)
+        return Constant(t.text[1:-1].replace("\\'", "'").replace("\\\\", "\\"))
 
     def _check_arity(self, name: Token, arity: int):
         prev = self.arities.get(name.text)
@@ -305,10 +312,10 @@ class _Parser:
             num = int(self.next().text)
             if self.at("SYM", "/"):
                 self.next()
-                den = int(self.expect("INT").text)
-                if den == 0:
-                    self.fail("zero denominator")
-                val = Fraction(num, den)
+                den = self.expect("INT")
+                if int(den.text) == 0:
+                    raise ParseError("zero denominator", den.line, den.col)
+                val = Fraction(num, int(den.text))
             else:
                 val = Fraction(num)
         else:
@@ -329,11 +336,6 @@ class _Parser:
         return self.fail("expected a weight (number or 'inf')")
 
 
-def _unquote(text: str) -> str:
-    body = text[1:-1]
-    return body.replace("\\'", "'").replace("\\\\", "\\")
-
-
 # ---------------------------------------------------------------------------
 # Theory files (.fol)
 
@@ -346,6 +348,7 @@ def parse_theory(text: str) -> tuple[WeightedTheory, Domain | None]:
     declared: dict[str, Token] = {}
     scale: list[ScaleFactor] = []
     domain: Domain | None = None
+    declaration: Token | None = None  # the domain's
 
     while not p.at("EOF"):
         p.skip_newlines()
@@ -358,6 +361,7 @@ def parse_theory(text: str) -> tuple[WeightedTheory, Domain | None]:
             tok = p.next()
             if domain is not None:
                 raise ParseError("duplicate domain declaration", tok.line, tok.col)
+            declaration = tok
             consts = [_domain_constant(p)]
             while p.at("SYM", ","):
                 p.next()
@@ -396,7 +400,8 @@ def parse_theory(text: str) -> tuple[WeightedTheory, Domain | None]:
     if domain is not None:
         missing = [c.name for c in theory.constants() if c not in domain.constants]
         if missing:
-            raise ParseError(f"constants {missing} missing from declared domain", 1, 1)
+            raise ParseError(f"constants {missing} missing from declared domain",
+                             declaration.line, declaration.col)
     return theory, domain
 
 
@@ -413,7 +418,7 @@ def parse_query(text: str) -> Formula:
 
 def _domain_constant(p: _Parser) -> Constant:
     if p.at("QUOTED"):
-        return Constant(_unquote(p.next().text))
+        return p.quoted()
     tok = p.expect("IDENT")
     if tok.text[0].islower():
         raise ParseError(f"domain constant {tok.text!r} must start uppercase or be quoted",

@@ -31,7 +31,6 @@ from .logic import (
     first_occurrence_vars,
     predicates,
 )
-from .transform import clause_form
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,8 @@ class HerbrandBase:
     atom whose ``k``-th argument is the constant at position ``p_k`` has
     index ``first + sum(p_k * strides(a)[k])``. A theory's base lays out its
     predicates sorted by (name, arity); the predicates that clause form adds
-    (``counting.tseitin_ground``) get blocks after them. Ground atoms are
-    built only when ``atoms`` or ``atom`` is read.
+    get blocks after them (``clause_problem``). Ground atoms are built only
+    when ``atoms`` or ``atom`` is read.
     """
 
     constants: tuple[Constant, ...]
@@ -147,7 +146,8 @@ class GroundProblem:
     entry of ``base.blocks``, in block order. It holds either closed
     ``sentences`` to ground over the base's constants, or
     ``clauses``: a CNF whose literals are signed base numbers (index + 1,
-    negative when negated), where an empty clause leaves no model.
+    negative when negated), where an empty clause leaves no model
+    (``clause_problem`` builds one from first-order clause rows).
     ``dag``, the ground conjunction as a hash-consed DAG, and ``formula``,
     the same conjunction as ``Formula`` objects, are built from whichever
     is held on first access and then cached, so a counter that reads only
@@ -170,14 +170,6 @@ class GroundProblem:
         """Every base atom's weight pair in index order; for small bases."""
         return tuple(pair for (sig, _), pair in zip(self.base.blocks, self.weights)
                      for _ in range(self.base.block_length(sig.arity)))
-
-    @cached_property
-    def clause_form(self) -> tuple[list, list]:
-        """``transform.clause_form`` of the sentences, with the base's
-        predicates reserved: (clauses, added predicates with their weights).
-        A sentence with a free variable is refused there, as ``dag`` refuses
-        it."""
-        return clause_form(self.sentences, [sig for sig, _ in self.base.blocks])
 
     @cached_property
     def dag(self) -> GroundDag:
@@ -214,6 +206,17 @@ def ground(t: WeightedTheory, d: Domain) -> GroundProblem:
     for sf in t.scale:
         scalar = scalar * Fraction(sf.base) ** (len(d) ** sf.nvars)
     return GroundProblem(base, weights, scalar, t.sentences)
+
+
+def clause_problem(base: HerbrandBase, weights, scalar, rows, added=()) -> GroundProblem:
+    """The ground clause problem of first-order clause rows, (literals,
+    inner variables) as ``transform.clause_form`` gives them: the blocks of
+    ``added`` (predicate, weight pair) go after ``base``'s, with their
+    weights after ``weights``, and the rows' instances are numbered from
+    the result (``clause_set``)."""
+    base = base.appended(sig for sig, _ in added)
+    weights = (*weights, *(pair for _, pair in added))
+    return GroundProblem(base, weights, scalar, clauses=clause_set(rows, base))
 
 
 def clause_instances(lits: list[tuple[Atom, bool]], base: HerbrandBase,

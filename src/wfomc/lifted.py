@@ -1,7 +1,7 @@
 """Lifted counting: the ``dpll`` engine's recursion over first-order clauses.
 
 ``count(g, query)`` counts a ground problem from its first-order clause form
-(``GroundProblem.clause_form``): rows (literals, inner variables, asked) over
+(``transform.clause_form``): rows (literals, inner variables, asked) over
 blocks (predicate, weight pair, asked), the asked ones being the query's
 clause form. Each clause set tries, in order (Van den Broeck 2011;
 Gribkoff, Van den Broeck & Suciu 2014):
@@ -11,7 +11,7 @@ Gribkoff, Van den Broeck & Suciu 2014):
   * the power rule (``_split``): one slice per class of constants, each
     counted by this same recursion;
   * the ground leaf (``_ground``): ``counting.wmc_dpll`` over the rows'
-    instances (``grounding.clause_set``).
+    instances (``grounding.clause_problem``).
 
 With a query, each rule returns the pair (count with it, count without); a
 part or slice that the query does not touch is counted once for both. A
@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import counting
-from .grounding import GroundProblem, HerbrandBase, clause_set
+from .grounding import GroundProblem, HerbrandBase, clause_problem
 from .logic import Atom, Constant, Formula, PredicateSig
 from .transform import clause_form
 
@@ -37,7 +37,7 @@ def count(g: GroundProblem, query: Formula | None = None):
     """The weighted count of g; given a query sentence over g's predicates
     and constants, the pair (count of g ∧ query, count of g), the query's
     clause form made over g's."""
-    form, added = g.clause_form
+    form, added = clause_form(g.sentences, [sig for sig, _ in g.base.blocks])
     blocks = [(sig, pair, False) for (sig, _), pair in zip(g.base.blocks, g.weights)]
     blocks += [(sig, pair, False) for sig, pair in added]
     rows = [(lits, inner, False) for lits, inner in form]
@@ -125,17 +125,14 @@ def _root(parent: dict, x: str) -> str:
 def _ground(rows, blocks, constants):
     """The leaf: ``counting.wmc_dpll`` over the rows' ground instances,
     with the asked rows, over blocks after the others', as its query."""
-    layout = HerbrandBase(constants).appended(sig for sig, _, asked in blocks if not asked)
-    weights = tuple(pair for _, pair, asked in blocks if not asked)
-    kept = [(lits, inner) for lits, inner, asked in rows if not asked]
-    g = GroundProblem(layout, weights, 1, clauses=clause_set(kept, layout))
+    g = clause_problem(HerbrandBase(constants), (), 1,
+                       [(lits, inner) for lits, inner, asked in rows if not asked],
+                       [(sig, pair) for sig, pair, asked in blocks if not asked])
     query = [(lits, inner) for lits, inner, asked in rows if asked]
     if not query:
         return counting.wmc_dpll(g)
-    added = [(sig, pair) for sig, pair, asked in blocks if asked]
-    if added:  # the query's own predicates, numbered after the others
-        layout, weights = layout.appended(sig for sig, _ in added), weights + tuple(p for _, p in added)
-    return counting.wmc_dpll(g, GroundProblem(layout, weights, 1, clauses=clause_set(query, layout)))
+    return counting.wmc_dpll(g, clause_problem(g.base, g.weights, 1, query,
+                                               [(sig, pair) for sig, pair, asked in blocks if asked]))
 
 
 def _split(rows, blocks, constants):

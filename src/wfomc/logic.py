@@ -158,11 +158,6 @@ BINARY = (Implies, Iff)
 QUANT = (ForAll, Exists)
 
 
-def atom(name: str, *args: Term) -> Atom:
-    """Convenience constructor: ``atom("P", Variable("x"))``."""
-    return Atom(PredicateSig(name, len(args)), tuple(args))
-
-
 def children(f: Formula) -> tuple[Formula, ...]:
     if isinstance(f, Junction):
         return f.parts

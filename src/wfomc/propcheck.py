@@ -56,6 +56,7 @@ DEFAULT_WEIGHT_POOL = (
     Fraction(1), Fraction(1), Fraction(1), Fraction(1),
     Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(3, 10),
 )
+_SHRINK_STEPS = 200  # candidates that shrink_theory tries before it stops
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,6 @@ class GenConfig:
     max_connective_depth: int = 3
     max_sentences: int = 2
     domain_sizes: tuple[int, ...] = (1, 2)
-    weight_pool: tuple[Fraction, ...] = DEFAULT_WEIGHT_POOL
     seed: int = 0
 
     def __post_init__(self):
@@ -136,8 +136,8 @@ def gen_theory(cfg: GenConfig) -> WeightedTheory:
 
     pairs = {}
     for sig in sigs:
-        wt = rng.choice(cfg.weight_pool)
-        wf = rng.choice(cfg.weight_pool)
+        wt = rng.choice(DEFAULT_WEIGHT_POOL)
+        wf = rng.choice(DEFAULT_WEIGHT_POOL)
         if (wt, wf) != (1, 1):
             pairs[sig] = (wt, wf)
     return WeightedTheory(tuple(sentences), WeightFn(pairs))
@@ -357,11 +357,11 @@ def _exists_below_prefix(f: Formula, leading: bool = True) -> Formula:
 # Shrinking
 
 
-def shrink_theory(t: WeightedTheory, still_fails, max_steps: int = 200) -> WeightedTheory:
+def shrink_theory(t: WeightedTheory, still_fails) -> WeightedTheory:
     """Greedy minimization: fewer sentences, then smaller formulas, as long
-    as the failure persists."""
+    as the failure persists, trying at most ``_SHRINK_STEPS`` candidates."""
     steps = 0
-    while steps < max_steps:
+    while steps < _SHRINK_STEPS:
         for candidate in _shrink_candidates(t):
             steps += 1
             try:

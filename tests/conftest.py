@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from wfomc.counting import wmc_bruteforce
 from wfomc.frontends import _Parser, parse_theory
-from wfomc.logic import Constant, Domain
+from wfomc.logic import Constant, Domain, Not, fold_and
 
 
 def formula(text: str):
@@ -21,6 +23,13 @@ def theory(text: str):
 
 def domain(*names: str) -> Domain:
     return Domain(tuple(Constant(n) for n in names))
+
+
+def count_with(g, evidence) -> Fraction:
+    """Brute-force count of the ground problem ``g`` with the evidence, a
+    mapping from ground atoms to truth values, as one more sentence."""
+    literals = [a if value else Not(a) for a, value in evidence.items()]
+    return wmc_bruteforce(replace(g, sentences=g.sentences + (fold_and(literals),)))
 
 
 @pytest.fixture

@@ -364,12 +364,41 @@ class TestExitCodes:
         assert tuple(engine.choices) == tuple(ENGINES)
         assert engine.default == DEFAULT_ENGINE
 
+    # One row per input error: the command, the input file's name and
+    # text, the arguments after it, and the message, which starts with the
+    # offending token's line:col when the error is a ParseError.
+    INPUT_ERRORS = [
+        ("count", "bad.fol", "forall x (P(x) &)\n", ["--domain-size", "1"],
+         "1:17: expected a formula"),
+        ("count", "t.fol", "domain A\nforall x P(x)\ndomain B\n", [],
+         "3:1: duplicate domain declaration"),
+        ("count", "t.fol", "domain A, B, A\nforall x P(x)\n", [],
+         "1:1: duplicate constant in domain"),
+        ("count", "t.fol", "weight P 1 2 3\nweight P 1 2 3\nforall x P(x)\n", ["--domain-size", "1"],
+         "2:8: duplicate weight declaration for P"),
+        ("count", "t.fol", "weight P 1 2/0 3\nforall x P(x)\n", ["--domain-size", "1"],
+         "1:14: zero denominator"),
+        ("count", "t.fol", "forall x P(forall)\n", ["--domain-size", "1"],
+         "1:12: 'forall' is reserved"),
+        ("count", "t.fol", "forall X P(X)\n", ["--domain-size", "1"],
+         "1:8: quantified variable 'X' must start lowercase"),
+        ("prob", "t.plp", "0.5 :: a.\n3/2 :: b.\n", ["--query", "a", "--domain-size", "1"],
+         "2:1: probability 3/2 out of [0,1]"),
+        ("count", "t.fol", "forall x P(x)\n", ["--domain", ","], "empty --domain"),
+        ("count", "t.fol", "forall x P(x)\n", ["--domain", "A,A"], "duplicate constant in domain"),
+        ("count", "t.fol", "forall x P(x, B)\n\ndomain A\n", [],
+         "3:1: constants ['B'] missing from declared domain"),
+        ("count", "t.fol", "forall x P(x, '')\n", ["--domain-size", "1"],
+         "1:15: empty constant name"),
+        ("count", "t.fol", "domain A, ''\nforall x P(x)\n", [], "1:11: empty constant name"),
+    ]
+
     def test_parse_error_is_two(self, capsys, tmp_path):
-        f = tmp_path / "bad.fol"
-        f.write_text("forall x (P(x) &)\n")
-        code, _, err = run(capsys, "count", f, "--domain-size", "1")
-        assert code == 2
-        assert "1:17" in err
+        for command, name, text, args, message in self.INPUT_ERRORS:
+            f = tmp_path / name
+            f.write_text(text)
+            code, out, err = run(capsys, command, f, *args)
+            assert (code, out, err) == (2, "", f"error: {message}\n"), (text, args)
 
     def test_unknown_input_format_is_two(self, capsys, tmp_path):
         f = tmp_path / "theory.txt"

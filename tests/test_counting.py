@@ -25,7 +25,6 @@ from wfomc.counting import (
     compile_program,
     export_dimacs,
     tseitin_ground,
-    weighted_models,
     wfomc,
     wmc_bruteforce,
     wmc_dpll,
@@ -1212,8 +1211,11 @@ class TestClauseFormGrounding:
 
     def test_clause_form_is_computed_once(self, monkeypatch):
         # Without a separator (smokers' S(y)), dpll grounds the whole
-        # theory; the separator search and tseitin_ground share one
-        # first-order clause form. Each conjunct exists y Pi(x,y) allows
+        # theory; the separator search and the ground leaf share one
+        # first-order clause form, made by lifted.count, and the leaf's
+        # clause problem is built from its rows without a second (neither
+        # lifted nor tseitin_ground calls clause_form again). Each conjunct
+        # exists y Pi(x,y) allows
         # 3 of the 4 settings of Pi(x,A), Pi(x,B) per x.
         calls = []
 
@@ -1221,7 +1223,8 @@ class TestClauseFormGrounding:
             calls.append(args)
             return clause_form(*args)
 
-        monkeypatch.setattr(grounding, "clause_form", counted)
+        monkeypatch.setattr(lifted, "clause_form", counted)
+        monkeypatch.setattr(counting, "clause_form", counted)
         text = (ROOT / "samples" / "smokers.fol").read_text()
         conjuncts = " & ".join(f"(exists y P{i}(x,y))" for i in range(1000))
         t = theory(f"{text}\nforall x ({conjuncts})")
@@ -1700,20 +1703,6 @@ class TestLiftedRules:
             assert len(counters) == 1 and sizes == memo
             d = Domain.of_size(4)
             assert wfomc(t, d, engine="dpll", query=q) == wfomc(t, d, query=q)
-
-
-class TestModelEnumeration:
-    def test_weighted_models_over_the_cap_is_an_error(self):
-        g = ground(theory("forall x (P(x) | Q(x))"), Domain.of_size(3))
-        assert len(list(weighted_models(g, cap=6))) == 27
-        with pytest.raises(CapExceededError, match="6 atoms is too many to enumerate models"):
-            next(weighted_models(g, cap=5))
-
-    def test_weighted_models_sum_equals_count(self):
-        t = theory("weight P 1 2 -1\nforall x (P(x) | Q(x))")
-        g = ground(t, Domain.of_size(2))
-        total = sum(w for _, w in weighted_models(g))
-        assert total == wmc_bruteforce(g)
 
 
 class TestDimacsExport:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import domain, formula, theory
+from conftest import count_with, domain, formula, theory
 from wfomc.counting import ENGINES, wfomc
 from wfomc.errors import CapExceededError, NonTightProgramError, WfomcError
 from wfomc.frontends import parse_mln, parse_problog, serialize_formula
@@ -24,6 +24,7 @@ from wfomc.logic import (
     Domain,
     PredicateSig,
     TRUE,
+    WeightFn,
     classify_normal_form,
     predicates,
 )
@@ -362,23 +363,19 @@ class TestNoisyOr:
 
 class TestCompletionSoundness:
     def test_completion_models_are_exactly_the_minimal_models(self):
-        # every fact world extends to exactly one model of the completion
+        # Under unit weights, every fact world extends to exactly one model
+        # of the completion: its count is 1.
         import itertools
 
-        from wfomc.counting import weighted_models
         from wfomc.grounding import ground
 
         p = parse_problog(WORKSHOP)
         enc = encode_problog(p)
-        d = domain("A", "B")
-        g = ground(enc.theory, d)
+        g = ground(enc.theory.replace(weights=WeightFn(), scale=()), domain("A", "B"))
         fact_atoms = [a for a in g.base.atoms if a.pred.name in ("Attends", "ToSeries")]
-        worlds = {}
-        for bits, w in weighted_models(g):
-            key = tuple(b for a, b in zip(g.base.atoms, bits) if a in fact_atoms)
-            worlds.setdefault(key, []).append(bits)
-        assert len(worlds) == 2 ** len(fact_atoms)
-        assert all(len(v) == 1 for v in worlds.values())
+        worlds = list(itertools.product((False, True), repeat=len(fact_atoms)))
+        assert len(worlds) == 16
+        assert [count_with(g, dict(zip(fact_atoms, w))) for w in worlds] == [1] * 16
 
 
 def gen_program(seed):
@@ -480,7 +477,11 @@ class TestPipelineEquality:
                 assert abs(lhs - rhs) <= 1e-9, (seed, n, lhs, rhs)
 
     def test_completion_models_match_minimal_models_on_generated_programs(self):
-        from wfomc.counting import weighted_models
+        # Under unit weights, a fact world counts 1 (it has exactly one
+        # completion model), and so does the minimal model given as a full
+        # assignment (that model is it).
+        import itertools
+
         from wfomc.encoders import _ground_rules, _minimal_model, _stratify
         from wfomc.grounding import ground
         from wfomc.logic import ForAll, Not, Or, Variable
@@ -500,23 +501,19 @@ class TestPipelineEquality:
                     for _ in range(f.head.pred.arity):
                         s = ForAll("x", s)
                     extra.append(s)
-            full = theory_part.replace(sentences=theory_part.sentences + tuple(extra))
+            full = theory_part.replace(sentences=theory_part.sentences + tuple(extra),
+                                       weights=WeightFn(), scale=())
             d = Domain.of_size(2)
             g = ground(full, d)
-            fact_idx = [i for i, a in enumerate(g.base.atoms)
-                        if any(a.pred == f.head.pred for f in p.facts)]
+            atoms = g.base.atoms
+            facts = [a for a in atoms if any(a.pred == f.head.pred for f in p.facts)]
             strata = _stratify(p)
             rules = _ground_rules(p, d)
-            seen = {}
-            for bits, _ in weighted_models(g):
-                key = tuple(bits[i] for i in fact_idx)
-                assert key not in seen, f"seed {seed}: world has two completion models"
-                seen[key] = bits
-                world = {g.base.atoms[i] for i in fact_idx if bits[i]}
-                model = _minimal_model(world, rules, strata)
-                for i, a in enumerate(g.base.atoms):
-                    assert bits[i] == (a in model), (seed, a)
-            assert len(seen) == 2 ** len(fact_idx)
+            for bits in itertools.product((False, True), repeat=len(facts)):
+                world = dict(zip(facts, bits))
+                model = _minimal_model({a for a in facts if world[a]}, rules, strata)
+                assert [count_with(g, world),
+                        count_with(g, {a: a in model for a in atoms})] == [1, 1], (seed, bits)
 
     def test_random_tight_programs_match_the_oracle_exactly(self):
         rng = random.Random(99)
