@@ -62,8 +62,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # The numpy kernels of brute-force counting load on first use (PEP 562),
-    # so importing the package does not import numpy.
+    # The kernels of brute-force counting load on first use (PEP 562), so
+    # importing the package imports neither them nor numpy, which they use.
     if name == "_kernels":
         return importlib.import_module(f"{__name__}._kernels")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

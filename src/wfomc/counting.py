@@ -8,10 +8,12 @@ table. It holds two engines, ``brute`` and ``dpll``, over two counters:
     from ``_kernels`` and sums exact per-assignment weight products. It
     compiles the grounder's hash-consed DAG (``GroundProblem.dag``) to one
     instruction per distinct node (``compile_program``), so a shared
-    subformula or atom is evaluated once per block of assignments. This is
-    the semantic reference for everything else in the package. It is the
-    only user of numpy, which its functions import on first use, so that
-    the rest of the package loads and counts without it.
+    subformula or atom is evaluated once per block of assignments, a block
+    being one Python int. This is the semantic reference for everything
+    else in the package. It is the only user of numpy, which gathers the
+    weights of a block's satisfying assignments; the kernels import it on
+    first use, so that the rest of the package loads and counts without
+    it, and brute force without it is an input error naming dpll.
   * ``wmc_dpll`` is an exhaustive search over CNF with unit propagation,
     connected-component decomposition and symmetric component caching:
     a component's count is cached under its clauses with the domain
@@ -102,7 +104,8 @@ from .logic import (
 from .transform import clause_form
 
 DEFAULT_MAX_ATOMS = 26
-_BLOCK_BITS = 18  # assignments are enumerated in blocks of 2**_BLOCK_BITS
+_BLOCK_BITS = 15  # assignments are enumerated in blocks of 2**_BLOCK_BITS;
+# a program holds a block per slot, and 4 KB blocks keep a wide one in cache
 _INT64_SAFE = 1 << 62
 _SCAN_ROUNDS = 3  # propagation rounds that scan every clause before an index pays;
 # a branch's own round is the node step's partition, and a round that no
@@ -133,12 +136,12 @@ class Program:
     """A ground DAG as instructions for ``_kernels.satisfying_words``: one
     per node reachable from the root, children first, the root last.
 
-    Each instruction writes its node's array to a slot, ``slots[k]``, and
-    ``args[k]`` holds the slots of its operands, or for a load the atom's
-    bit; ``ops[k]`` is its opcode. A slot is given again only after the
-    last instruction that reads its node, so the slots number the
-    program's width: the most nodes live at once, each instruction's own
-    included. The evaluator holds one array per slot. ``atoms`` is the base
+    Each instruction writes its node's block of values to a slot,
+    ``slots[k]``, and ``args[k]`` holds the slots of its operands, or for a
+    load the atom's bit; ``ops[k]`` is its opcode. A slot is given again
+    only after the last instruction that reads its node, so the slots number
+    the program's width: the most nodes live at once, each instruction's own
+    included. The evaluator holds one int per slot. ``atoms`` is the base
     index per bit.
     """
 
@@ -158,8 +161,7 @@ def compile_program(dag: GroundDag) -> Program:
     spare one if there is one, and then gives back the slots of the
     operands it reads last, so it never writes over an operand.
     """
-    from . import _kernels as K
-
+    K = _load_kernels()
     code = {And: K.OP_AND, Or: K.OP_OR, Not: K.OP_NOT, Implies: K.OP_IMP,
             Iff: K.OP_IFF, TrueF: K.OP_TRUE, FalseF: K.OP_FALSE}
     nodes = dag.nodes
@@ -200,6 +202,19 @@ def compile_program(dag: GroundDag) -> Program:
 
 # ---------------------------------------------------------------------------
 # Brute-force engine
+
+
+@lru_cache(maxsize=None)
+def _load_kernels():
+    """The brute-force kernels, imported on first use: they need numpy."""
+    try:
+        from . import _kernels as K
+    except ModuleNotFoundError as e:
+        if e.name != "numpy":
+            raise
+        raise WfomcError("the brute-force engine needs numpy, which is not installed; "
+                         "use --engine dpll") from None
+    return K
 
 
 def wmc_bruteforce(g: GroundProblem, cap: int | None = None) -> Fraction:
@@ -248,9 +263,7 @@ def _check_brute_cap(n: int, cap: int | None):
 
 
 def _blocks(m: int):
-    # The kernels evaluate 64 assignments per uint64 word and take only
-    # word-aligned starts, so _BLOCK_BITS is at least 6; a base of m < 6
-    # atoms is one block.
+    # A base of m <= _BLOCK_BITS atoms is one block.
     step = 1 << min(m, _BLOCK_BITS)
     for start in range(0, 1 << m, step):
         yield start, step
@@ -259,10 +272,7 @@ def _blocks(m: int):
 def _sum_exact(prog: Program, weights: list[tuple[int, int]]) -> int:
     """Sum over the satisfying assignments of the program's atoms of the
     product of their integer weights, ``weights[bit]`` = (true, false)."""
-    import numpy as np
-
-    from . import _kernels as K
-
+    K = _load_kernels()
     m = len(prog.atoms)
     if all(w == (1, 1) for w in weights):
         sat = 0
@@ -270,6 +280,8 @@ def _sum_exact(prog: Program, weights: list[tuple[int, int]]) -> int:
             words = K.satisfying_words(prog.ops, prog.args, prog.slots, start, count)
             sat += K.popcount(words, count)
         return sat
+
+    import numpy as np
 
     k = m // 2
     low = _weight_table(weights[:k])

@@ -362,13 +362,16 @@ def parse_theory(text: str) -> tuple[WeightedTheory, Domain | None]:
             if domain is not None:
                 raise ParseError("duplicate domain declaration", tok.line, tok.col)
             declaration = tok
-            consts = [_domain_constant(p)]
-            while p.at("SYM", ","):
+            consts: dict[Constant, None] = {}
+            while True:
+                tok = p.peek()
+                c = _domain_constant(p)
+                if c in consts:
+                    raise ParseError("duplicate constant in domain", tok.line, tok.col)
+                consts[c] = None
+                if not p.at("SYM", ","):
+                    break
                 p.next()
-                consts.append(_domain_constant(p))
-            names = [c.name for c in consts]
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate constant in domain", tok.line, tok.col)
             domain = Domain(tuple(consts))
         elif p.at("IDENT", "weight"):
             p.next()
@@ -388,10 +391,11 @@ def parse_theory(text: str) -> tuple[WeightedTheory, Domain | None]:
             nvars = int(p.expect("INT").text)
             scale.append(ScaleFactor(base, nvars))
         else:
+            start = p.pos
             f = p.formula()
             fv = sorted(free_vars(f))
             if fv:
-                t = p.peek()
+                t = _first_free_variable(p.toks, start)
                 raise ParseError(f"sentence has free variable(s) {fv}", t.line, t.col)
             sentences.append(f)
         _end_statement(p)
@@ -411,9 +415,46 @@ def parse_query(text: str) -> Formula:
     f = p.formula()
     if not p.at("EOF"):
         p.fail("trailing input after query")
-    if free_vars(f):
-        raise WfomcError("query must be a sentence (no free variables)")
+    fv = sorted(free_vars(f))
+    if fv:
+        t = _first_free_variable(p.toks, 0)
+        raise ParseError(f"query must be a sentence: free variable(s) {fv}", t.line, t.col)
     return f
+
+
+class _FreeVariableFinder(_Parser):
+    """Parses a formula again, keeping its binders in scope, and records
+    the token of its first free variable."""
+
+    def __init__(self, toks: list[Token], pos: int):
+        self.toks, self.pos, self.arities = toks, pos, {}
+        self.bound: list[str] = []
+        self.free: Token | None = None
+
+    def formula(self) -> Formula:
+        if self.at("IDENT", "forall") or self.at("IDENT", "exists"):
+            self.next()
+            self.bound.append(self.next().text)
+            body = self.formula()
+            self.bound.pop()
+            return body
+        return self.iff_expr()
+
+    def term(self) -> Term:
+        t = self.peek()
+        term = super().term()
+        if self.free is None and isinstance(term, Variable) and term.name not in self.bound:
+            self.free = t
+        return term
+
+
+def _first_free_variable(toks: list[Token], start: int) -> Token:
+    """The token of the first free variable of the formula that starts at
+    token ``start``, which has one. Only an error path calls this, so a
+    valid sentence costs no second parse."""
+    finder = _FreeVariableFinder(toks, start)
+    finder.formula()
+    return finder.free
 
 
 def _domain_constant(p: _Parser) -> Constant:

@@ -2,8 +2,11 @@ import argparse
 import decimal
 import json
 import math
+import os
 import random
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -373,7 +376,11 @@ class TestExitCodes:
         ("count", "t.fol", "domain A\nforall x P(x)\ndomain B\n", [],
          "3:1: duplicate domain declaration"),
         ("count", "t.fol", "domain A, B, A\nforall x P(x)\n", [],
-         "1:1: duplicate constant in domain"),
+         "1:14: duplicate constant in domain"),
+        ("count", "t.fol", "forall x P(x, y)\n", ["--domain-size", "1"],
+         "1:15: sentence has free variable(s) ['y']"),
+        ("prob", "t.fol", "forall x P(x)\n", ["--query", "P(x)", "--domain-size", "1"],
+         "1:3: query must be a sentence: free variable(s) ['x']"),
         ("count", "t.fol", "weight P 1 2 3\nweight P 1 2 3\nforall x P(x)\n", ["--domain-size", "1"],
          "2:8: duplicate weight declaration for P"),
         ("count", "t.fol", "weight P 1 2/0 3\nforall x P(x)\n", ["--domain-size", "1"],
@@ -514,6 +521,21 @@ class TestExitCodes:
         code, out, err = run(capsys, "cnf", f)
         assert code == 2 and out == ""
         assert "expected 'IDENT'" in err
+
+    def test_brute_force_without_numpy_is_two(self):
+        # As where numpy is not installed: brute force names the dpll
+        # engine, in one error line and without a traceback.
+        code = ("import sys\n"
+                "sys.modules['numpy'] = None\n"
+                "from wfomc import cli\n"
+                f"sys.exit(cli.main(['count', {str(SAMPLES / 'smokers.fol')!r}, "
+                "'--domain-size', '2']))\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: the brute-force engine needs numpy, which is not "
+                               "installed; use --engine dpll\n")
 
     def test_non_tight_program_is_two(self, capsys, tmp_path):
         f = tmp_path / "cyc.plp"

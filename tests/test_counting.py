@@ -9,10 +9,11 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import domain, formula, theory
 from wfomc import _kernels as K, counting, grounding, lifted
@@ -113,14 +114,14 @@ class TestBruteForce:
             wmc_bruteforce(g, cap=3)
 
     def test_partition_independence(self, monkeypatch):
-        # 12 used atoms: 64, 8 and 1 block(s) of assignments. Per constant,
-        # P true leaves its three Q atoms free (2 * 2^3 with weights (2, -1),
-        # 1 * 2^3 unweighted), P false forces them true.
+        # 12 used atoms: 2048, 512, 64, 8 and 1 block(s) of assignments.
+        # Per constant, P true leaves its three Q atoms free (2 * 2^3 with
+        # weights (2, -1), 1 * 2^3 unweighted), P false forces them true.
         text = "forall x forall y (P(x) | Q(x,y))"
         for weights, count in (("weight P 1 2 -1\n", 15 ** 3), ("", 9 ** 3)):
             g = ground(theory(weights + text), Domain.of_size(3))
             assert len(compile_program(g.dag).atoms) == 12
-            for bits in (6, 9, 18):
+            for bits in (1, 3, 6, 9, 18):
                 monkeypatch.setattr(counting, "_BLOCK_BITS", bits)
                 assert wmc_bruteforce(g) == count, (weights, bits)
 
@@ -187,6 +188,29 @@ class TestBruteForce:
                     checked += 1
         assert checked > 1100
 
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_smaller_than_the_base_match_dpll(self, seed):
+        # Blocks of 2^bits assignments, fewer bits than the program's atoms,
+        # so the atoms at or above the block size load as constants read
+        # from each block's start. Weights 0 and -1 are among the draws.
+        rng = random.Random(seed)
+        t = gen_theory(GenConfig(seed=seed))
+        t = t.replace(weights=WeightFn({sig: (rng.choice(WEIGHT_POOL), rng.choice(WEIGHT_POOL))
+                                        for sig in t.predicates()}))
+        if rng.random() < 0.5:
+            t = skolemize(t)
+        g = next((g for n in (2, 1)
+                  for g in [ground(t, Domain.of_size(n, extra=t.constants()))]
+                  if len(g.base) <= 16), None)
+        assume(g is not None)
+        m = len(compile_program(g.dag).atoms)
+        assume(m > 0)
+        bits = max(0, m - rng.randint(1, 6))  # at most 64 blocks
+        with mock.patch.object(counting, "_BLOCK_BITS", bits):
+            brute = wmc_bruteforce(g)
+        assert brute == wmc_dpll(g), (seed, bits)
+
     def test_float_mode(self):
         t = theory("forall x (P(x) | Q(x))")
         t = t.replace(weights=WeightFn({PredicateSig("P", 1): (2.0, 1.0)}, "float"))
@@ -228,8 +252,8 @@ def _reachable(dag) -> list[int]:
 
 
 def _evaluator_rows(prog, n) -> int:
-    """The number of block arrays ``satisfying_words`` holds, read from
-    its frame while it runs."""
+    """The number of block ints ``satisfying_words`` holds, read from its
+    frame while it runs."""
     seen = []
 
     def line(frame, event, arg):
@@ -257,8 +281,9 @@ ALL_OPS = {K.OP_LOAD, K.OP_NOT, K.OP_AND, K.OP_OR, K.OP_IMP, K.OP_IFF,
 class TestKernels:
     def test_mask_matches_ground_evaluator(self):
         # Oracle: the recursive evaluator from the encoders, one world at a
-        # time. Nine atoms give 512 assignments, so bits above 5 (constant
-        # per word) and blocks that start past word 0 are both exercised.
+        # time. Nine atoms give 512 assignments, evaluated whole and in
+        # blocks of 1, 8 and 64, so bits constant over a block and blocks
+        # that start past 0 are both exercised.
         # Every program holds each opcode, an And or Or of three or more
         # operands, and an instruction that several others read.
         atoms = [Atom(PredicateSig(f"P{i}", 0), ()) for i in range(9)]
@@ -282,10 +307,11 @@ class TestKernels:
             ], dtype=np.uint8)
             full = K.satisfying_mask(prog.ops, prog.args, prog.slots, 0, 1 << m)
             assert np.array_equal(full, expected)
-            step = min(64, 1 << m)
-            for start in range(0, 1 << m, step):
-                block = K.satisfying_mask(prog.ops, prog.args, prog.slots, start, step)
-                assert np.array_equal(block, expected[start:start + step])
+            for step in (1, 8, 64):
+                step = min(step, 1 << m)
+                for start in range(0, 1 << m, step):
+                    block = K.satisfying_mask(prog.ops, prog.args, prog.slots, start, step)
+                    assert np.array_equal(block, expected[start:start + step])
             checked += 1
 
     def test_one_instruction_per_distinct_ground_node(self):
@@ -313,7 +339,7 @@ class TestKernels:
         # between an operand and its reader writes that slot. The slots
         # number the width: the most nodes live at once, counted here from
         # the DAG. Here each instance's two Ands and the Not die at its Or:
-        # 25 instructions in 8 slots, and the evaluator holds 8 arrays.
+        # 25 instructions in 8 slots, and the evaluator holds 8 ints.
         rng = random.Random(11)
         atoms = [Atom(PredicateSig(f"P{i}", 0), ()) for i in range(8)]
         base = HerbrandBase(()).appended(a.pred for a in atoms)
@@ -342,21 +368,37 @@ class TestKernels:
         prog = compile_program(wide)
         assert (len(prog.ops), max(prog.slots) + 1) == (25, 8)
 
-    @pytest.mark.parametrize("start,n", [(32, 64), (8, 8)])
+    @pytest.mark.parametrize("start,n", [(32, 64), (4, 8), (0, 12)])
     def test_unaligned_block_start_is_rejected(self, start, n):
-        # At start 8 the evaluator would read lanes 0-7 of word 0: lane 0
-        # is false, though assignment 8 satisfies P0 | P1 | P2 | P3.
-        atoms = [Atom(PredicateSig(f"P{i}", 0), ()) for i in range(4)]
-        base = HerbrandBase(()).appended(a.pred for a in atoms)
-        prog = compile_program(_dag(fold_or(atoms), base))
+        # A block is 2^L assignments from a multiple of 2^L: lane j of a
+        # block from 4 would read atom bit 2 as (j >> 2) & 1, so assignment
+        # 4 (P2 alone) would read as 0, which falsifies P0 | P1 | P2 | P3.
+        prog = _or_program()
         with pytest.raises(ValueError, match="aligned"):
             K.satisfying_words(prog.ops, prog.args, prog.slots, start, n)
 
-    def test_popcount_ignores_trailing_lanes(self):
-        ones = np.full(2, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-        assert K.popcount(ones, 70) == 70
-        assert K.popcount(ones[:1], 5) == 5
-        assert K.popcount(ones, 128) == 128  # masking left the words intact
+    def test_aligned_block_evaluates_its_own_lanes(self):
+        # Bit 3 is constant over the blocks of 8: false from 0, true from 8.
+        prog = _or_program()
+        assert K.satisfying_words(prog.ops, prog.args, prog.slots, 0, 8) == 0b11111110
+        assert K.satisfying_words(prog.ops, prog.args, prog.slots, 8, 8) == 0b11111111
+        assert K.satisfying_words(prog.ops, prog.args, prog.slots, 0, 16) == 0xFFFE
+
+    def test_popcount_counts_the_satisfying_assignments(self):
+        prog = _or_program()
+        for start, n in ((0, 16), (0, 8), (8, 8), (0, 1), (1, 1)):
+            words = K.satisfying_words(prog.ops, prog.args, prog.slots, start, n)
+            mask = K.satisfying_mask(prog.ops, prog.args, prog.slots, start, n)
+            assert len(mask) == n
+            assert K.popcount(words, n) == int(mask.sum()) == n - (start == 0)
+        assert K.popcount((1 << 70) - 1, 128) == 70
+
+
+def _or_program():
+    """The program of P0 | P1 | P2 | P3, false only at assignment 0."""
+    atoms = [Atom(PredicateSig(f"P{i}", 0), ()) for i in range(4)]
+    base = HerbrandBase(()).appended(a.pred for a in atoms)
+    return compile_program(_dag(fold_or(atoms), base))
 
 
 class TestDefinitionLifting:

@@ -193,8 +193,13 @@ class TestQueryParsing:
         assert (e.value.line, e.value.column) == (1, 6)
 
     def test_free_variable_is_rejected(self):
-        with pytest.raises(WfomcError, match=r"^query must be a sentence \(no free variables\)$"):
+        with pytest.raises(ParseError, match=r"^1:3: query must be a sentence: "
+                                             r"free variable\(s\) \['x'\]$") as e:
             parse_query("P(x)")
+        assert (e.value.line, e.value.column) == (1, 3)
+        # the first free occurrence, not a bound one of the same name
+        with pytest.raises(ParseError, match=r"^1:21: .*\['x'\]$"):
+            parse_query("(exists x P(x)) & R(x)")
 
 
 class TestErrorDiscipline:
